@@ -80,7 +80,6 @@ from .typicality import (
     is_synonymous_typical,
 )
 from .gaussian import (
-    GaussianParams,
     bandlimited_semantic_capacity,
     emit_curves,
     gaussian_semantic_capacity,

@@ -2,10 +2,11 @@
 
 A grouped codebook partitions binary codewords into equal-size groups; all
 codewords of a group carry the same message, so decoding only has to identify
-the right group.  The MLG rule picks the group with the largest likelihood sum,
-which over AWGN with BPSK reduces to the smallest summed squared Euclidean
-distance.  Signals use s = sqrt(Es) * (1 - 2x) with Es normalized to 1 and the
-symbol SNR carried entirely by the noise variance N0/2 = 1 / (2 Es/N0).
+the right group.  The MLG rule picks the group with the smallest summed
+squared Euclidean distance, which over AWGN with BPSK maximizes the product
+of the member likelihoods (not their sum).  Signals use s = sqrt(Es) * (1 - 2x)
+with Es normalized to 1 and the symbol SNR carried entirely by the noise
+variance N0/2 = 1 / (2 Es/N0).
 """
 
 from __future__ import annotations

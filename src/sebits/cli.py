@@ -224,7 +224,6 @@ def _cmd_capacity(args) -> dict:
         partition_budget=args.budget,
         tol=args.tol,
         identity_only=args.identity_only,
-        threads=args.threads,
     )
     return res.to_json()
 
@@ -435,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--budget", type=int, default=10_000)
     sp.add_argument("--tol", type=float, default=1e-8)
     sp.add_argument("--identity-only", action="store_true")
-    sp.add_argument("--threads", type=int, default=1)
     sp.set_defaults(fn=_cmd_capacity, fmt="json")
 
     sp = add_parser("rate-distortion", help="semantic rate-distortion")

@@ -9,27 +9,8 @@ external plotting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 LOG2E = math.log2(math.e)
-
-
-@dataclass(frozen=True)
-class GaussianParams:
-    """Signal power, noise level (variance or one-sided density), optional bandwidth, average synonymous length."""
-
-    p_signal: float
-    noise: float
-    s_avg: float = 1.0
-    bandwidth: float | None = None
-
-    def __post_init__(self):
-        if self.p_signal <= 0 or self.noise <= 0:
-            raise ValueError("signal power and noise must be positive")
-        if self.s_avg < 1:
-            raise ValueError("average synonymous length must be at least 1")
-        if self.bandwidth is not None and self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
 
 
 def uniform_semantic_entropy(a: float, b: float, n_tilde: int) -> float:

@@ -1,10 +1,14 @@
 """Capacity and rate-distortion solvers over synonymous partitions.
 
 The outer search over mappings is exhaustive partition enumeration gated by a
-caller-supplied budget; the inner problems are solved by projected gradient
-steps on the probability simplex (the up companion of mutual information is
-concave in the input distribution, the down companion convex in the test
-channel).  Classic Blahut-Arimoto baselines are included for the C <= C_s and
+caller-supplied budget.  With the partition pair fixed, both inner problems are
+solved by closed-form Blahut-Arimoto-style alternating updates, accelerated by
+SQUAREM extrapolation, that stop on a certificate: the up companion of mutual
+information is concave in the input distribution and its ascent stops on the
+Frank-Wolfe gap; the down companion is convex in the test channel and its
+descent, with the multiplier of the distortion constraint re-solved at every
+step, stops once the Lagrange-dual lower bound meets the best feasible value.
+Classic Blahut-Arimoto baselines are included for the C <= C_s and
 R_s(D) <= R(D) comparisons.
 """
 
@@ -12,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,32 +86,44 @@ def count_ordered_set_partitions(n: int, k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# simplex projection and shared solver pieces
+# shared solver pieces
 # ---------------------------------------------------------------------------
-
-def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {x >= 0, sum x = 1} (sort-based)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = np.nonzero(u - css / np.arange(1, v.size + 1) > 0)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
-
-
-def project_rows_simplex(v: np.ndarray) -> np.ndarray:
-    """Row-wise simplex projection of a matrix."""
-    u = np.sort(v, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1) - 1.0
-    ranks = np.arange(1, v.shape[1] + 1)
-    cond = u - css / ranks > 0
-    rho = v.shape[1] - 1 - np.argmax(cond[:, ::-1], axis=1)
-    theta = css[np.arange(v.shape[0]), rho] / (rho + 1.0)
-    return np.maximum(v - theta[:, None], 0.0)
-
 
 def _xlog2x_sum(p: np.ndarray) -> float:
     mask = p > 0
     return float(np.sum(p[mask] * np.log2(p[mask])))
+
+
+def _iterate_to_certificate(step, x: np.ndarray, done, rounds: int):
+    """Run a monotone map on the simplex until its certificate says stop.
+
+    step(x) returns (the map's image of x, the certificate gap at x, the
+    objective at x, lower being better).  Returns (x, objective, stopped) at
+    the first x with done(gap, objective) true, or after `rounds` rounds with
+    stopped false.  Each round is two steps plus a SQUAREM extrapolation
+    along them (Varadhan and Roland 2008), kept when it stays inside the
+    simplex and lowers the objective: it rescues near-degenerate problems,
+    where plain Blahut-Arimoto steps contract at a rate near 1.
+    """
+    for _ in range(rounds):
+        x1, gap, f = step(x)
+        if done(gap, f):
+            return x, f, True
+        x2, gap1, f1 = step(x1)
+        if done(gap1, f1):
+            return x1, f1, True
+        r, v = x1 - x, x2 - 2.0 * x1 + x
+        if v.any():
+            alpha = min(-float(np.linalg.norm(r) / np.linalg.norm(v)), -1.0)
+            ext = x - 2.0 * alpha * r + alpha * alpha * v
+            if ext.min() > 0:
+                x3, _, f3 = step(ext / ext.sum())
+                if f3 < f:
+                    x = x3
+                    continue
+        x = x2
+    _, gap, f = step(x)
+    return x, f, done(gap, f)
 
 
 # ---------------------------------------------------------------------------
@@ -120,32 +135,20 @@ def blahut_arimoto_capacity(
 ) -> tuple[float, Distribution]:
     """Classic channel capacity max_p I(X;Y) in bits, with the maximizing input.
 
-    Stops when the Arimoto upper/lower capacity bounds agree within `tol`, so
-    the returned value is within `tol` of the true maximum.
+    The up-companion ascent below on identity partitions, where its step is
+    Arimoto's and its Frank-Wolfe gap is the distance between the Arimoto
+    upper and lower capacity bounds, so the returned value is within `tol` of
+    the true maximum.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     w = ch.transition
-    m = ch.input_size
-    if m == 1:
-        return 0.0, Distribution(np.ones(1))
-    r = np.full(m, 1.0 / m)
-    logw = np.where(w > 0, np.log2(np.maximum(w, _LOG_FLOOR)), 0.0)
-    for _ in range(max_iter):
-        q = r @ w
-        logq = np.where(q > 0, np.log2(np.maximum(q, _LOG_FLOOR)), 0.0)
-        d = np.sum(w * (logw - logq), axis=1)  # per-input divergence to the output dist
-        lower = float(r @ d)
-        upper = float(d.max())
-        if upper - lower < tol:
-            return lower, Distribution(r)
-        r = r * np.exp2(d - d.max())
-        r /= r.sum()
-    raise NonConvergence(f"Blahut-Arimoto did not reach tol={tol} in {max_iter} iterations")
+    value, p = _ascend_up_smi(w, w, np.arange(ch.input_size), tol, max_iter)
+    return value, Distribution(p)
 
 
 # ---------------------------------------------------------------------------
-# inner capacity solver: concave ascent of the up companion over p(x)
+# inner capacity solver: block Blahut-Arimoto ascent of the up companion over p(x)
 # ---------------------------------------------------------------------------
 
 def _up_smi_pieces(ch: ChannelModel, fj: JointSynonymousPartition):
@@ -158,28 +161,63 @@ def _up_smi_pieces(ch: ChannelModel, fj: JointSynonymousPartition):
     return w, wv, x_block
 
 
-def _up_smi_value(p: np.ndarray, w: np.ndarray, wv: np.ndarray, x_block: np.ndarray) -> float:
+def _up_smi_value_grad(
+    p: np.ndarray, w: np.ndarray, wv: np.ndarray, x_block: np.ndarray, x_onehot: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Up companion at p and its gradient, up to an additive constant."""
     py = p @ w
-    n_blocks_u = x_block.max() + 1
-    pb = np.zeros((n_blocks_u, wv.shape[1]))
-    np.add.at(pb, x_block, p[:, None] * wv)
-    return -_xlog2x_sum(p) - _xlog2x_sum(py) + _xlog2x_sum(pb.ravel())
-
-
-def _up_smi_grad(p: np.ndarray, w: np.ndarray, wv: np.ndarray, x_block: np.ndarray) -> np.ndarray:
-    py = p @ w
-    n_blocks_u = x_block.max() + 1
-    pb = np.zeros((n_blocks_u, wv.shape[1]))
-    np.add.at(pb, x_block, p[:, None] * wv)
+    own = p[:, None] * wv
+    pb = x_onehot.T @ own  # pb[a, b]: mass of input block a and output block b
+    value = -_xlog2x_sum(p) - _xlog2x_sum(py) + _xlog2x_sum(pb.ravel())
     logpy = np.log2(np.maximum(py, 1e-15))
     # -log p_x + sum_b wv log pb fused as sum_b wv log(pb / p_x); the mass each
     # x contributes to its block cancels exactly, so boundary points cannot
     # produce mismatched clamps between the two logs
-    own = p[:, None] * wv
     rest = np.maximum(pb[x_block, :] - own, 0.0)
     ratio = wv + rest / np.maximum(p, 1e-15)[:, None]
     fused = np.where(wv > 0, wv * np.log2(np.maximum(ratio, 1e-300)), 0.0).sum(axis=1)
-    return fused - (w @ logpy)
+    return value, fused - (w @ logpy)
+
+
+def _ascend_up_smi(
+    w: np.ndarray,
+    wv: np.ndarray,
+    x_block: np.ndarray,
+    tol: float,
+    max_iter: int,
+    incumbent: float = -math.inf,
+) -> tuple[float, np.ndarray]:
+    """Block Blahut-Arimoto ascent from the uniform input; returns (value, p).
+
+    Written with a backward channel and a conditional block distribution, both
+    fixed at the current point, the objective is H(A) + 2 H(X|A) + sum_x p_x c_x
+    for the input block A, with c_x = g_x + 2 log p_x - log p_a and g the
+    gradient.  Its exact maximizer p_x ~ S_a 2^{c_x/2}, S_a = sum over the
+    block of 2^{c/2}, is the step, so no step lowers the objective; on
+    identity partitions it is classic Blahut-Arimoto.  The objective is
+    concave, so the Frank-Wolfe gap max g - g.p bounds the distance to the
+    maximum: the ascent stops once it is below `tol`, or once value + gap
+    falls below `incumbent`, a value the caller already holds.
+    """
+    x_onehot = np.eye(x_block.max() + 1)[x_block]
+
+    def step(p: np.ndarray) -> tuple[np.ndarray, float, float]:
+        value, g = _up_smi_value_grad(p, w, wv, x_block, x_onehot)
+        log_pa = np.log2(np.maximum(p @ x_onehot, _LOG_FLOOR))
+        half_c = 0.5 * (g - log_pa[x_block]) + np.log2(np.maximum(p, _LOG_FLOOR))
+        e = np.exp2(half_c - half_c.max())
+        nxt = ((e @ x_onehot) @ x_onehot.T) * e
+        return nxt / nxt.sum(), float(g.max() - g @ p), -value
+
+    p, f, stopped = _iterate_to_certificate(
+        step,
+        np.full(w.shape[0], 1.0 / w.shape[0]),
+        lambda gap, f: gap < tol or gap - f < incumbent,
+        max_iter,
+    )
+    if not stopped:
+        raise NonConvergence(f"up-SMI ascent did not reach tol={tol} in {max_iter} rounds")
+    return -f, p
 
 
 def maximize_up_smi(
@@ -188,37 +226,14 @@ def maximize_up_smi(
     tol: float = 1e-8,
     max_iter: int = 100_000,
 ) -> tuple[float, Distribution]:
-    """max over p(x) of H(X)+H(Y)-Hs(X~,Y~) by projected gradient ascent.
+    """max over p(x) of H(X)+H(Y)-Hs(X~,Y~) by block Blahut-Arimoto ascent.
 
-    Armijo backtracking; converged when the gradient-mapping norm drops below
-    `tol`.  The objective is concave in p(x), so the maximum is global.
+    Converged when the Frank-Wolfe gap, an upper bound on the distance to the
+    maximum, drops below `tol`.  The objective is concave in p(x), so the
+    maximum is global.
     """
-    w, wv, x_block = _up_smi_pieces(ch, fj)
-    m = ch.input_size
-    if m == 1:
-        p = np.ones(1)
-        return _up_smi_value(p, w, wv, x_block), Distribution(p)
-    p = np.full(m, 1.0 / m)
-    fval = _up_smi_value(p, w, wv, x_block)
-    step = 1.0
-    stagnant = 0
-    for _ in range(max_iter):
-        g = _up_smi_grad(p, w, wv, x_block)
-        while True:
-            cand = project_simplex(p + step * g)
-            fcand = _up_smi_value(cand, w, wv, x_block)
-            if fcand >= fval + 1e-4 * float(g @ (cand - p)):
-                break
-            if step < 1e-15:  # no ascent step survives float precision
-                return fval, Distribution(p)
-            step *= 0.5
-        mapping_norm = float(np.linalg.norm(cand - p)) / max(step, 1e-18)
-        stagnant = stagnant + 1 if fcand - fval <= 1e-14 * max(1.0, abs(fval)) else 0
-        p, fval = cand, fcand
-        if mapping_norm < tol or stagnant >= 64:  # value pinned to float precision
-            return fval, Distribution(p)
-        step = min(step * 2.0, 1e6)
-    raise NonConvergence(f"up-SMI ascent did not reach tol={tol} in {max_iter} iterations")
+    value, p = _ascend_up_smi(*_up_smi_pieces(ch, fj), tol, max_iter)
+    return value, Distribution(p)
 
 
 # ---------------------------------------------------------------------------
@@ -249,14 +264,15 @@ def semantic_capacity(
     partition_budget: int = 10_000,
     tol: float = 1e-8,
     identity_only: bool = False,
-    threads: int = 1,
 ) -> CapacityResult:
     """max over (input-partition, output-partition) pairs and p(x) of the up companion.
 
     The outer maximization enumerates every product pair of set partitions,
     which grows as Bell(N_x) * Bell(N_y); the call refuses to start if that
-    exceeds `partition_budget`.  `identity_only` restricts the search to the
-    identity pair, which reduces C_s to the classic capacity.
+    exceeds `partition_budget`.  A pair's ascent stops early once its value
+    plus Frank-Wolfe gap shows it cannot reach the best value found so far.
+    `identity_only` restricts the search to the identity pair, which reduces
+    C_s to the classic capacity.
     """
     c_classic, _ = blahut_arimoto_capacity(ch, tol=min(tol, 1e-10))
     nx, ny = ch.input_size, ch.output_size
@@ -274,29 +290,24 @@ def semantic_capacity(
                 f"enumeration needs {required} partition pairs, budget is {partition_budget}",
                 required=required,
             )
-        pairs = [
+        pairs = (
             (fu, fv)
             for fu in set_partitions(nx)
             for fv in set_partitions(ny)
-        ]
-
-    def solve(pair):
-        fu, fv = pair
-        fj = JointSynonymousPartition(
-            SynonymousPartition(fu, nx), SynonymousPartition(fv, ny)
         )
-        value, best_p = maximize_up_smi(ch, fj, tol=tol)
-        return value, pair, fj, best_p
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(solve, pairs))
-    else:
-        results = [solve(pair) for pair in pairs]
-    # deterministic winner: highest value, ties to the lexicographically smallest pair
-    best = min(results, key=lambda r: (-r[0], r[1]))
+    best = None
+    for pair in pairs:
+        fj = JointSynonymousPartition(
+            SynonymousPartition(pair[0], nx), SynonymousPartition(pair[1], ny)
+        )
+        incumbent = -math.inf if best is None else best[0]
+        value, p = _ascend_up_smi(*_up_smi_pieces(ch, fj), tol, 100_000, incumbent)
+        # deterministic winner: highest value, ties to the lexicographically smallest pair
+        if best is None or (-value, pair) < (-best[0], best[1]):
+            best = (value, pair, fj, p)
     return CapacityResult(
-        c_s=best[0], best_input=best[3], best_partition=best[2], c_classic=c_classic
+        c_s=best[0], best_input=Distribution(best[3]), best_partition=best[2], c_classic=c_classic
     )
 
 
@@ -351,41 +362,15 @@ def expected_semantic_distortion(
 # classic Blahut-Arimoto rate-distortion
 # ---------------------------------------------------------------------------
 
-def _ba_rd_fixed_slope(p: np.ndarray, d: np.ndarray, s: float, max_iter: int) -> tuple[float, float, np.ndarray]:
-    """BA fixed point at slope parameter s < 0; returns (rate, distortion, q)."""
-    n_hat = d.shape[1]
-    r = np.full(n_hat, 1.0 / n_hat)
-    expo = s * d
-    expo -= expo.max(axis=1, keepdims=True)  # per-row shift stabilizes exp
-    es = np.exp(expo)
-    for _ in range(max_iter):
-        a = r * es
-        q = a / a.sum(axis=1, keepdims=True)
-        r_new = p @ q
-        if np.abs(r_new - r).sum() < 1e-14:
-            r = r_new
-            break
-        r = r_new
-    else:
-        raise NonConvergence("inner Blahut-Arimoto loop did not converge")
-    a = r * es
-    q = a / a.sum(axis=1, keepdims=True)
-    dist = float(np.sum(p[:, None] * q * d))
-    mask = q > 0
-    ratio = np.zeros_like(q)
-    ratio[mask] = q[mask] / np.broadcast_to(r, q.shape)[mask]
-    rate = float(np.sum(p[:, None] * np.where(mask, q * np.log2(np.maximum(ratio, _LOG_FLOOR)), 0.0)))
-    return max(rate, 0.0), dist, q
-
-
 def blahut_arimoto_rd(
     src: Distribution, d, target_d: float, tol: float = 1e-8, max_iter: int = 100_000
 ) -> tuple[float, ChannelModel]:
     """Classic R(D) in bits with the achieving test channel.
 
-    Bisects the slope parameter until the fixed point's distortion matches
-    `target_d`; the reported rate comes from the feasible (distortion <= D)
-    side of the bracket.
+    The semantic rate-distortion solver with every block a single symbol,
+    where the down companion is I(X;X^): constrained Blahut-Arimoto stopped on
+    a duality certificate, so the rate is within `tol` of R(D) and the channel
+    meets the target.
     """
     p = src.probs
     d = np.asarray(d, dtype=float)
@@ -396,33 +381,10 @@ def blahut_arimoto_rd(
     d_floor = float(p @ d.min(axis=1))
     if target_d < d_floor - 1e-12:
         raise Infeasible(f"no test channel reaches distortion {target_d} (minimum {d_floor})")
-    col_cost = p @ d
-    j_best = int(np.argmin(col_cost))
-    if target_d >= float(col_cost[j_best]) - 1e-12:
-        q = np.zeros_like(d)
-        q[:, j_best] = 1.0
-        return 0.0, ChannelModel(q)
-
-    lo, hi = -1.0, 0.0  # slope bracket: distortion increases toward s = 0
-    rate_lo, dist_lo, q_lo = _ba_rd_fixed_slope(p, d, lo, max_iter)
-    while dist_lo > target_d:
-        hi = lo
-        lo *= 2.0
-        if lo < -1e6:
-            raise NonConvergence("slope bracket search failed")
-        rate_lo, dist_lo, q_lo = _ba_rd_fixed_slope(p, d, lo, max_iter)
-    best = (rate_lo, dist_lo, q_lo)  # feasible side
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        rate_m, dist_m, q_m = _ba_rd_fixed_slope(p, d, mid, max_iter)
-        if dist_m <= target_d:
-            best = (rate_m, dist_m, q_m)
-            lo = mid
-        else:
-            hi = mid
-        if abs(dist_m - target_d) < 1e-11 or hi - lo < 1e-13 * max(1.0, abs(lo)):
-            break
-    return best[0], ChannelModel(best[2])
+    rate, _, q = _min_down_smi_under_distortion(
+        p, d, np.ones(d.shape[1]), entropy(src), target_d, tol, max_iter
+    )
+    return max(rate, 0.0), ChannelModel(q)
 
 
 # ---------------------------------------------------------------------------
@@ -450,112 +412,122 @@ class RateDistortionResult:
         }
 
 
-def _down_smi_of_q(p: np.ndarray, q: np.ndarray, xh_block: np.ndarray, hs_x: float) -> float:
-    """Hs(X~) + Hs(X^~) - H(X, X^) as a function of the test channel q."""
-    joint = p[:, None] * q
-    n_blocks = xh_block.max() + 1
-    pb = np.zeros(n_blocks)
-    np.add.at(pb, xh_block, joint.sum(axis=0))
-    return hs_x - _xlog2x_sum(pb) + _xlog2x_sum(joint.ravel())
+def _down_smi_of_block_channel(
+    p: np.ndarray, qb: np.ndarray, sizes: np.ndarray, hs_x: float
+) -> float:
+    """Hs(X~) + Hs(X^~) - H(X, X^) for a test channel that gives reconstruction
+    block b the mass qb[x, b], spread evenly over the block's symbols."""
+    joint = p[:, None] * qb
+    r = joint.sum(axis=0)
+    return hs_x - _xlog2x_sum(r) + _xlog2x_sum(joint.ravel()) - float(r @ np.log2(sizes))
 
 
-def _down_smi_grad_q(
-    p: np.ndarray, q: np.ndarray, xh_block: np.ndarray, lam: float, dsyn: np.ndarray
-) -> np.ndarray:
-    joint = p[:, None] * q
-    n_blocks = xh_block.max() + 1
-    pb = np.zeros(n_blocks)
-    np.add.at(pb, xh_block, joint.sum(axis=0))
-    logq = np.log2(np.maximum(q, 1e-15))
-    logpb = np.log2(np.maximum(pb, 1e-15))
-    return p[:, None] * (logq - logpb[xh_block][None, :] + lam * dsyn)
+def _meet_target(
+    p: np.ndarray, dblk: np.ndarray, shifted: np.ndarray, sizes: np.ndarray,
+    t: np.ndarray, aim: float, lam: float,
+) -> tuple[float, np.ndarray]:
+    """The multiplier at which the channel qb ~ t_b A_xb has distortion `aim`.
 
-
-def _min_down_smi_at_lambda(
-    p: np.ndarray,
-    dsyn: np.ndarray,
-    xh_block: np.ndarray,
-    hs_x: float,
-    lam: float,
-    tol: float,
-    max_iter: int,
-    q0: np.ndarray | None = None,
-) -> tuple[float, float, np.ndarray]:
-    """min over q of down-SMI + lam * distortion; PGD with per-row projection."""
-    n, n_hat = dsyn.shape
-    q = np.full((n, n_hat), 1.0 / n_hat) if q0 is None else q0.copy()
-
-    def objective(qm: np.ndarray) -> float:
-        return _down_smi_of_q(p, qm, xh_block, hs_x) + lam * float(np.sum(p[:, None] * qm * dsyn))
-
-    fval = objective(q)
-    step = 1.0
-    stagnant = 0
-    for _ in range(max_iter):
-        g = _down_smi_grad_q(p, q, xh_block, lam, dsyn)
-        stalled = False
-        while True:
-            cand = project_rows_simplex(q - step * g)
-            fcand = objective(cand)
-            if fcand <= fval + 1e-4 * float(np.sum(g * (cand - q))):
-                break
-            if step < 1e-15:  # no descent step survives float precision
-                stalled = True
-                break
-            step *= 0.5
-        if stalled:
+    A_xb = |b| 2^{-lam d(x, b)}, taken with each row of d shifted to start at
+    0, which rescales the rows of A and leaves qb as it is.  The distortion
+    falls as lam grows, with slope -ln 2 times the p-mean of the variance of
+    d under qb(.|x).  Returns (lam, A): lam = 0 when the target is slack
+    there, else the root by Newton's method from `lam`, kept inside the
+    bracket by doubling and bisection.
+    """
+    lo, hi = 0.0, math.inf
+    probe = 0.0
+    for _ in range(200):
+        a = sizes * np.exp2(-probe * shifted)
+        qb = t * a
+        qb /= qb.sum(axis=1, keepdims=True)
+        mean = np.sum(qb * dblk, axis=1)
+        excess = float(p @ mean) - aim
+        if abs(excess) <= 0.5e-12 or (probe == 0.0 and excess <= 0.0):
             break
-        mapping_norm = float(np.linalg.norm(cand - q)) / max(step, 1e-18)
-        stagnant = stagnant + 1 if fval - fcand <= 1e-14 * max(1.0, abs(fval)) else 0
-        q, fval = cand, fcand
-        if mapping_norm < tol or stagnant >= 64:  # value pinned to float precision
-            break
-        step = min(step * 2.0, 1e6)
-    else:
-        raise NonConvergence("down-SMI descent did not converge")
-    value = _down_smi_of_q(p, q, xh_block, hs_x)
-    dist = float(np.sum(p[:, None] * q * dsyn))
-    return value, dist, q
+        if excess > 0.0:
+            lo = probe
+        else:
+            hi = probe
+        if probe == 0.0 and lam > 0.0:
+            probe = lam  # the previous step's multiplier is close
+            continue
+        var = float(p @ (np.sum(qb * dblk * dblk, axis=1) - mean * mean))
+        newton = probe + excess / (math.log(2.0) * var) if var > 0.0 else math.inf
+        if not lo < newton < hi:
+            newton = 2.0 * lo + 1.0 if hi == math.inf else 0.5 * (lo + hi)
+        probe = newton
+    return probe, a
 
 
 def _min_down_smi_under_distortion(
     p: np.ndarray,
-    dsyn: np.ndarray,
-    xh_block: np.ndarray,
+    dblk: np.ndarray,
+    sizes: np.ndarray,
     hs_x: float,
     target_d: float,
     tol: float,
     max_iter: int,
-) -> tuple[float, float, np.ndarray]:
-    """min down-SMI subject to expected distortion <= target, by bisection on the multiplier."""
-    value, dist, q = _min_down_smi_at_lambda(p, dsyn, xh_block, hs_x, 0.0, tol, max_iter)
-    if dist <= target_d + 1e-10:
-        return value, dist, q
-    lam_hi = 1.0
-    for _ in range(80):
-        value, dist, q = _min_down_smi_at_lambda(
-            p, dsyn, xh_block, hs_x, lam_hi, tol, max_iter, q0=q
-        )
-        if dist <= target_d + 1e-12:
-            break
-        lam_hi *= 2.0
-    else:
-        raise NonConvergence("multiplier bracket search failed")
-    best = (value, dist, q)  # feasible side of the bracket
-    lam_lo = lam_hi / 2.0 if lam_hi > 1.0 else 0.0
-    for _ in range(100):
-        lam = 0.5 * (lam_lo + lam_hi)
-        value, dist, q = _min_down_smi_at_lambda(
-            p, dsyn, xh_block, hs_x, lam, tol, max_iter, q0=q
-        )
-        if dist <= target_d + 1e-12:
-            best = (value, dist, q)
-            lam_hi = lam
-        else:
-            lam_lo = lam
-        if abs(dist - target_d) < 1e-9 or lam_hi - lam_lo < 1e-9 * max(1.0, lam_hi):
-            break
-    return best
+    stop_above: float = math.inf,
+) -> tuple[float, float, np.ndarray] | None:
+    """min down-SMI subject to expected distortion <= target, by constrained Blahut-Arimoto.
+
+    Hs(X^~) = min_t -sum_b r_b log t_b over block distributions t, so the
+    problem is a joint minimum over (channel, t), alternated in closed form.
+    The cost is constant on a reconstruction block, so the channel is even
+    inside each block and its block masses qb[x, b] carry it.  Given t, the
+    best feasible channel is qb ~ t_b |b| 2^{-lam d(x, b)} with the multiplier
+    lam set so that it meets the target exactly (lam = 0 when the target is
+    slack); given the channel, t is the block masses of p qb.  Re-solving lam
+    at every step keeps the iteration off the multipliers near the slope of a
+    straight segment of the curve, where Blahut-Arimoto at a fixed slope
+    contracts at a rate near 1.  Every step certifies the Lagrange-dual lower
+    bound hs_x - H(X) - sum_x p_x log2 c_x - lam * target - gap (c = A t,
+    gap = log2 max_b sum_x p_x A_xb / c_x, the Blahut-Arimoto duality gap),
+    and its channel is feasible; the descent stops when the best feasible
+    value is within `tol` of the bound, or reaches 0, where the caller's clamp
+    makes it final.  Returns the best feasible (value, dist, qb), or None once
+    the lower bound exceeds `stop_above`.
+    """
+    col_cost = p @ dblk
+    j = int(np.argmin(col_cost))
+    if col_cost[j] <= target_d:
+        # all to one reconstruction block: Hs(X^~) = 0 and H(X, X^) >= H(X) >= Hs(X~)
+        qb = np.zeros_like(dblk)
+        qb[:, j] = 1.0
+        return _down_smi_of_block_channel(p, qb, sizes, hs_x), float(col_cost[j]), qb
+    limit = target_d + 1e-12
+    row_min = dblk.min(axis=1)
+    shifted = dblk - row_min[:, None]
+    offset = hs_x + _xlog2x_sum(p)  # Hs(X~) - H(X)
+    lam, lower, best = 0.0, -math.inf, None
+
+    def step(t: np.ndarray) -> tuple[np.ndarray, float, float]:
+        nonlocal lam, lower, best
+        lam, a = _meet_target(p, dblk, shifted, sizes, t, target_d, lam)
+        c = a @ t
+        ratio = (p / c) @ a
+        gap = math.log2(ratio.max())
+        # the joint objective at t with the best channel meeting the target: no step
+        # raises it, and it sits at most the gap above the constrained minimum
+        joint = offset - float(p @ (np.log2(c) - lam * row_min)) - lam * target_d
+        lower = max(lower, joint - gap)
+        qb = t * a / c[:, None]
+        dist = float(np.sum(p[:, None] * qb * dblk))
+        if dist <= limit:
+            value = _down_smi_of_block_channel(p, qb, sizes, hs_x)
+            if best is None or value < best[0]:
+                best = (value, dist, qb)
+        return t * ratio / (t @ ratio), gap, joint
+
+    def done(gap: float, joint: float) -> bool:
+        certified = best is not None and (best[0] <= 0.0 or best[0] - lower <= tol)
+        return certified or lower > stop_above
+
+    t0 = np.full(sizes.size, 1.0 / sizes.size)
+    if not _iterate_to_certificate(step, t0, done, max_iter)[2]:
+        raise NonConvergence(f"down-SMI descent did not certify tol={tol} in {max_iter} rounds")
+    return None if lower > stop_above else best
 
 
 def semantic_rate_distortion(
@@ -573,7 +545,10 @@ def semantic_rate_distortion(
     partitions of the source alphabet into ds.shape[0] blocks and of the
     reconstruction alphabet into ds.shape[1] blocks.  The reconstruction
     syntactic alphabet defaults to one symbol per semantic symbol.  The result
-    is clamped at zero.
+    is clamped at zero.  A pair depends on its reconstruction partition only
+    through the block sizes, so each (source partition, sizes) is solved once,
+    and a pair is abandoned once its lower bound shows it cannot beat the best
+    pair found so far; neither changes the result.
     """
     if target_d < 0:
         raise Infeasible("distortion target must be non-negative")
@@ -591,27 +566,38 @@ def semantic_rate_distortion(
         )
 
     best: tuple | None = None
+    solved: dict = {}
     for fx_blocks in ordered_set_partitions(n, n_sx):
         fx = SynonymousPartition(fx_blocks, n)
         hs_x = semantic_entropy(src, fx)
+        dblk = ds.values[fx.block_of]  # dblk[x, b] = d_s(block of x, b)
+        if target_d < float(p @ dblk.min(axis=1)) - 1e-12:
+            continue  # no pair with this source partition can meet the distortion target
         for fxh_blocks in ordered_set_partitions(n_hat, n_sxh):
-            fxh = SynonymousPartition(fxh_blocks, n_hat)
-            dsyn = ds.values[np.ix_(fx.block_of, fxh.block_of)]
-            if target_d < float(p @ dsyn.min(axis=1)) - 1e-12:
-                continue  # this pair cannot meet the distortion target
-            value, dist, q = _min_down_smi_under_distortion(
-                p, dsyn, fxh.block_of, hs_x, target_d, tol, max_iter
-            )
+            if best is not None and best[0] == 0.0 and (fx_blocks, fxh_blocks) > best[3:]:
+                continue  # at best a tie at the clamp, which the incumbent wins
+            sizes = tuple(len(b) for b in fxh_blocks)
+            if (fx_blocks, sizes) not in solved:
+                solved[fx_blocks, sizes] = _min_down_smi_under_distortion(
+                    p, dblk, np.array(sizes, dtype=float), hs_x, target_d, tol, max_iter,
+                    math.inf if best is None else best[0],
+                )
+            found = solved[fx_blocks, sizes]
+            if found is None:
+                continue  # certified above the incumbent
+            value, dist, qb = found
             value = max(value, 0.0)
             key = (value, fx_blocks, fxh_blocks)
             if best is None or key < (best[0], best[3], best[4]):
-                best = (value, dist, q, fx_blocks, fxh_blocks)
+                best = (value, dist, qb, fx_blocks, fxh_blocks)
     if best is None:
         raise Infeasible(f"no partition pair admits a test channel with distortion <= {target_d}")
 
-    value, dist, q, fx_blocks, fxh_blocks = best
+    value, dist, qb, fx_blocks, fxh_blocks = best
     fx = SynonymousPartition(fx_blocks, n)
     fxh = SynonymousPartition(fxh_blocks, n_hat)
+    sizes = np.array([len(b) for b in fxh_blocks], dtype=float)
+    q = qb[:, fxh.block_of] / sizes[fxh.block_of]
     dsyn = ds.values[np.ix_(fx.block_of, fxh.block_of)]
     r_classic, _ = blahut_arimoto_rd(src, dsyn, target_d)
     return RateDistortionResult(

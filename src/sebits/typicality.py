@@ -358,9 +358,13 @@ def estimate_joint_typicality(
                 & (np.abs(rate_y - h_v) < eps)
                 & (np.abs(rate_xy - h_uv) < eps)
             )
-            cond_ok = (
-                np.abs((rate_xy - rate_sj) - (h_uv - hs_uv)) < eps
-            )
+            # a pair of zero joint probability makes rate_xy and rate_sj both
+            # infinite; the sequence is atypical, so its conditional rate is
+            # set to inf rather than computed as inf - inf
+            cond_rate = np.full(b, np.inf)
+            seen = np.isfinite(rate_xy)
+            cond_rate[seen] = rate_xy[seen] - rate_sj[seen]
+            cond_ok = np.abs(cond_rate - (h_uv - hs_uv)) < eps
             is_rep = (xs == rep_u[sx]).all(axis=1) & (ys == rep_v[sy]).all(axis=1)
             # decoding probe: representative pair of a jointly synonymous typical class
             hits += int((is_rep & in_sem_joint & in_syn_joint & cond_ok).sum())

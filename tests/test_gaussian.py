@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from sebits.gaussian import (
-    GaussianParams,
     bandlimited_semantic_capacity,
     db_to_linear,
     emit_curves,
@@ -17,15 +16,6 @@ from sebits.gaussian import (
     spectral_efficiency,
     uniform_semantic_entropy,
 )
-
-
-class TestParams:
-    def test_validation(self):
-        GaussianParams(p_signal=1.0, noise=0.5, s_avg=2.0, bandwidth=1e6)
-        with pytest.raises(ValueError):
-            GaussianParams(p_signal=0.0, noise=1.0)
-        with pytest.raises(ValueError):
-            GaussianParams(p_signal=1.0, noise=1.0, s_avg=0.5)
 
 
 class TestClosedForms:

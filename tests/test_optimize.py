@@ -1,5 +1,7 @@
 """Solver tests: closed-form baselines, grid-search oracles, ordering invariants."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from sebits.core import (
     SynonymousPartition,
 )
 from sebits.errors import BudgetExceeded, Infeasible
-from sebits.measures import up_smi
+from sebits.measures import mutual_information, up_smi
 from sebits.optimize import (
     SemanticDistortionMatrix,
     bell_number,
@@ -110,13 +112,29 @@ def grid_search_up_smi(ch: ChannelModel, fj: JointSynonymousPartition, step: flo
     return float(values[k]), float(p0[k])
 
 
+def frank_wolfe_gap(ch: ChannelModel, fj: JointSynonymousPartition, p: np.ndarray) -> float:
+    """max_x g_x - g.p for the gradient g of H(X)+H(Y)-Hs(X~,Y~), from the raw sums."""
+    w = np.asarray(ch.transition)
+    py = p @ w
+    g = -np.log2(p) - w @ np.log2(np.where(py > 0, py, 1.0))
+    for bu in fj.u_partition.blocks:
+        for bv in fj.v_partition.blocks:
+            wsub = w[np.ix_(list(bu), list(bv))].sum(axis=1)
+            mass = p[list(bu)] @ wsub
+            if mass > 0:
+                g[list(bu)] += wsub * np.log2(mass)
+    return float(g.max() - g @ p)
+
+
 class TestMaximizeUpSmi:
     def test_identity_partitions_match_blahut_arimoto(self):
         for p in [0.0, 0.05, 0.11, 0.3, 0.5]:
             ch = bsc(p)
             c, _ = blahut_arimoto_capacity(ch, tol=1e-12)
-            v, _ = maximize_up_smi(ch, JointSynonymousPartition.identity(2, 2), tol=1e-10)
+            fj = JointSynonymousPartition.identity(2, 2)
+            v, best = maximize_up_smi(ch, fj, tol=1e-10)
             assert v == pytest.approx(c, abs=1e-6)
+            assert frank_wolfe_gap(ch, fj, best.probs) <= 1e-10
 
     def test_fully_merged_noiseless(self):
         fj = JointSynonymousPartition(
@@ -125,6 +143,7 @@ class TestMaximizeUpSmi:
         v, p = maximize_up_smi(ChannelModel(np.eye(2)), fj, tol=1e-10)
         assert v == pytest.approx(2.0, abs=1e-8)
         np.testing.assert_allclose(p.probs, [0.5, 0.5], atol=1e-5)
+        assert frank_wolfe_gap(ChannelModel(np.eye(2)), fj, p.probs) <= 1e-10
 
     @pytest.mark.parametrize(
         "blocks_x,blocks_y",
@@ -136,8 +155,9 @@ class TestMaximizeUpSmi:
             SynonymousPartition(blocks_x, 2), SynonymousPartition(blocks_y, 2)
         )
         oracle, _ = grid_search_up_smi(ch, fj)
-        v, _ = maximize_up_smi(ch, fj, tol=1e-10)
+        v, p = maximize_up_smi(ch, fj, tol=1e-10)
         assert v == pytest.approx(oracle, abs=1e-3)
+        assert frank_wolfe_gap(ch, fj, p.probs) <= 1e-10
 
     def test_against_grid_oracle_random_2x2(self):
         rng = np.random.default_rng(42)
@@ -149,8 +169,9 @@ class TestMaximizeUpSmi:
                         SynonymousPartition(fu, 2), SynonymousPartition(fv, 2)
                     )
                     oracle, _ = grid_search_up_smi(ch, fj)
-                    v, _ = maximize_up_smi(ch, fj, tol=1e-9)
+                    v, p = maximize_up_smi(ch, fj, tol=1e-9)
                     assert v == pytest.approx(oracle, abs=1e-3)
+                    assert frank_wolfe_gap(ch, fj, p.probs) <= 1e-9
 
 
 class TestSemanticCapacity:
@@ -190,12 +211,32 @@ class TestSemanticCapacity:
             semantic_capacity(ChannelModel(np.eye(3)), partition_budget=3)
         assert exc.value.required == bell_number(3) ** 2
 
-    def test_threads_match_sequential(self):
-        ch = bsc(0.2)
-        a = semantic_capacity(ch, partition_budget=10, threads=1)
-        b = semantic_capacity(ch, partition_budget=10, threads=4)
-        assert a.c_s == pytest.approx(b.c_s, abs=1e-12)
-        assert a.best_partition.u_partition.blocks == b.best_partition.u_partition.blocks
+    def test_pruned_search_matches_exhaustive(self):
+        """Abandoning pairs that cannot beat the incumbent leaves the winner as is."""
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            ch = ChannelModel(rng.dirichlet(np.ones(3), size=3))
+            solved = []
+            for fu in set_partitions(3):
+                for fv in set_partitions(3):
+                    fj = JointSynonymousPartition(
+                        SynonymousPartition(fu, 3), SynonymousPartition(fv, 3)
+                    )
+                    solved.append((-maximize_up_smi(ch, fj)[0], (fu, fv)))
+            value, pair = min(solved)
+            res = semantic_capacity(ch, partition_budget=30)
+            assert res.c_s == pytest.approx(-value, abs=1e-8)
+            best = res.best_partition
+            assert (best.u_partition.blocks, best.v_partition.blocks) == pair
+
+    def test_5x5_channel_finishes(self):
+        rng = np.random.default_rng(3)
+        rng.dirichlet(np.ones(4), 4)
+        ch = ChannelModel(rng.dirichlet(np.ones(5), 5))
+        res = semantic_capacity(ch)
+        assert res.c_s == pytest.approx(4.604359, abs=1e-6)
+        assert res.best_partition.u_partition.semantic_size == 1
+        assert res.best_partition.v_partition.semantic_size == 1
 
 
 class TestExpectedSemanticDistortion:
@@ -240,6 +281,27 @@ class TestBlahutArimotoRd:
             rate, _ = blahut_arimoto_rd(src, d, target)
             assert rate == pytest.approx(h2(0.2) - h2(target), abs=1e-5)
 
+    def test_just_below_zero_rate_distortion(self):
+        """Close under D_max = min_j E d(X, j) the rate is small and positive;
+        each returned rate is the mutual information of its own channel."""
+        p = np.array([0.2906622110885117, 0.5042105072306106, 0.20512728168087785])
+        d = np.array(
+            [
+                [0.0, 0.38336888078551823, 0.40847320541999865],
+                [0.045275193902445166, 0.0, 0.9991761150650714],
+                [0.6523691115879877, 0.23451020166982395, 0.0],
+            ]
+        )
+        d_max = float((p @ d).min())
+        rates = []
+        for gap in [1e-2, 1e-3, 1e-4]:
+            rate, ch = blahut_arimoto_rd(Distribution(p), d, d_max - gap)
+            joint = JointDistribution(p[:, None] * ch.transition)
+            assert rate == pytest.approx(mutual_information(joint), abs=1e-9)
+            assert float(np.sum(joint.probs * d)) <= d_max - gap + 1e-9
+            rates.append(rate)
+        assert rates[0] > rates[1] > rates[2] > 0.0
+
     def test_infeasible(self):
         src = Distribution(np.array([0.5, 0.5]))
         d = np.array([[1.0, 2.0], [2.0, 1.0]])  # minimum achievable distortion 1.0
@@ -260,6 +322,14 @@ class TestSemanticRateDistortion:
     def test_lossless_point(self):
         res = semantic_rate_distortion(Distribution(np.array([0.5, 0.5])), hamming_distortion(2), 0.0)
         assert res.r_s == pytest.approx(1.0, abs=1e-6)
+
+    def test_lossless_point_with_small_costs(self):
+        """Costs of 1e-4 push the multiplier for D = 0 to about 1e6; the
+        certificate must still close, at R_s(0) = H(X)."""
+        probs = np.array([0.2, 0.3, 0.5])
+        ds = SemanticDistortionMatrix(1e-4 * (1.0 - np.eye(3)))
+        res = semantic_rate_distortion(Distribution(probs), ds, 0.0)
+        assert res.r_s == pytest.approx(float(-(probs @ np.log2(probs))), abs=1e-6)
 
     def test_merged_source_is_free(self):
         res = semantic_rate_distortion(
@@ -301,6 +371,70 @@ class TestSemanticRateDistortion:
         i_xy[dist > target] = np.inf
         best = float(np.clip(i_xy, 0.0, None).min())
         assert res.r_s == pytest.approx(best, abs=1e-3)
+
+    def test_binary_hamming_closed_form(self):
+        src = Distribution(np.array([0.5, 0.5]))
+        for target in [0.05, 0.15, 0.25, 0.35]:
+            res = semantic_rate_distortion(src, hamming_distortion(2), target)
+            assert res.r_s == pytest.approx(1 - h2(target), abs=1e-6)
+
+    def test_bijective_partitions_match_classic_over_relabelings(self):
+        """With as many semantic as syntactic symbols every partition pair is a
+        relabeling, so R_s(D) is the least classic R(D) over row and column
+        permutations of the cost matrix."""
+        probs = np.array([0.73944253356003, 0.03278964881788739, 0.22776781762208267])
+        ds = np.array(
+            [
+                [0.0, 0.8761799441204938, 0.9413849661435876],
+                [0.2959188909837117, 0.0, 0.5807728908501884],
+                [0.5742797648685671, 0.8714321648081984, 0.0],
+            ]
+        )
+        target = 0.054289654406150814
+        src = Distribution(probs)
+        res = semantic_rate_distortion(
+            src, SemanticDistortionMatrix(ds), target, reconstruction_size=3
+        )
+        oracle = min(
+            blahut_arimoto_rd(src, ds[list(rows)][:, list(cols)], target)[0]
+            for rows in itertools.permutations(range(3))
+            for cols in itertools.permutations(range(3))
+        )
+        assert oracle == pytest.approx(0.2610234, abs=1e-7)
+        assert res.r_s == pytest.approx(oracle, abs=1e-6)
+        assert res.distortion_achieved <= target + 1e-9
+
+    def test_straight_segment_of_the_curve(self):
+        """A reconstruction symbol of constant cost a (an erasure) puts a
+        straight segment on R(D): the line from (a, 0) tangent to 1 - h2(D).
+        The search must settle on that line, whose slope is a multiplier at
+        which every point of the segment is optimal."""
+        a = 0.2
+        lo, hi = 1e-9, a  # tangent point d0, by bisection on the tangency condition
+        for _ in range(200):
+            d0 = 0.5 * (lo + hi)
+            if 1 - h2(d0) < np.log2((1 - d0) / d0) * (a - d0):
+                lo = d0
+            else:
+                hi = d0
+        slope = np.log2((1 - d0) / d0)
+        src = Distribution(np.array([0.5, 0.5]))
+        ds = SemanticDistortionMatrix(np.array([[0.0, 1.0, a], [1.0, 0.0, a]]))
+        for target in [0.05, 0.1, 0.15, 0.19]:
+            res = semantic_rate_distortion(src, ds, target)
+            assert res.r_s == pytest.approx(slope * (a - target), abs=1e-6)
+            assert res.r_classic == pytest.approx(res.r_s, abs=1e-6)
+
+    def test_single_source_block_is_free(self):
+        """One source block: a feasible test channel has down companion <= 0."""
+        res = semantic_rate_distortion(
+            Distribution(np.array([0.0780138848189457, 0.9219861151810542])),
+            SemanticDistortionMatrix(np.array([[0.6168075138237781, 0.10538567974837565]])),
+            0.30457897296162373,
+            reconstruction_size=3,
+        )
+        assert res.r_s == 0.0
+        assert res.distortion_achieved <= 0.30457897296162373 + 1e-9
 
     def test_infeasible_everywhere(self):
         src = Distribution(np.array([0.5, 0.5]))

@@ -1,5 +1,7 @@
 """Typical-set membership, exact enumeration, and the Monte Carlo joint probes."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -222,6 +224,19 @@ class TestJointMonteCarlo:
         b = estimate_joint_typicality(WEAK_JOINT, WEAK_FJ, **kw)
         assert a.prob_typical == b.prob_typical
         assert a.detail["encoding_prob"] == b.detail["encoding_prob"]
+
+    def test_zero_probability_pairs_raise_no_warning(self, table2_joint, table3_partitions):
+        """Table II has zero cells: sequences through them are atypical, with no
+        inf - inf on the way.  The pinned probabilities are what the unmasked
+        subtraction gave; the mask changes no result."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = estimate_joint_typicality(
+                table2_joint, table3_partitions, n=3, eps=0.5, trials=20_000, seed=5,
+                mode="independent",
+            )
+        assert rep.prob_typical == 0.0172
+        assert rep.detail["encoding_prob"] == 0.6485
 
     def test_batch_split_invariance(self):
         """Per-trial counter slices make results independent of chunking."""
