@@ -135,16 +135,28 @@ def blahut_arimoto_capacity(
 ) -> tuple[float, Distribution]:
     """Classic channel capacity max_p I(X;Y) in bits, with the maximizing input.
 
-    The up-companion ascent below on identity partitions, where its step is
-    Arimoto's and its Frank-Wolfe gap is the distance between the Arimoto
-    upper and lower capacity bounds, so the returned value is within `tol` of
-    the true maximum.
+    Stops when the Arimoto upper/lower capacity bounds agree within `tol`, so
+    the returned value is within `tol` of the true maximum.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     w = ch.transition
-    value, p = _ascend_up_smi(w, w, np.arange(ch.input_size), tol, max_iter)
-    return value, Distribution(p)
+    m = ch.input_size
+    if m == 1:
+        return 0.0, Distribution(np.ones(1))
+    r = np.full(m, 1.0 / m)
+    logw = np.where(w > 0, np.log2(np.maximum(w, _LOG_FLOOR)), 0.0)
+    for _ in range(max_iter):
+        q = r @ w
+        logq = np.where(q > 0, np.log2(np.maximum(q, _LOG_FLOOR)), 0.0)
+        d = np.sum(w * (logw - logq), axis=1)  # per-input divergence to the output dist
+        lower = float(r @ d)
+        upper = float(d.max())
+        if upper - lower < tol:
+            return lower, Distribution(r)
+        r = r * np.exp2(d - d.max())
+        r /= r.sum()
+    raise NonConvergence(f"Blahut-Arimoto did not reach tol={tol} in {max_iter} iterations")
 
 
 # ---------------------------------------------------------------------------
@@ -431,19 +443,21 @@ def _meet_target(
     A_xb = |b| 2^{-lam d(x, b)}, taken with each row of d shifted to start at
     0, which rescales the rows of A and leaves qb as it is.  The distortion
     falls as lam grows, with slope -ln 2 times the p-mean of the variance of
-    d under qb(.|x).  Returns (lam, A): lam = 0 when the target is slack
-    there, else the root by Newton's method from `lam`, kept inside the
-    bracket by doubling and bisection.
+    d under qb(.|x).  Returns (lam, A) with A taken at that lam: lam = 0 when
+    the target is slack there, else the root by Newton's method from `lam`,
+    kept inside the bracket by doubling and bisection, or the last probe if
+    rounding keeps the distortion from meeting `aim` within 0.5e-12 relative.
     """
     lo, hi = 0.0, math.inf
     probe = 0.0
     for _ in range(200):
-        a = sizes * np.exp2(-probe * shifted)
+        at = probe
+        a = sizes * np.exp2(-at * shifted)
         qb = t * a
         qb /= qb.sum(axis=1, keepdims=True)
         mean = np.sum(qb * dblk, axis=1)
         excess = float(p @ mean) - aim
-        if abs(excess) <= 0.5e-12 or (probe == 0.0 and excess <= 0.0):
+        if abs(excess) <= 0.5e-12 * max(1.0, aim) or (probe == 0.0 and excess <= 0.0):
             break
         if excess > 0.0:
             lo = probe
@@ -457,7 +471,7 @@ def _meet_target(
         if not lo < newton < hi:
             newton = 2.0 * lo + 1.0 if hi == math.inf else 0.5 * (lo + hi)
         probe = newton
-    return probe, a
+    return at, a
 
 
 def _min_down_smi_under_distortion(
@@ -468,8 +482,7 @@ def _min_down_smi_under_distortion(
     target_d: float,
     tol: float,
     max_iter: int,
-    stop_above: float = math.inf,
-) -> tuple[float, float, np.ndarray] | None:
+) -> tuple[float, float, np.ndarray]:
     """min down-SMI subject to expected distortion <= target, by constrained Blahut-Arimoto.
 
     Hs(X^~) = min_t -sum_b r_b log t_b over block distributions t, so the
@@ -486,8 +499,7 @@ def _min_down_smi_under_distortion(
     gap = log2 max_b sum_x p_x A_xb / c_x, the Blahut-Arimoto duality gap),
     and its channel is feasible; the descent stops when the best feasible
     value is within `tol` of the bound, or reaches 0, where the caller's clamp
-    makes it final.  Returns the best feasible (value, dist, qb), or None once
-    the lower bound exceeds `stop_above`.
+    makes it final.  Returns the best feasible (value, dist, qb).
     """
     col_cost = p @ dblk
     j = int(np.argmin(col_cost))
@@ -521,13 +533,12 @@ def _min_down_smi_under_distortion(
         return t * ratio / (t @ ratio), gap, joint
 
     def done(gap: float, joint: float) -> bool:
-        certified = best is not None and (best[0] <= 0.0 or best[0] - lower <= tol)
-        return certified or lower > stop_above
+        return best is not None and (best[0] <= 0.0 or best[0] - lower <= tol)
 
     t0 = np.full(sizes.size, 1.0 / sizes.size)
     if not _iterate_to_certificate(step, t0, done, max_iter)[2]:
         raise NonConvergence(f"down-SMI descent did not certify tol={tol} in {max_iter} rounds")
-    return None if lower > stop_above else best
+    return best
 
 
 def semantic_rate_distortion(
@@ -545,10 +556,7 @@ def semantic_rate_distortion(
     partitions of the source alphabet into ds.shape[0] blocks and of the
     reconstruction alphabet into ds.shape[1] blocks.  The reconstruction
     syntactic alphabet defaults to one symbol per semantic symbol.  The result
-    is clamped at zero.  A pair depends on its reconstruction partition only
-    through the block sizes, so each (source partition, sizes) is solved once,
-    and a pair is abandoned once its lower bound shows it cannot beat the best
-    pair found so far; neither changes the result.
+    is clamped at zero.
     """
     if target_d < 0:
         raise Infeasible("distortion target must be non-negative")
@@ -566,7 +574,6 @@ def semantic_rate_distortion(
         )
 
     best: tuple | None = None
-    solved: dict = {}
     for fx_blocks in ordered_set_partitions(n, n_sx):
         fx = SynonymousPartition(fx_blocks, n)
         hs_x = semantic_entropy(src, fx)
@@ -574,18 +581,10 @@ def semantic_rate_distortion(
         if target_d < float(p @ dblk.min(axis=1)) - 1e-12:
             continue  # no pair with this source partition can meet the distortion target
         for fxh_blocks in ordered_set_partitions(n_hat, n_sxh):
-            if best is not None and best[0] == 0.0 and (fx_blocks, fxh_blocks) > best[3:]:
-                continue  # at best a tie at the clamp, which the incumbent wins
-            sizes = tuple(len(b) for b in fxh_blocks)
-            if (fx_blocks, sizes) not in solved:
-                solved[fx_blocks, sizes] = _min_down_smi_under_distortion(
-                    p, dblk, np.array(sizes, dtype=float), hs_x, target_d, tol, max_iter,
-                    math.inf if best is None else best[0],
-                )
-            found = solved[fx_blocks, sizes]
-            if found is None:
-                continue  # certified above the incumbent
-            value, dist, qb = found
+            sizes = np.array([len(b) for b in fxh_blocks], dtype=float)
+            value, dist, qb = _min_down_smi_under_distortion(
+                p, dblk, sizes, hs_x, target_d, tol, max_iter
+            )
             value = max(value, 0.0)
             key = (value, fx_blocks, fxh_blocks)
             if best is None or key < (best[0], best[3], best[4]):

@@ -1,9 +1,11 @@
-"""Solver tests: closed-form baselines, grid-search oracles, ordering invariants."""
+"""Solver tests: closed-form baselines, grid-search and convex-program oracles,
+ordering invariants."""
 
 import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from sebits.core import (
     ChannelModel,
@@ -39,6 +41,37 @@ def h2(x: float) -> float:
 
 def bsc(p: float) -> ChannelModel:
     return ChannelModel(np.array([[1 - p, p], [p, 1 - p]]))
+
+
+def convex_program_rd(p: np.ndarray, d: np.ndarray, target: float) -> float:
+    """Classic R(D) by SLSQP on the full test channel, independent of the
+    Blahut-Arimoto code: min I(X;X^) over row-stochastic q with E d <= target,
+    best feasible end point over a few starts q ~ 2^{-s d}."""
+    n, m = d.shape
+    pd = (p[:, None] * d).ravel()
+
+    def rate(v: np.ndarray) -> tuple[float, np.ndarray]:
+        q = np.maximum(v.reshape(n, m), 1e-300)
+        r = p @ q
+        grad = p[:, None] * np.log2(q / r)
+        return float(np.sum(np.where(v.reshape(n, m) > 0, q * grad, 0.0))), grad.ravel()
+
+    constraints = [
+        {"type": "eq", "fun": lambda v: v.reshape(n, m).sum(axis=1) - 1.0,
+         "jac": lambda v: np.kron(np.eye(n), np.ones(m))},
+        {"type": "ineq", "fun": lambda v: target - pd @ v, "jac": lambda v: -pd},
+    ]
+    best = np.inf
+    for s in [0.0, 1.0, 5.0, 20.0]:
+        q0 = np.exp2(-s * d)
+        q0 /= q0.sum(axis=1, keepdims=True)
+        res = minimize(rate, q0.ravel(), jac=True, method="SLSQP", bounds=[(0.0, 1.0)] * (n * m),
+                       constraints=constraints, options={"ftol": 1e-14, "maxiter": 1000})
+        q = np.clip(res.x.reshape(n, m), 0.0, None)
+        q /= q.sum(axis=1, keepdims=True)
+        if pd @ q.ravel() <= target + 1e-9:
+            best = min(best, rate(q.ravel())[0])
+    return best
 
 
 class TestPartitionEnumeration:
@@ -301,6 +334,22 @@ class TestBlahutArimotoRd:
             assert float(np.sum(joint.probs * d)) <= d_max - gap + 1e-9
             rates.append(rate)
         assert rates[0] > rates[1] > rates[2] > 0.0
+        for gap in [1e-2, 1e-3]:
+            oracle = convex_program_rd(p, d, d_max - gap)
+            assert blahut_arimoto_rd(Distribution(p), d, d_max - gap)[0] == pytest.approx(
+                oracle, abs=1e-6
+            )
+
+    def test_against_convex_program_oracle_random(self):
+        rng = np.random.default_rng(11)
+        for _ in range(12):
+            n, m = rng.integers(2, 5, size=2)
+            p = rng.dirichlet(np.ones(n))
+            d = rng.random((n, m))
+            d_floor, d_max = float(p @ d.min(axis=1)), float((p @ d).min())
+            target = d_floor + rng.random() * (d_max - d_floor)
+            rate, _ = blahut_arimoto_rd(Distribution(p), d, target)
+            assert rate == pytest.approx(convex_program_rd(p, d, target), abs=1e-6)
 
     def test_infeasible(self):
         src = Distribution(np.array([0.5, 0.5]))
@@ -402,6 +451,12 @@ class TestSemanticRateDistortion:
         )
         assert oracle == pytest.approx(0.2610234, abs=1e-7)
         assert res.r_s == pytest.approx(oracle, abs=1e-6)
+        independent = min(
+            convex_program_rd(probs, ds[list(rows)][:, list(cols)], target)
+            for rows in itertools.permutations(range(3))
+            for cols in itertools.permutations(range(3))
+        )
+        assert res.r_s == pytest.approx(independent, abs=1e-6)
         assert res.distortion_achieved <= target + 1e-9
 
     def test_straight_segment_of_the_curve(self):
