@@ -5,7 +5,6 @@ import itertools
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
 
 from sebits.core import (
     ChannelModel,
@@ -47,6 +46,7 @@ def convex_program_rd(p: np.ndarray, d: np.ndarray, target: float) -> float:
     """Classic R(D) by SLSQP on the full test channel, independent of the
     Blahut-Arimoto code: min I(X;X^) over row-stochastic q with E d <= target,
     best feasible end point over a few starts q ~ 2^{-s d}."""
+    minimize = pytest.importorskip("scipy.optimize").minimize
     n, m = d.shape
     pd = (p[:, None] * d).ravel()
 
@@ -298,6 +298,16 @@ class TestExpectedSemanticDistortion:
         assert got == pytest.approx(expected, abs=1e-12)
 
 
+JUST_BELOW_P = np.array([0.2906622110885117, 0.5042105072306106, 0.20512728168087785])
+JUST_BELOW_D = np.array(
+    [
+        [0.0, 0.38336888078551823, 0.40847320541999865],
+        [0.045275193902445166, 0.0, 0.9991761150650714],
+        [0.6523691115879877, 0.23451020166982395, 0.0],
+    ]
+)
+
+
 class TestBlahutArimotoRd:
     def test_uniform_binary_hamming_values(self):
         src = Distribution(np.array([0.5, 0.5]))
@@ -317,14 +327,7 @@ class TestBlahutArimotoRd:
     def test_just_below_zero_rate_distortion(self):
         """Close under D_max = min_j E d(X, j) the rate is small and positive;
         each returned rate is the mutual information of its own channel."""
-        p = np.array([0.2906622110885117, 0.5042105072306106, 0.20512728168087785])
-        d = np.array(
-            [
-                [0.0, 0.38336888078551823, 0.40847320541999865],
-                [0.045275193902445166, 0.0, 0.9991761150650714],
-                [0.6523691115879877, 0.23451020166982395, 0.0],
-            ]
-        )
+        p, d = JUST_BELOW_P, JUST_BELOW_D
         d_max = float((p @ d).min())
         rates = []
         for gap in [1e-2, 1e-3, 1e-4]:
@@ -334,20 +337,18 @@ class TestBlahutArimotoRd:
             assert float(np.sum(joint.probs * d)) <= d_max - gap + 1e-9
             rates.append(rate)
         assert rates[0] > rates[1] > rates[2] > 0.0
-        for gap in [1e-2, 1e-3]:
-            oracle = convex_program_rd(p, d, d_max - gap)
-            assert blahut_arimoto_rd(Distribution(p), d, d_max - gap)[0] == pytest.approx(
-                oracle, abs=1e-6
-            )
 
-    def test_against_convex_program_oracle_random(self):
+    def test_against_convex_program_oracle(self):
         rng = np.random.default_rng(11)
+        d_max = float((JUST_BELOW_P @ JUST_BELOW_D).min())
+        cases = [(JUST_BELOW_P, JUST_BELOW_D, d_max - gap) for gap in [1e-2, 1e-3]]
         for _ in range(12):
             n, m = rng.integers(2, 5, size=2)
             p = rng.dirichlet(np.ones(n))
             d = rng.random((n, m))
             d_floor, d_max = float(p @ d.min(axis=1)), float((p @ d).min())
-            target = d_floor + rng.random() * (d_max - d_floor)
+            cases.append((p, d, d_floor + rng.random() * (d_max - d_floor)))
+        for p, d, target in cases:
             rate, _ = blahut_arimoto_rd(Distribution(p), d, target)
             assert rate == pytest.approx(convex_program_rd(p, d, target), abs=1e-6)
 
@@ -356,6 +357,17 @@ class TestBlahutArimotoRd:
         d = np.array([[1.0, 2.0], [2.0, 1.0]])  # minimum achievable distortion 1.0
         with pytest.raises(Infeasible):
             blahut_arimoto_rd(src, d, 0.5)
+
+
+BIJECTIVE_PROBS = np.array([0.73944253356003, 0.03278964881788739, 0.22776781762208267])
+BIJECTIVE_DS = np.array(
+    [
+        [0.0, 0.8761799441204938, 0.9413849661435876],
+        [0.2959188909837117, 0.0, 0.5807728908501884],
+        [0.5742797648685671, 0.8714321648081984, 0.0],
+    ]
+)
+BIJECTIVE_TARGET = 0.054289654406150814
 
 
 class TestSemanticRateDistortion:
@@ -431,15 +443,7 @@ class TestSemanticRateDistortion:
         """With as many semantic as syntactic symbols every partition pair is a
         relabeling, so R_s(D) is the least classic R(D) over row and column
         permutations of the cost matrix."""
-        probs = np.array([0.73944253356003, 0.03278964881788739, 0.22776781762208267])
-        ds = np.array(
-            [
-                [0.0, 0.8761799441204938, 0.9413849661435876],
-                [0.2959188909837117, 0.0, 0.5807728908501884],
-                [0.5742797648685671, 0.8714321648081984, 0.0],
-            ]
-        )
-        target = 0.054289654406150814
+        probs, ds, target = BIJECTIVE_PROBS, BIJECTIVE_DS, BIJECTIVE_TARGET
         src = Distribution(probs)
         res = semantic_rate_distortion(
             src, SemanticDistortionMatrix(ds), target, reconstruction_size=3
@@ -451,13 +455,21 @@ class TestSemanticRateDistortion:
         )
         assert oracle == pytest.approx(0.2610234, abs=1e-7)
         assert res.r_s == pytest.approx(oracle, abs=1e-6)
-        independent = min(
-            convex_program_rd(probs, ds[list(rows)][:, list(cols)], target)
+        assert res.distortion_achieved <= target + 1e-9
+
+    def test_bijective_partitions_match_convex_program_oracle(self):
+        res = semantic_rate_distortion(
+            Distribution(BIJECTIVE_PROBS), SemanticDistortionMatrix(BIJECTIVE_DS),
+            BIJECTIVE_TARGET, reconstruction_size=3,
+        )
+        oracle = min(
+            convex_program_rd(
+                BIJECTIVE_PROBS, BIJECTIVE_DS[list(rows)][:, list(cols)], BIJECTIVE_TARGET
+            )
             for rows in itertools.permutations(range(3))
             for cols in itertools.permutations(range(3))
         )
-        assert res.r_s == pytest.approx(independent, abs=1e-6)
-        assert res.distortion_achieved <= target + 1e-9
+        assert res.r_s == pytest.approx(oracle, abs=1e-6)
 
     def test_straight_segment_of_the_curve(self):
         """A reconstruction symbol of constant cost a (an erasure) puts a
