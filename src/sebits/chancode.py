@@ -7,15 +7,23 @@ squared Euclidean distance, which over AWGN with BPSK maximizes the product
 of the member likelihoods (not their sum).  Signals use s = sqrt(Es) * (1 - 2x)
 with Es normalized to 1 and the symbol SNR carried entirely by the noise
 variance N0/2 = 1 / (2 Es/N0).
+
+Both rules are decided by correlation: every BPSK signal has the same energy,
+so the nearest codeword maximizes y.s_i, and with equal group sizes the MLG
+group maximizes y.(sum of its members' signals).  A batch of b received words
+costs two matrix products and O(b (M + G)) memory for M codewords in G groups,
+not O(b M n).  The distance spectra are computed once per codebook.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
+from ._kernels import trial_uniforms
 from .errors import (
     DuplicateCodeword,
     GroupOutOfRange,
@@ -113,6 +121,14 @@ class GroupedCodebook:
         """BPSK map s = sqrt(Es) (1 - 2x) for every codeword."""
         return math.sqrt(es) * (1.0 - 2.0 * self.codewords.astype(float))
 
+    @cached_property
+    def _group_spectrum(self) -> tuple[float, dict[tuple, float]]:
+        return _group_spectrum_of(self)
+
+    @cached_property
+    def _classic_spectrum(self) -> dict[int, float]:
+        return _classic_spectrum_of(self)
+
     def to_json(self) -> dict:
         return {
             "n": self.n,
@@ -205,8 +221,14 @@ def min_group_hamming_distance(cb: GroupedCodebook) -> tuple[float, dict[tuple, 
     The spectrum maps a sorted tuple of per-member codeword-to-group distances
     to its average multiplicity per transmitted group (ordered pair count
     divided by the number of groups), matching how a classic weight enumerator
-    counts codewords at each distance from one transmitted codeword.
+    counts codewords at each distance from one transmitted codeword.  It is
+    computed once per codebook; each call returns a fresh copy.
     """
+    d_min, spectrum = cb._group_spectrum
+    return d_min, dict(spectrum)
+
+
+def _group_spectrum_of(cb: GroupedCodebook) -> tuple[float, dict[tuple, float]]:
     if cb.num_groups < 2:
         raise SizeMismatch("need at least two groups")
     d_min = math.inf
@@ -226,7 +248,14 @@ def min_group_hamming_distance(cb: GroupedCodebook) -> tuple[float, dict[tuple, 
 
 
 def classic_distance_spectrum(cb: GroupedCodebook) -> dict[int, float]:
-    """Average number of codewords at each Hamming distance from a transmitted codeword."""
+    """Average number of codewords at each Hamming distance from a transmitted codeword.
+
+    Computed once per codebook; each call returns a fresh copy.
+    """
+    return dict(cb._classic_spectrum)
+
+
+def _classic_spectrum_of(cb: GroupedCodebook) -> dict[int, float]:
     cw = cb.codewords
     m = cw.shape[0]
     counts: dict[int, float] = {}
@@ -241,23 +270,39 @@ def classic_distance_spectrum(cb: GroupedCodebook) -> dict[int, float]:
 # decoding
 # ---------------------------------------------------------------------------
 
-def ml_decode(y, cb: GroupedCodebook, es: float = 1.0) -> int:
-    """Nearest-codeword rule: argmin ||y - s_i||^2, ties to the lowest index."""
+def _decide(y: np.ndarray, cb: GroupedCodebook) -> tuple[np.ndarray, np.ndarray]:
+    """ML codeword and MLG group of y (n,) or of each row of y (b, n), by correlation.
+
+    argmax keeps the first maximum, so ties go to the lowest index.
+    """
+    signals = cb.signals()
+    group_signals = signals[np.array(cb.groups)].sum(axis=1)  # (num_groups, n)
+    return (y @ signals.T).argmax(axis=-1), (y @ group_signals.T).argmax(axis=-1)
+
+
+def _received(y, cb: GroupedCodebook, es: float) -> np.ndarray:
+    if es <= 0:
+        raise ValueError("Es must be positive")
     y = np.asarray(y, dtype=float)
     if y.shape != (cb.n,):
         raise LengthMismatch(f"received vector has length {y.size}, code length is {cb.n}")
-    d2 = ((y[None, :] - cb.signals(es)) ** 2).sum(axis=1)
-    return int(np.argmin(d2))
+    return y
+
+
+def ml_decode(y, cb: GroupedCodebook, es: float = 1.0) -> int:
+    """Nearest-codeword rule: argmin ||y - s_i||^2, ties to the lowest index.
+
+    Any Es > 0 scales every signal alike and gives the same decision.
+    """
+    return int(_decide(_received(y, cb, es), cb)[0])
 
 
 def mlg_decode(y, cb: GroupedCodebook, es: float = 1.0) -> int:
-    """Maximum-likelihood-group rule: argmin over groups of the summed squared distance."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (cb.n,):
-        raise LengthMismatch(f"received vector has length {y.size}, code length is {cb.n}")
-    d2 = ((y[None, :] - cb.signals(es)) ** 2).sum(axis=1)
-    group_d2 = np.array([d2[list(g)].sum() for g in cb.groups])
-    return int(np.argmin(group_d2))
+    """Maximum-likelihood-group rule: argmin over groups of the summed squared distance.
+
+    Ties go to the lowest group index; any Es > 0 gives the same decision.
+    """
+    return int(_decide(_received(y, cb, es), cb)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -329,18 +374,14 @@ def wilson_halfwidth(p_hat: float, n: int, z: float = 1.959963984540054) -> floa
 
 
 def _trial_randoms(seed: int, start: int, count: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Uniforms for trials [start, start+count) from per-trial Philox counter slices.
+    """Codeword-pick uniforms and n standard normals for trials [start, start+count).
 
-    Each trial owns a fixed number of 256-bit counter blocks (one uniform for
-    the codeword pick plus an even number for Box-Muller noise), so any
-    batching or parallel split over trial indices reproduces the same stream.
+    Each trial's Philox slice holds one uniform for the pick plus an even
+    number for Box-Muller noise.
     """
-    per_trial = 1 + 2 * ((n + 1) // 2)
-    blocks_per_trial = (per_trial + 3) // 4
-    gen = np.random.Generator(np.random.Philox(key=seed, counter=start * blocks_per_trial))
-    u = gen.random((count, 4 * blocks_per_trial))
+    u = trial_uniforms(seed, start, count, 1 + 2 * ((n + 1) // 2))
     picks = u[:, 0]
-    pairs = u[:, 1 : 1 + 2 * ((n + 1) // 2)]
+    pairs = u[:, 1:]
     half = pairs.shape[1] // 2
     radius = np.sqrt(-2.0 * np.log1p(-pairs[:, :half]))
     angle = 2.0 * math.pi * pairs[:, half:]
@@ -359,7 +400,6 @@ def simulate_awgn(cb: GroupedCodebook, cfg: AwgnConfig, batch: int = 1 << 15) ->
     signals = cb.signals(1.0)
     m, n = signals.shape
     sigma = math.sqrt(1.0 / (2.0 * cfg.es_n0))
-    group_idx = np.array([list(g) for g in cb.groups])  # (num_groups, group_size)
 
     group_err = 0
     cw_err = 0
@@ -370,10 +410,7 @@ def simulate_awgn(cb: GroupedCodebook, cfg: AwgnConfig, batch: int = 1 << 15) ->
         picks, normals = _trial_randoms(cfg.seed, done, b, n)
         sent = np.minimum((picks * m).astype(int), m - 1)
         y = signals[sent] + sigma * normals
-        d2 = ((y[:, None, :] - signals[None, :, :]) ** 2).sum(axis=2)  # (b, m)
-        ml_choice = d2.argmin(axis=1)
-        group_d2 = d2[:, group_idx].sum(axis=2)  # (b, num_groups)
-        mlg_choice = group_d2.argmin(axis=1)
+        ml_choice, mlg_choice = _decide(y, cb)
         true_group = cb.group_of[sent]
         group_err += int((mlg_choice != true_group).sum())
         cw_err += int((ml_choice != sent).sum())

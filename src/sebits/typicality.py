@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._kernels import trial_uniforms
 from .core import (
     Distribution,
     JointDistribution,
@@ -251,17 +252,6 @@ def enumerate_typical_sets(
 # joint typicality via Monte Carlo
 # ---------------------------------------------------------------------------
 
-def _trial_uniforms(seed: int, start: int, count: int, per_trial: int) -> np.ndarray:
-    """Uniform draws for trials [start, start+count), one Philox counter slice each.
-
-    Fixed per-trial consumption keeps the stream independent of batch splits,
-    so any parallel or chunked execution reproduces the same trials.
-    """
-    blocks_per_trial = (per_trial + 3) // 4
-    gen = np.random.Generator(np.random.Philox(key=seed, counter=start * blocks_per_trial))
-    return gen.random((count, 4 * blocks_per_trial))[:, :per_trial]
-
-
 def _inverse_cdf(u: np.ndarray, probs: np.ndarray) -> np.ndarray:
     edges = np.cumsum(probs)
     edges[-1] = 1.0
@@ -331,7 +321,7 @@ def estimate_joint_typicality(
     done = 0
     while done < trials:
         b = min(batch, trials - done)
-        u = _trial_uniforms(seed, done, b, per_trial)
+        u = trial_uniforms(seed, done, b, per_trial)
         if mode == "correlated":
             pair = _inverse_cdf(u, flat_joint)
             xs, ys = pair // nv, pair % nv

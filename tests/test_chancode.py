@@ -2,10 +2,12 @@
 likelihood-sum oracle, bounds, and the AWGN simulation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from sebits import chancode
 from sebits.chancode import (
     AwgnConfig,
     GroupedCodebook,
@@ -18,6 +20,8 @@ from sebits.chancode import (
     min_group_hamming_distance,
     ml_decode,
     mlg_decode,
+    _decide,
+    _trial_randoms,
     simulate_awgn,
     singleton_codebook,
     wilson_halfwidth,
@@ -147,6 +151,24 @@ class TestGroupDistance:
 
 
 class TestUnionBounds:
+    def test_spectra_computed_once_per_codebook(self, hamming_codebook, monkeypatch):
+        cb = build_grouped_codebook(hamming_codebook.codewords, hamming_codebook.groups)
+        calls = []
+        distance = chancode.codeword_to_group_distance
+        monkeypatch.setattr(
+            chancode, "codeword_to_group_distance", lambda *a: calls.append(a) or distance(*a)
+        )
+        grid = [(x, mode) for x in (0.5, 1.0, 3.7) for mode in ("MLG", "ML")]
+        first = [gep_union_bound(cb, x, mode) for x, mode in grid]
+        assert len(calls) == cb.num_codewords * (cb.num_groups - 1)
+        # callers get copies: changing them does not reach the cached spectra
+        min_group_hamming_distance(cb)[1].clear()
+        classic_distance_spectrum(cb).clear()
+        assert [gep_union_bound(cb, x, mode) for x, mode in grid] == first
+        assert min_group_hamming_distance(cb) == min_group_hamming_distance(hamming_codebook)
+        assert classic_distance_spectrum(cb) == classic_distance_spectrum(hamming_codebook)
+        assert len(calls) == cb.num_codewords * (cb.num_groups - 1)
+
     def test_mlg_at_unit_snr(self, hamming_codebook):
         want = 6 * math.exp(-2) + math.exp(-4)
         assert gep_union_bound(hamming_codebook, 1.0, "MLG") == pytest.approx(want, abs=1e-12)
@@ -270,6 +292,99 @@ class TestSimulation:
         res = simulate_awgn(hamming_codebook, AwgnConfig(es_n0=2.0, trials=200_000, seed=8))
         assert res.ml_group_error_rate < res.group_error_rate
 
+    def test_memory_does_not_scale_with_codewords_times_length(self, hamming_codebook):
+        cfg = AwgnConfig(es_n0=2.0, trials=1 << 15, seed=1)
+        simulate_awgn(hamming_codebook, cfg)  # one-time set-up stays out of the peak
+        tracemalloc.start()
+        try:
+            simulate_awgn(hamming_codebook, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        broadcast = np.dtype(float).itemsize * (1 << 15) * 16 * 7  # one (2^15, M, n) array
+        assert peak < broadcast / 2
+
     def test_wilson_halfwidth(self):
         assert wilson_halfwidth(0.5, 10_000) == pytest.approx(0.0098, abs=2e-4)
         assert wilson_halfwidth(0.0, 100) > 0.0
+
+
+def broadcast_counts(cb: GroupedCodebook, cfg: AwgnConfig, batch: int) -> list[int]:
+    """Group, codeword and ML-group error counts from the squared-distance decoder
+    simulate_awgn used before the correlation rule: a (b, M, n) broadcast per batch."""
+    signals = cb.signals(1.0)
+    m, n = signals.shape
+    sigma = math.sqrt(1.0 / (2.0 * cfg.es_n0))
+    group_idx = np.array([list(g) for g in cb.groups])
+    counts = [0, 0, 0]
+    for done in range(0, cfg.trials, batch):
+        picks, normals = _trial_randoms(cfg.seed, done, min(batch, cfg.trials - done), n)
+        sent = np.minimum((picks * m).astype(int), m - 1)
+        y = signals[sent] + sigma * normals
+        d2 = ((y[:, None, :] - signals[None, :, :]) ** 2).sum(axis=2)
+        ml = d2.argmin(axis=1)
+        mlg = d2[:, group_idx].sum(axis=2).argmin(axis=1)
+        true_group = cb.group_of[sent]
+        counts[0] += int((mlg != true_group).sum())
+        counts[1] += int((ml != sent).sum())
+        counts[2] += int((cb.group_of[ml] != true_group).sum())
+    return counts
+
+
+def brute_force_decisions(y: np.ndarray, cb: GroupedCodebook) -> tuple[np.ndarray, np.ndarray]:
+    """argmin ||y - s_i||^2 and argmin_g sum_{i in g} ||y - s_i||^2 row by row, ties to the lowest."""
+    ml, mlg = [], []
+    for row in y:
+        d2 = [float(np.sum((row - s) ** 2)) for s in cb.signals()]
+        ml.append(min(range(len(d2)), key=lambda i: (d2[i], i)))
+        group_d2 = [sum(d2[i] for i in g) for g in cb.groups]
+        mlg.append(min(range(len(group_d2)), key=lambda g: (group_d2[g], g)))
+    return np.array(ml), np.array(mlg)
+
+
+def random_grouped_codebook(seed: int) -> GroupedCodebook:
+    """12 distinct length-9 words in 4 groups of 3."""
+    rng = np.random.default_rng(seed)
+    words = rng.choice(1 << 9, size=12, replace=False)
+    return build_grouped_codebook(
+        [format(int(w), "09b") for w in words], rng.permutation(12).reshape(4, 3).tolist()
+    )
+
+
+class TestCorrelationDecoder:
+    @pytest.mark.parametrize("singleton", [False, True])
+    @pytest.mark.parametrize("batch", [1 << 15, 977, 4096])
+    def test_counts_equal_broadcast_decoder(self, hamming_codebook, singleton, batch):
+        cb = singleton_codebook(hamming_codebook.codewords) if singleton else hamming_codebook
+        for seed in (0, 7, 60):
+            for db in (-2.0, 0.0, 2.0, 4.0, 6.0):
+                cfg = AwgnConfig(es_n0=10 ** (db / 10), trials=20_000, seed=seed)
+                res = simulate_awgn(cb, cfg, batch=batch)
+                group, cw, ml_group = broadcast_counts(cb, cfg, batch)
+                assert res.group_error_rate == group / cfg.trials
+                assert res.codeword_error_rate == cw / cfg.trials
+                assert res.ml_group_error_rate == ml_group / cfg.trials
+
+    @pytest.mark.parametrize("which", ["table8", "singleton", "random"])
+    def test_batch_decoder_equals_brute_force(self, hamming_codebook, which):
+        cb = {
+            "table8": hamming_codebook,
+            "singleton": singleton_codebook(hamming_codebook.codewords),
+            "random": random_grouped_codebook(31),
+        }[which]
+        rng = np.random.default_rng(32)
+        s = cb.signals()
+        pairs = [(i, j) for i in range(cb.num_codewords) for j in range(i + 1, cb.num_codewords)]
+        ties = np.vstack([np.zeros(cb.n)] + [(s[i] + s[j]) / 2 for i, j in pairs])
+        for y in (rng.normal(0.0, 1.5, size=(2000, cb.n)), ties):
+            ml, mlg = _decide(y, cb)
+            want_ml, want_mlg = brute_force_decisions(y, cb)
+            assert np.array_equal(ml, want_ml) and np.array_equal(mlg, want_mlg)
+            assert [ml_decode(row, cb) for row in y[:50]] == want_ml[:50].tolist()
+            assert [mlg_decode(row, cb) for row in y[:50]] == want_mlg[:50].tolist()
+
+    def test_nonpositive_es_rejected(self, hamming_codebook):
+        with pytest.raises(ValueError):
+            ml_decode(np.zeros(7), hamming_codebook, es=0.0)
+        with pytest.raises(ValueError):
+            mlg_decode(np.zeros(7), hamming_codebook, es=-1.0)
