@@ -1,6 +1,10 @@
 """Typical-set membership, exact enumeration, and the Monte Carlo joint probes."""
 
+import itertools
+import math
+import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,8 +16,10 @@ from sebits.core import (
     SynonymousPartition,
 )
 from sebits.errors import BudgetExceeded, IndexOutOfRange
-from sebits.measures import down_smi, full_smi, mutual_information, up_smi
+from sebits.measures import down_smi, entropy, full_smi, mutual_information, up_smi
+from sebits import typicality
 from sebits.typicality import (
+    _inverse_cdf,
     enumerate_typical_sets,
     estimate_joint_typicality,
     is_semantically_typical,
@@ -25,6 +31,106 @@ from sebits.typicality import (
 # synonymous classes tile the syntactic typical set exactly at every n
 TILE_DIST = Distribution(np.array([0.5, 0.25, 0.25]))
 TILE_PART = SynonymousPartition(((0,), (1, 2)), 3)
+
+
+def _brute_force(d, f, n, eps):
+    """Exact-mode fields by literal enumeration of every sequence of length n.
+
+    Also returns the smallest distance of any of the four rates compared
+    against eps from the edge, so callers can keep eps off knife edges.
+    """
+    sem = np.array([d.probs[list(b)].sum() for b in f.blocks])
+    h, hs = entropy(d), entropy(Distribution(sem))
+
+    def supported(alphabet, probs):
+        seqs = np.array(list(itertools.product(range(alphabet), repeat=n)))
+        return seqs[(probs[seqs] > 0).all(axis=1)]
+
+    seqs = supported(d.alphabet_size, d.probs)
+    z = f.block_of[seqs]
+    rate = -np.log2(d.probs[seqs]).sum(axis=1) / n
+    rate_sem = -np.log2(sem[z]).sum(axis=1) / n
+    zs = supported(len(f.blocks), sem)
+    z_rate = -np.log2(sem[zs]).sum(axis=1) / n
+    dev = [rate - h, rate_sem - hs, (rate - rate_sem) - (h - hs), z_rate - hs]
+    margin = min(np.abs(np.abs(x) - eps).min() for x in dev)
+    syn, sem_ok, cond_ok, z_ok = (np.abs(x) < eps for x in dev)
+    member = syn & sem_ok & cond_ok
+    classes = Counter(map(tuple, z[member].tolist()))
+    fields = {
+        "set_size": int(z_ok.sum()),
+        "prob_typical": float(sem[zs[z_ok]].prod(axis=1).sum()),
+        "syntactic_typical_size": int(syn.sum()),
+        "synonymous_union_size": int(member.sum()),
+        "b_class_sizes": sorted(set(classes.values())),
+        "partition_exact": bool(member.sum() == syn.sum()),
+    }
+    return fields, margin
+
+
+def _exact_fields(rep):
+    return {
+        "set_size": rep.set_size,
+        "prob_typical": pytest.approx(rep.prob_typical, rel=1e-12),
+        **{k: rep.detail[k] for k in (
+            "syntactic_typical_size", "synonymous_union_size", "b_class_sizes", "partition_exact"
+        )},
+    }
+
+
+def _reference_loop(d, f, n, eps):
+    """The per-composition loop the type grid replaced, kept as a test oracle."""
+
+    def compositions(total, parts):
+        if parts == 1:
+            yield (total,)
+            return
+        for first in range(total + 1):
+            for rest in compositions(total - first, parts - 1):
+                yield (first,) + rest
+
+    def multinomial(m, counts):
+        out = math.factorial(m)
+        for c in counts:
+            out //= math.factorial(c)
+        return out
+
+    sem = np.array([d.probs[list(b)].sum() for b in f.blocks])
+    h, hs = entropy(d), entropy(Distribution(sem))
+    log2_syn, log2_sem = np.log2(d.probs), np.log2(sem)
+    a_sem_size, prob_sem, sem_mult = 0, 0.0, {}
+    for counts in compositions(n, len(sem)):
+        logp = float(np.dot(counts, log2_sem))
+        if abs(-logp / n - hs) < eps:
+            mult = multinomial(n, counts)
+            a_sem_size += mult
+            prob_sem += mult * 2.0**logp
+            sem_mult[counts] = mult
+    a_syn_size, b_sizes = 0, {}
+    for counts in compositions(n, d.alphabet_size):
+        rate_syn = -float(np.dot(counts, log2_syn)) / n
+        cond1 = abs(rate_syn - h) < eps
+        if cond1:
+            a_syn_size += multinomial(n, counts)
+        sem_counts = tuple(int(sum(counts[i] for i in block)) for block in f.blocks)
+        rate_sem = -float(np.dot(sem_counts, log2_sem)) / n
+        if cond1 and abs(rate_sem - hs) < eps and abs((rate_syn - rate_sem) - (h - hs)) < eps:
+            ways = 1
+            for k, block in enumerate(f.blocks):
+                ways *= multinomial(sem_counts[k], [counts[i] for i in block])
+            b_sizes[sem_counts] = b_sizes.get(sem_counts, 0) + ways
+    b_total = sum(size * sem_mult.get(s, 0) for s, size in b_sizes.items())
+    b_values = [size for s, size in b_sizes.items() if sem_mult.get(s, 0) > 0]
+    return {
+        "set_size": float(a_sem_size),
+        "prob_typical": prob_sem,
+        "syntactic_typical_size": float(a_syn_size),
+        "synonymous_union_size": float(b_total),
+        "b_class_sizes": sorted(set(b_values)),
+        "partition_exact": b_total == a_syn_size,
+        "b_upper_ok": all(v <= 2.0 ** (n * (h - hs + eps)) * (1 + 1e-9) for v in b_values),
+        "b_lower_ok": all(v >= 2.0 ** (n * (h - hs - eps)) * (1 - 1e-9) for v in b_values),
+    }
 
 
 class TestMembership:
@@ -108,6 +214,102 @@ class TestEnumeration:
         d = Distribution(np.full(8, 0.125))
         with pytest.raises(BudgetExceeded):
             enumerate_typical_sets(d, SynonymousPartition.identity(8), 14, 0.1)
+
+    def test_budget_gate_counts_compositions(self):
+        """One block admits every n under the n_sem**n gate; the composition
+        count C(n+N-1, N-1) still has to fit."""
+        d = Distribution(np.full(8, 0.125))
+        with pytest.raises(BudgetExceeded) as err:
+            enumerate_typical_sets(d, SynonymousPartition.single_block(8), 200, 0.1)
+        assert err.value.required == math.comb(207, 7)
+
+    @pytest.mark.parametrize(
+        "probs, blocks, n, eps, field, expected",
+        [
+            ([0, 0.5, 0.25, 0.25], ((0, 1), (2,), (3,)), 4, 0.3, "syntactic_typical_size", 64),
+            ([0, 0.9, 0.1], ((1, 2), (0,)), 2, 0.4, "set_size", 1),
+        ],
+    )
+    def test_zero_probability_symbols(self, probs, blocks, n, eps, field, expected):
+        """A zero-probability symbol must not turn every type's rate into NaN."""
+        d = Distribution(np.array(probs, dtype=float))
+        f = SynonymousPartition(blocks, d.alphabet_size)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = enumerate_typical_sets(d, f, n, eps)
+            fields, margin = _brute_force(d, f, n, eps)
+        assert margin > 1e-9
+        got = rep.set_size if field == "set_size" else rep.detail[field]
+        assert got == fields[field] == expected
+        assert fields == _exact_fields(rep)
+
+    def test_matches_brute_force_random_sources(self):
+        """Random sources with N <= 4 and n <= 6, merged blocks and zero
+        probabilities, eps kept more than 1e-9 off every rate's edge."""
+        rng = np.random.default_rng(37)
+        merged = zeros = 0
+        for case in range(20):
+            size = int(rng.integers(2, 5))
+            probs = rng.dirichlet(np.ones(size))
+            if case % 2 and size > 2:
+                probs[rng.integers(size)] = 0.0
+                probs /= probs.sum()
+            labels = rng.integers(0, size, size=size)
+            blocks = tuple(tuple(np.flatnonzero(labels == k).tolist()) for k in np.unique(labels))
+            d, f = Distribution(probs), SynonymousPartition(blocks, size)
+            n = int(rng.integers(1, 7))
+            while True:
+                eps = float(rng.uniform(0.05, 0.8))
+                fields, margin = _brute_force(d, f, n, eps)
+                if margin > 1e-9:
+                    break
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rep = enumerate_typical_sets(d, f, n, eps)
+            assert fields == _exact_fields(rep), f"case {case}: {probs}, {blocks}, n={n}, eps={eps}"
+            merged += len(blocks) < size
+            zeros += bool((probs == 0).any())
+        assert merged >= 5 and zeros >= 5
+
+    def test_matches_reference_loop(self):
+        """The type grid equals the per-composition loop it replaced on an
+        8-symbol Dirichlet(1) source in two blocks at n = 12 (50 388 types)."""
+        probs = np.random.default_rng(0).dirichlet(np.ones(8))
+        label = np.random.default_rng(1).permutation(8)
+        d = Distribution(probs[np.argsort(label)])
+        f = SynonymousPartition(
+            (tuple(sorted(label[:4].tolist())), tuple(sorted(label[4:].tolist()))), 8
+        )
+        rep = enumerate_typical_sets(d, f, 12, 0.2)
+        flags = {k: rep.detail[k] for k in ("b_upper_ok", "b_lower_ok")}
+        assert _reference_loop(d, f, 12, 0.2) == {**_exact_fields(rep), **flags}
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 1 << 14])
+    def test_type_grid_order_and_chunks(self, monkeypatch, chunk):
+        """Compositions come out in lexicographic order, each exactly once, in
+        pieces of at most chunk + n + 1 rows, whatever the chunk size."""
+        monkeypatch.setattr(typicality, "GRID_CHUNK", chunk)
+        for n, parts in [(1, 1), (0, 3), (5, 1), (3, 2), (6, 4), (12, 5), (20, 3)]:
+            pieces = list(typicality._type_grid(n, parts))
+            expected = [
+                list(c) for c in itertools.product(range(n + 1), repeat=parts) if sum(c) == n
+            ]
+            assert np.concatenate(pieces).tolist() == expected
+            assert max(len(piece) for piece in pieces) <= chunk + n + 1
+
+    def test_type_grid_memory_is_chunked(self):
+        """8 symbols in two blocks at n = 20 is 888 030 types; walking the grid
+        in chunks keeps the traced peak far below the whole grid's arrays."""
+        probs = np.random.default_rng(0).dirichlet(np.ones(8))
+        f = SynonymousPartition(((0, 1, 2, 3), (4, 5, 6, 7)), 8)
+        tracemalloc.start()
+        try:
+            rep = enumerate_typical_sets(Distribution(probs), f, 20, 0.2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert rep.set_size > 0
 
     def test_exact_matches_brute_force_small(self):
         """Composition counting equals literal sequence enumeration at n=6."""
@@ -238,6 +440,38 @@ class TestJointMonteCarlo:
         assert rep.prob_typical == 0.0172
         assert rep.detail["encoding_prob"] == 0.6485
 
+    @pytest.mark.parametrize(
+        "mode, n, eps, seed, trials, prob, detail",
+        [
+            ("correlated", 30, 0.1, 43, 5000, 0.698, None),
+            ("correlated", 200, 0.1, 41, 5000, 0.9964, None),
+            ("independent", 4, 0.3, 47, 20_000, 0.00185,
+             {"encoding_prob": 0.45555, "encoding_lower": 0.34259047609869386,
+              "encoding_upper": 71.96034127217747, "encoding_lower_ok": True}),
+            ("independent", 5, 0.4, 59, 20_000, 0.002,
+             {"encoding_prob": 0.55555, "encoding_lower": 0.08683660061253501,
+              "encoding_upper": 592.8045268482399, "encoding_lower_ok": True}),
+        ],
+    )
+    def test_pinned_table2_draws(self, table2_joint, table3_partitions, mode, n, eps, seed,
+                                 trials, prob, detail):
+        """Draws through the comparison-count inverse CDF reproduce the values
+        the binary-search version gave at these seeds."""
+        rep = estimate_joint_typicality(
+            table2_joint, table3_partitions, n=n, eps=eps, trials=trials, seed=seed, mode=mode
+        )
+        assert rep.prob_typical == prob
+        if detail is None:
+            assert rep.detail == {"target": "prob of semantic joint typicality approaches 1"}
+        else:
+            assert rep.detail == {
+                "up_companion": 1.5086949695628413,
+                "down_companion": -0.6422825308698514,
+                "full_companion": 0.2332062193464952,
+                "encoding_upper_ok": True,
+                **detail,
+            }
+
     def test_batch_split_invariance(self):
         """Per-trial counter slices make results independent of chunking."""
         kw = dict(n=24, eps=0.1, trials=30_000, seed=29, mode="independent")
@@ -245,3 +479,38 @@ class TestJointMonteCarlo:
         b = estimate_joint_typicality(WEAK_JOINT, WEAK_FJ, batch=911, **kw)
         assert a.prob_typical == b.prob_typical
         assert a.detail["encoding_prob"] == b.detail["encoding_prob"]
+
+
+class TestInverseCdf:
+    @staticmethod
+    def _searchsorted(u, probs):
+        edges = np.cumsum(probs)
+        edges[-1] = 1.0
+        return np.searchsorted(edges, u, side="right")
+
+    @pytest.mark.parametrize(
+        "probs",
+        [
+            [0.3, 0.7],
+            [0.05, 0.1, 0.15, 0.0, 0.0, 0.1, 0.05, 0.05, 0.1, 0.4],
+            [0.0, 0.4, 0.6],
+            [0.5, 0.5, 0.0],
+            [0.2, 0.0, 0.0, 0.5, 0.0, 0.3],
+            np.full(300, 1 / 300),
+        ],
+    )
+    def test_equals_binary_search(self, probs):
+        """Random u, u on every edge and just below it, repeated edges from
+        zero-probability cells, and an alphabet too large for uint8."""
+        probs = np.asarray(probs, dtype=float)
+        edges = np.cumsum(probs)[:-1]
+        u = np.concatenate([
+            np.random.default_rng(41).random(5000),
+            edges,
+            np.nextafter(edges, 0.0),
+            [0.0, np.nextafter(1.0, 0.0)],
+        ])
+        u = u[u < 1.0].reshape(-1, 1)  # the Philox uniforms lie in [0, 1)
+        got = _inverse_cdf(u, probs)
+        np.testing.assert_array_equal(got, self._searchsorted(u, probs))
+        assert got.dtype == np.min_scalar_type(probs.size - 1)
