@@ -1,9 +1,10 @@
 #!/usr/bin/env python
 """Sweep the grouped Hamming codebook over an SNR grid and tabulate error rates.
 
-For each Es/N0 point the script simulates BPSK over AWGN, decodes with both
-the group rule and the nearest-codeword rule, and prints the analytic union
-bounds next to the measured rates.
+One simulation covers the whole grid: every Es/N0 point decodes the same
+trials' codeword picks and noise (common random numbers), with both the group
+rule and the nearest-codeword rule, and the analytic union bounds are printed
+next to the measured rates.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from sebits.chancode import AwgnConfig, build_grouped_codebook, gep_union_bound, simulate_awgn
+from sebits.chancode import build_grouped_codebook, gep_union_bound, simulate_awgn_sweep
 from sebits.gaussian import db_to_linear
 
 DEFAULT_CODEBOOK = Path(__file__).resolve().parent.parent / "fixtures" / "tableVIII_codebook.json"
@@ -36,11 +37,15 @@ def main() -> None:
     cb = build_grouped_codebook(obj["codewords"], obj["groups"])
 
     header = ["es_n0_db", "group_err", "cw_err", "ml_group_err", "mlg_bound", "ml_bound"]
-    rows = []
+    dbs = []
     db = args.db_start
     while db <= args.db_stop + 1e-9:
-        lin = db_to_linear(db)
-        res = simulate_awgn(cb, AwgnConfig(es_n0=lin, trials=args.trials, seed=args.seed))
+        dbs.append(db)
+        db += args.db_step
+    lins = [db_to_linear(db) for db in dbs]
+    results = simulate_awgn_sweep(cb, lins, args.trials, args.seed) if dbs else []
+    rows = []
+    for db, lin, res in zip(dbs, lins, results):
         rows.append(
             [
                 db,
@@ -55,7 +60,6 @@ def main() -> None:
             f"{db:5.1f} dB  group {res.group_error_rate:.3e}  cw {res.codeword_error_rate:.3e}"
             f"  bound {rows[-1][4]:.3e}"
         )
-        db += args.db_step
 
     writer = csv.writer(open(args.output, "w", newline="") if args.output else sys.stdout)
     writer.writerow(header)

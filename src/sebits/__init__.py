@@ -70,6 +70,7 @@ from .chancode import (
     ml_decode,
     mlg_decode,
     simulate_awgn,
+    simulate_awgn_sweep,
     singleton_codebook,
 )
 from .typicality import (

@@ -13,6 +13,11 @@ so the nearest codeword maximizes y.s_i, and with equal group sizes the MLG
 group maximizes y.(sum of its members' signals).  A batch of b received words
 costs two matrix products and O(b (M + G)) memory for M codewords in G groups,
 not O(b M n).  The distance spectra are computed once per codebook.
+
+An SNR sweep (`simulate_awgn_sweep`) draws each batch's codeword picks and
+Philox/Box-Muller noise once and decodes them at every Es/N0 point: common
+random numbers, so the error-rate curve is paired across SNR and every point
+equals the one-point simulation with the same seed.
 """
 
 from __future__ import annotations
@@ -377,16 +382,35 @@ def _trial_randoms(seed: int, start: int, count: int, n: int) -> tuple[np.ndarra
     """Codeword-pick uniforms and n standard normals for trials [start, start+count).
 
     Each trial's Philox slice holds one uniform for the pick plus an even
-    number for Box-Muller noise.
+    number for Box-Muller noise.  The picks are a copy, so the uniform block
+    is freed on return.
     """
     u = trial_uniforms(seed, start, count, 1 + 2 * ((n + 1) // 2))
-    picks = u[:, 0]
-    pairs = u[:, 1:]
-    half = pairs.shape[1] // 2
-    radius = np.sqrt(-2.0 * np.log1p(-pairs[:, :half]))
-    angle = 2.0 * math.pi * pairs[:, half:]
-    normals = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
-    return picks, normals[:, :n]
+    half = (u.shape[1] - 1) // 2
+    radius = np.sqrt(-2.0 * np.log1p(-u[:, 1 : 1 + half]))
+    angle = 2.0 * math.pi * u[:, 1 + half :]
+    normals = np.empty((count, 2 * half))
+    np.cos(angle, out=normals[:, :half])
+    np.sin(angle, out=normals[:, half:])
+    normals[:, :half] *= radius
+    normals[:, half:] *= radius
+    return u[:, 0].copy(), normals[:, :n]
+
+
+def _error_counts(
+    y: np.ndarray, cb: GroupedCodebook, sent: np.ndarray, true_group: np.ndarray
+) -> list[int]:
+    """Group, codeword and ML-group decision errors over the rows of y.
+
+    A function of its own so the decisions are freed before the next point
+    decodes; held across points they raised the awgn benchmark's peak RSS.
+    """
+    ml_choice, mlg_choice = _decide(y, cb)
+    return [
+        int((mlg_choice != true_group).sum()),
+        int((ml_choice != sent).sum()),
+        int((cb.group_of[ml_choice] != true_group).sum()),
+    ]
 
 
 def simulate_awgn(cb: GroupedCodebook, cfg: AwgnConfig, batch: int = 1 << 15) -> SimulationResult:
@@ -395,33 +419,56 @@ def simulate_awgn(cb: GroupedCodebook, cfg: AwgnConfig, batch: int = 1 << 15) ->
     Trial t draws its randomness from a dedicated slice of the Philox counter
     space keyed by the seed, so results are reproducible and independent of
     batch size or execution order.  Both decoders see the same noise, which
-    makes the MLG-vs-ML group-error comparison a paired one.
+    makes the MLG-vs-ML group-error comparison a paired one.  Equal to the
+    one-point `simulate_awgn_sweep`; calls with the same seed and trial count
+    at other Es/N0 reuse the same picks and noise.
     """
+    return simulate_awgn_sweep(cb, [cfg.es_n0], cfg.trials, cfg.seed, batch)[0]
+
+
+def simulate_awgn_sweep(
+    cb: GroupedCodebook, es_n0s, trials: int, seed: int = 0, batch: int = 1 << 15
+) -> list[SimulationResult]:
+    """`simulate_awgn` at every linear Es/N0 in `es_n0s`, in that order, from one noise draw.
+
+    Every point decodes the same trials: the same codeword picks and the same
+    standard normals, scaled by that point's sigma (common random numbers).
+    Each result equals the separate `simulate_awgn` call with the same seed,
+    and the error-rate curve is paired across SNR.  Each batch's picks and
+    normals are drawn once; memory does not grow with the number of points.
+    """
+    configs = [AwgnConfig(es_n0, trials, seed) for es_n0 in es_n0s]
+    if not configs:
+        raise ValueError("need at least one Es/N0 point")
+    sigmas = [math.sqrt(1.0 / (2.0 * c.es_n0)) for c in configs]
     signals = cb.signals(1.0)
     m, n = signals.shape
-    sigma = math.sqrt(1.0 / (2.0 * cfg.es_n0))
 
-    group_err = 0
-    cw_err = 0
-    ml_group_err = 0
+    counts = np.zeros((len(sigmas), 3), dtype=np.int64)
     done = 0
-    while done < cfg.trials:
-        b = min(batch, cfg.trials - done)
-        picks, normals = _trial_randoms(cfg.seed, done, b, n)
+    while done < trials:
+        b = min(batch, trials - done)
+        picks, normals = _trial_randoms(seed, done, b, n)
         sent = np.minimum((picks * m).astype(int), m - 1)
-        y = signals[sent] + sigma * normals
-        ml_choice, mlg_choice = _decide(y, cb)
+        clean = signals[sent]
         true_group = cb.group_of[sent]
-        group_err += int((mlg_choice != true_group).sum())
-        cw_err += int((ml_choice != sent).sum())
-        ml_group_err += int((cb.group_of[ml_choice] != true_group).sum())
+        y = np.empty((b, n))
+        for k, sigma in enumerate(sigmas):
+            np.multiply(normals, sigma, out=y)
+            y += clean  # bit-identical to clean + sigma * normals
+            counts[k] += _error_counts(y, cb, sent, true_group)
         done += b
-    ger = group_err / cfg.trials
-    cer = cw_err / cfg.trials
-    return SimulationResult(
-        group_error_rate=ger,
-        codeword_error_rate=cer,
-        ci95=wilson_halfwidth(ger, cfg.trials),
-        ci95_codeword=wilson_halfwidth(cer, cfg.trials),
-        ml_group_error_rate=ml_group_err / cfg.trials,
-    )
+    results = []
+    for group_err, cw_err, ml_group_err in counts.tolist():
+        ger = group_err / trials
+        cer = cw_err / trials
+        results.append(
+            SimulationResult(
+                group_error_rate=ger,
+                codeword_error_rate=cer,
+                ci95=wilson_halfwidth(ger, trials),
+                ci95_codeword=wilson_halfwidth(cer, trials),
+                ml_group_error_rate=ml_group_err / trials,
+            )
+        )
+    return results

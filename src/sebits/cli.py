@@ -323,19 +323,19 @@ def _cmd_chancode(args) -> dict:
 def _cmd_simulate(args) -> tuple[list[str], list[list[float]]]:
     cb = load_codebook(args.codebook)
     header = ["es_n0_db", "group_err", "cw_err", "mlg_bound", "ml_bound"]
-    rows = []
-    for db in args.es_n0_db:
-        lin = gaussian.db_to_linear(db)
-        res = chancode.simulate_awgn(cb, chancode.AwgnConfig(lin, args.trials, args.seed))
-        rows.append(
-            [
-                db,
-                res.group_error_rate,
-                res.codeword_error_rate,
-                chancode.gep_union_bound(cb, lin, "MLG"),
-                chancode.gep_union_bound(cb, lin, "ML"),
-            ]
-        )
+    lins = [gaussian.db_to_linear(db) for db in args.es_n0_db]
+    # an empty --es-n0-db list prints the header alone, as it always has
+    results = chancode.simulate_awgn_sweep(cb, lins, args.trials, args.seed) if lins else []
+    rows = [
+        [
+            db,
+            res.group_error_rate,
+            res.codeword_error_rate,
+            chancode.gep_union_bound(cb, lin, "MLG"),
+            chancode.gep_union_bound(cb, lin, "ML"),
+        ]
+        for db, lin, res in zip(args.es_n0_db, lins, results)
+    ]
     return header, rows
 
 

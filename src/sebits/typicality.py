@@ -188,7 +188,8 @@ def enumerate_typical_sets(
     1e-12 of the edge).
 
     Raises BudgetExceeded when n_sem**n or the syntactic composition count
-    C(n+N-1, N-1) exceeds EXHAUSTIVE_STATE_CAP.
+    C(n+N-1, N-1) exceeds EXHAUSTIVE_STATE_CAP, or, before the sweep, when a
+    bracket exponent n(H - Hs + eps) or n(Hs + eps) overflows a double.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -208,6 +209,17 @@ def enumerate_typical_sets(
             required=n_types,
         )
     h, hs = entropy(d), entropy(sem)
+    try:
+        b_lower = 2.0 ** (n * (h - hs - eps))
+        b_upper = 2.0 ** (n * (h - hs + eps))
+        lower = (1.0 - eps) * 2.0 ** (n * (hs - eps))
+        upper = 2.0 ** (n * (hs + eps))
+    except OverflowError:
+        exponent = n * max(h - hs + eps, hs + eps)
+        raise BudgetExceeded(
+            f"typical-set bracket 2^{exponent:.1f} overflows a double at n={n}",
+            required=math.ceil(exponent),
+        ) from None
     log2_syn = _log2_probs(d.probs)
     log2_sem = _log2_probs(sem.probs)
     fact = np.array([math.factorial(k) for k in range(n + 1)], dtype=object)
@@ -257,14 +269,10 @@ def enumerate_typical_sets(
     # typical sequence; bracket checks carry a relative float slack because a
     # knife-edge eps can put a class rate exactly on the membership boundary
     slack = 1e-9
-    b_lower = 2.0 ** (n * (h - hs - eps))
-    b_upper = 2.0 ** (n * (h - hs + eps))
     b_values = list(b_sizes_by_semtype.values())
     b_upper_ok = all(v <= b_upper * (1 + slack) for v in b_values)
     b_lower_ok = all(v >= b_lower * (1 - slack) for v in b_values)
 
-    lower = (1.0 - eps) * 2.0 ** (n * (hs - eps))
-    upper = 2.0 ** (n * (hs + eps))
     upper_ok = a_sem_size <= upper * (1 + slack) and b_upper_ok
     lower_ok = a_sem_size >= lower * (1 - slack) and b_lower_ok
     caveat = None

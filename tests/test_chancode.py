@@ -23,6 +23,7 @@ from sebits.chancode import (
     _decide,
     _trial_randoms,
     simulate_awgn,
+    simulate_awgn_sweep,
     singleton_codebook,
     wilson_halfwidth,
 )
@@ -388,3 +389,52 @@ class TestCorrelationDecoder:
             ml_decode(np.zeros(7), hamming_codebook, es=0.0)
         with pytest.raises(ValueError):
             mlg_decode(np.zeros(7), hamming_codebook, es=-1.0)
+
+
+SWEEP_DB = (4.0, -2.0, 6.0, 0.0, 1.5, 4.0, -1.0)  # unsorted, 4 dB twice
+
+
+class TestSweep:
+    @pytest.mark.parametrize("singleton", [False, True])
+    @pytest.mark.parametrize("batch", [1 << 15, 977, 4096])
+    def test_sweep_equals_per_point_simulation(self, hamming_codebook, singleton, batch):
+        cb = singleton_codebook(hamming_codebook.codewords) if singleton else hamming_codebook
+        es_n0s = [10 ** (db / 10) for db in SWEEP_DB]
+        trials = 12_345  # not a multiple of any batch
+        for seed in (0, 7, 60):
+            swept = simulate_awgn_sweep(cb, es_n0s, trials, seed, batch)
+            assert len(swept) == len(es_n0s)
+            for es_n0, got in zip(es_n0s, swept):
+                assert got == simulate_awgn(cb, AwgnConfig(es_n0, trials, seed), batch=batch)
+            assert swept[0] == swept[5]
+            assert swept[0] != swept[1]
+
+    @pytest.mark.parametrize("es_n0, trials, seed", [(0.5, 1, 0), (2.0, 40_000, 99), (10.0, 977, 3)])
+    def test_one_point_sweep_equals_simulate_awgn(self, hamming_codebook, es_n0, trials, seed):
+        cfg = AwgnConfig(es_n0, trials, seed)
+        assert simulate_awgn_sweep(hamming_codebook, [es_n0], trials, seed) == [
+            simulate_awgn(hamming_codebook, cfg)
+        ]
+
+    @pytest.mark.parametrize(
+        "es_n0s, trials", [([], 100), ([1.0, 0.0], 100), ([-1.0], 100), ([1.0, 2.0], 0), ([1.0], -3)]
+    )
+    def test_invalid_sweep_rejected_before_any_draw(self, hamming_codebook, monkeypatch, es_n0s, trials):
+        def no_draw(*args):
+            raise AssertionError("drew randoms for an invalid sweep")
+
+        monkeypatch.setattr(chancode, "_trial_randoms", no_draw)
+        with pytest.raises(ValueError):
+            simulate_awgn_sweep(hamming_codebook, es_n0s, trials)
+
+    def test_memory_does_not_grow_with_points(self, hamming_codebook):
+        es_n0s = [10 ** (db / 10) for db in (-2.0, 0.0, 2.0, 4.0, 6.0)]
+        simulate_awgn_sweep(hamming_codebook, es_n0s, 1 << 15, 1)
+        tracemalloc.start()
+        try:
+            simulate_awgn_sweep(hamming_codebook, es_n0s, 1 << 15, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        broadcast = np.dtype(float).itemsize * (1 << 15) * 16 * 7  # the one-point bound's base
+        assert peak < broadcast / 2

@@ -188,6 +188,19 @@ class TestTypicality:
         assert lines[0].startswith("n,prob_typical")
         assert len(lines) == 4
 
+    def test_overflowing_bracket_exits_4(self, tmp_path):
+        """One block over [0.5, 0.3, 0.2] passes both gates at n = 700, but
+        2^{n(H - Hs + eps)} is beyond the largest double."""
+        dist, part = tmp_path / "dist.json", tmp_path / "part.json"
+        dist.write_text(json.dumps({"probs": [0.5, 0.3, 0.2]}))
+        part.write_text(json.dumps({"blocks": [[0, 1, 2]]}))
+        code, out, err = run_cli(
+            "typicality", "--dist", str(dist), "--partition", str(part), "--n", "700", "--eps", "0.1"
+        )
+        assert code == 4
+        assert out == ""
+        assert "Traceback" not in err and "overflows" in err
+
 
 class TestGaussian:
     def test_single_value(self):
