@@ -5,8 +5,12 @@ and rates depend only on a sequence's composition, so the O(N^n) sweep becomes
 one array computation over the grid of C(n+N-1, N-1) compositions, walked in
 fixed-size chunks, with multinomial coefficients as exact integer weights.  A
 rate lying exactly on +/-eps is decided there by floating-point rounding.
-Large block lengths fall back to seeded Monte Carlo with per-symbol log-space
-accumulation, drawing symbols by a comparison-count inverse CDF.
+Large block lengths fall back to seeded Monte Carlo.  Symbols are drawn by a
+comparison-count inverse CDF as cell indices, and each rate is a row sum of
+log-probabilities gathered from a table over the syntactic or semantic joint
+cells, built once per call.  The decoding probe computes rates only for
+trials whose every symbol is its block's representative, the only trials it
+can count.
 
 The non-asymptotic upper bounds on set sizes hold at every n; the matching
 lower bounds only for "sufficiently large n", so violations below a caller
@@ -309,14 +313,36 @@ def _inverse_cdf(u: np.ndarray, probs: np.ndarray) -> np.ndarray:
 
     Equal to `np.searchsorted(edges, u, side="right")`, counted with one
     comparison pass per cell into the smallest unsigned dtype that holds
-    K - 1.  The K passes cost about 1 ns per element each: faster than the
+    K - 1.  Every pass writes its comparison into one preallocated bool
+    buffer and adds it as uint8, so no pass allocates an array of u's shape.
+    The K passes cost at most about 1 ns per element each: faster than the
     binary search up to about 100 cells, slower beyond.
     """
     edges = np.cumsum(probs)
     out = np.zeros(u.shape, dtype=np.min_scalar_type(probs.size - 1))
+    passed = np.empty(u.shape, dtype=bool)
     for e in edges[:-1]:
-        out += u >= e
+        np.greater_equal(u, e, out=passed)
+        out += passed.view(np.uint8)
     return out
+
+
+def _rate(table: np.ndarray, cells: np.ndarray, n: int) -> np.ndarray:
+    """Empirical rate -(1/n) sum_i table[cell_i] of each row of `cells`.
+
+    A gather followed by a row sum over a C-contiguous (rows, n) array, so
+    numpy's pairwise summation gives a row the same float whichever other
+    rows are present.
+    """
+    return -table[cells].sum(axis=1) / n
+
+
+def _within(rates, targets, eps: float) -> np.ndarray:
+    """Rows whose every rate lies within eps of its target."""
+    ok = np.ones(rates[0].shape, dtype=bool)
+    for rate, target in zip(rates, targets):
+        ok &= np.abs(rate - target) < eps
+    return ok
 
 
 def estimate_joint_typicality(
@@ -327,7 +353,7 @@ def estimate_joint_typicality(
     trials: int,
     seed: int = 0,
     mode: str = "correlated",
-    batch: int = 4096,
+    batch: int = 1024,
 ) -> TypicalityReport:
     """Monte Carlo probes of the joint typicality statements.
 
@@ -346,9 +372,18 @@ def estimate_joint_typicality(
     down companion, so the upper edge always holds while the lower edge is
     only attainable when the partition does no real merging (identity blocks);
     the flags in `detail` report each edge separately.
+
+    Each rate is a row sum of log-probabilities gathered by cell index
+    (x * |V| + y, or the semantic cell in the encoding probe) from tables
+    built once per call.  The decoding probe computes its six rates only for
+    trials whose every x_i and y_i is its block's representative, the only
+    trials it can count.  A trial's verdict depends on its own Philox slice
+    alone, so the result does not depend on `batch`.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if n < 1:
+        raise ValueError("n must be at least 1")
     if trials < 1:
         raise ValueError("need at least one trial")
     if mode not in ("correlated", "independent"):
@@ -367,15 +402,17 @@ def estimate_joint_typicality(
     l2_ju = _log2_probs(sem_u.probs)
     l2_jv = _log2_probs(sem_v.probs)
     l2_js = _log2_probs(sem_joint.probs)
-    l2_u = _log2_probs(pu.probs)
-    l2_v = _log2_probs(pv.probs)
-    l2_uv = _log2_probs(j.probs)
     bu, bv = fj.u_partition.block_of, fj.v_partition.block_of
-    rep_u = np.array([min(b) for b in fj.u_partition.blocks])
-    rep_v = np.array([min(b) for b in fj.v_partition.blocks])
+    nu, nv = j.shape
+    # log2-probability tables indexed by the joint cell x * nv + y
+    cu, cv = np.divmod(np.arange(nu * nv), nv)
+    sem_tables = (l2_ju[bu[cu]], l2_jv[bv[cv]], l2_js[bu[cu], bv[cv]])
+    l2_u, l2_v = _log2_probs(pu.probs), _log2_probs(pv.probs)
+    syn_tables = (l2_u[cu], l2_v[cv], _log2_probs(j.probs).ravel())
+    sem_targets = (hs_u, hs_v, hs_uv)
+    is_rep_u = np.array([min(b) for b in fj.u_partition.blocks])[bu] == np.arange(nu)
+    is_rep_v = np.array([min(b) for b in fj.v_partition.blocks])[bv] == np.arange(nv)
 
-    flat_joint = j.probs.ravel()
-    nv = j.shape[1]
     per_trial = n if mode == "correlated" else 4 * n
     hits = 0
     enc_hits = 0
@@ -384,54 +421,33 @@ def estimate_joint_typicality(
         b = min(batch, trials - done)
         u = trial_uniforms(seed, done, b, per_trial)
         if mode == "correlated":
-            pair = _inverse_cdf(u, flat_joint)
-            xs, ys = pair // nv, pair % nv
+            cells = _inverse_cdf(u, j.probs.ravel()).astype(np.intp)
+            sem_rates = [_rate(t, cells, n) for t in sem_tables]
+            hits += int(_within(sem_rates, sem_targets, eps).sum())
         else:
             xs = _inverse_cdf(u[:, :n], pu.probs)
             ys = _inverse_cdf(u[:, n : 2 * n], pv.probs)
-        sx, sy = bu[xs], bv[ys]
-        rate_sx = -l2_ju[sx].sum(axis=1) / n
-        rate_sy = -l2_jv[sy].sum(axis=1) / n
-        rate_sj = -l2_js[sx, sy].sum(axis=1) / n
-        in_sem_joint = (
-            (np.abs(rate_sx - hs_u) < eps)
-            & (np.abs(rate_sy - hs_v) < eps)
-            & (np.abs(rate_sj - hs_uv) < eps)
-        )
-        if mode == "correlated":
-            hits += int(in_sem_joint.sum())
-        else:
-            rate_x = -l2_u[xs].sum(axis=1) / n
-            rate_y = -l2_v[ys].sum(axis=1) / n
-            rate_xy = -l2_uv[xs, ys].sum(axis=1) / n
-            in_syn_joint = (
-                (np.abs(rate_x - h_u) < eps)
-                & (np.abs(rate_y - h_v) < eps)
-                & (np.abs(rate_xy - h_uv) < eps)
-            )
-            # a pair of zero joint probability makes rate_xy and rate_sj both
-            # infinite; the sequence is atypical, so its conditional rate is
-            # set to inf rather than computed as inf - inf
-            cond_rate = np.full(b, np.inf)
-            seen = np.isfinite(rate_xy)
-            cond_rate[seen] = rate_xy[seen] - rate_sj[seen]
-            cond_ok = np.abs(cond_rate - (h_uv - hs_uv)) < eps
-            is_rep = (xs == rep_u[sx]).all(axis=1) & (ys == rep_v[sy]).all(axis=1)
-            # decoding probe: representative pair of a jointly synonymous typical class
-            hits += int((is_rep & in_sem_joint & in_syn_joint & cond_ok).sum())
-            # encoding probe: independent semantic sequences in the semantic joint typical set
+            # decoding probe: the pair must be the representative of a jointly
+            # synonymous typical class, so only rows whose every x_i and y_i
+            # is its block's representative get rates (ys only where xs are)
+            rep = is_rep_u[xs].all(axis=1)
+            rep[rep] = is_rep_v[ys[rep]].all(axis=1)
+            cells = xs[rep].astype(np.intp) * nv + ys[rep]
+            rates = [_rate(t, cells, n) for t in syn_tables + sem_tables]
+            typical = _within(rates, (h_u, h_v, h_uv, *sem_targets), eps)
+            # the conditional rate is taken on typical rows only, where rate_xy
+            # and rate_sj are finite; a zero-probability pair never gets there
+            cond_rate = rates[2][typical] - rates[5][typical]
+            hits += int((np.abs(cond_rate - (h_uv - hs_uv)) < eps).sum())
+            # encoding probe: independent semantic sequences in the semantic
+            # joint typical set; the joint rate, on the semantic cells
+            # zx * |V~| + zy, fails most often, so it is tested first
             zx = _inverse_cdf(u[:, 2 * n : 3 * n], sem_u.probs)
             zy = _inverse_cdf(u[:, 3 * n :], sem_v.probs)
-            z_rate_x = -l2_ju[zx].sum(axis=1) / n
-            z_rate_y = -l2_jv[zy].sum(axis=1) / n
-            z_rate_j = -l2_js[zx, zy].sum(axis=1) / n
-            enc_hits += int(
-                (
-                    (np.abs(z_rate_x - hs_u) < eps)
-                    & (np.abs(z_rate_y - hs_v) < eps)
-                    & (np.abs(z_rate_j - hs_uv) < eps)
-                ).sum()
-            )
+            rate_zj = _rate(l2_js.ravel(), zx.astype(np.intp) * sem_v.alphabet_size + zy, n)
+            keep = np.abs(rate_zj - hs_uv) < eps
+            rates = [_rate(l2_ju, zx[keep], n), _rate(l2_jv, zy[keep], n)]
+            enc_hits += int(_within(rates, (hs_u, hs_v), eps).sum())
         done += b
 
     p_hat = hits / trials

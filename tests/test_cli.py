@@ -201,6 +201,19 @@ class TestTypicality:
         assert out == ""
         assert "Traceback" not in err and "overflows" in err
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_joint_n_below_one_exits_2(self, n):
+        code, out, err = run_cli(
+            "typicality",
+            "--joint", str(FIXTURES / "tableII_joint.json"),
+            "--n", n,
+            "--trials", "100",
+            "--mc-mode", "independent",
+        )
+        assert code == 2
+        assert out == ""
+        assert "n must be at least 1" in err and "Warning" not in err
+
 
 class TestGaussian:
     def test_single_value(self):

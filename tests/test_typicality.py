@@ -9,17 +9,30 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from sebits._kernels import trial_uniforms
 from sebits.core import (
     Distribution,
     JointDistribution,
     JointSynonymousPartition,
     SynonymousPartition,
+    induced_semantic_distribution,
+    induced_semantic_joint,
+    marginals,
 )
 from sebits.errors import BudgetExceeded, IndexOutOfRange
-from sebits.measures import down_smi, entropy, full_smi, mutual_information, up_smi
+from sebits.measures import (
+    down_smi,
+    entropy,
+    full_smi,
+    joint_entropy,
+    mutual_information,
+    semantic_joint_entropy,
+    up_smi,
+)
 from sebits import typicality
 from sebits.typicality import (
     _inverse_cdf,
+    _log2_probs,
     enumerate_typical_sets,
     estimate_joint_typicality,
     is_semantically_typical,
@@ -353,6 +366,102 @@ STRONG_FJ = JointSynonymousPartition(
 )
 
 
+def _per_symbol_estimator(j, fj, n, eps, trials, seed, mode, batch=4096):
+    """The per-symbol joint estimator that the representative-first, cell-table
+    version replaced, kept as a test oracle: every rate of every trial through
+    block_of arrays and 2-D fancy indexing, with the same Philox slices."""
+    pu, pv = marginals(j)
+    sem_u = induced_semantic_distribution(pu, fj.u_partition)
+    sem_v = induced_semantic_distribution(pv, fj.v_partition)
+    h_u, h_v, h_uv = entropy(pu), entropy(pv), joint_entropy(j)
+    hs_u, hs_v = entropy(sem_u), entropy(sem_v)
+    hs_uv = semantic_joint_entropy(j, fj)
+    l2_ju, l2_jv = _log2_probs(sem_u.probs), _log2_probs(sem_v.probs)
+    l2_js = _log2_probs(induced_semantic_joint(j, fj).probs)
+    l2_u, l2_v, l2_uv = _log2_probs(pu.probs), _log2_probs(pv.probs), _log2_probs(j.probs)
+    bu, bv = fj.u_partition.block_of, fj.v_partition.block_of
+    rep_u = np.array([min(b) for b in fj.u_partition.blocks])
+    rep_v = np.array([min(b) for b in fj.v_partition.blocks])
+    nv = j.shape[1]
+    hits = enc_hits = done = 0
+    while done < trials:
+        b = min(batch, trials - done)
+        u = trial_uniforms(seed, done, b, n if mode == "correlated" else 4 * n)
+        if mode == "correlated":
+            pair = _inverse_cdf(u, j.probs.ravel())
+            xs, ys = pair // nv, pair % nv
+        else:
+            xs = _inverse_cdf(u[:, :n], pu.probs)
+            ys = _inverse_cdf(u[:, n : 2 * n], pv.probs)
+        sx, sy = bu[xs], bv[ys]
+        rate_sj = -l2_js[sx, sy].sum(axis=1) / n
+        in_sem = (
+            (np.abs(-l2_ju[sx].sum(axis=1) / n - hs_u) < eps)
+            & (np.abs(-l2_jv[sy].sum(axis=1) / n - hs_v) < eps)
+            & (np.abs(rate_sj - hs_uv) < eps)
+        )
+        if mode == "correlated":
+            hits += int(in_sem.sum())
+        else:
+            rate_xy = -l2_uv[xs, ys].sum(axis=1) / n
+            in_syn = (
+                (np.abs(-l2_u[xs].sum(axis=1) / n - h_u) < eps)
+                & (np.abs(-l2_v[ys].sum(axis=1) / n - h_v) < eps)
+                & (np.abs(rate_xy - h_uv) < eps)
+            )
+            cond_rate = np.full(b, np.inf)
+            seen = np.isfinite(rate_xy)
+            cond_rate[seen] = rate_xy[seen] - rate_sj[seen]
+            cond_ok = np.abs(cond_rate - (h_uv - hs_uv)) < eps
+            is_rep = (xs == rep_u[sx]).all(axis=1) & (ys == rep_v[sy]).all(axis=1)
+            hits += int((is_rep & in_sem & in_syn & cond_ok).sum())
+            zx = _inverse_cdf(u[:, 2 * n : 3 * n], sem_u.probs)
+            zy = _inverse_cdf(u[:, 3 * n :], sem_v.probs)
+            enc_hits += int(
+                (
+                    (np.abs(-l2_ju[zx].sum(axis=1) / n - hs_u) < eps)
+                    & (np.abs(-l2_jv[zy].sum(axis=1) / n - hs_v) < eps)
+                    & (np.abs(-l2_js[zx, zy].sum(axis=1) / n - hs_uv) < eps)
+                ).sum()
+            )
+        done += b
+
+    p_hat = hits / trials
+    if mode == "correlated":
+        lower, upper = 1.0 - eps, 1.0
+        satisfied = p_hat > lower
+        detail = {"target": "prob of semantic joint typicality approaches 1"}
+    else:
+        up, down = h_u + h_v - hs_uv, hs_u + hs_v - h_uv
+        lower = (1.0 - eps) * 2.0 ** (-n * (up + 3 * eps))
+        upper = 2.0 ** (-n * (up - 3 * eps))
+        satisfied = lower <= p_hat <= upper
+        p_enc = enc_hits / trials
+        enc_lower = (1.0 - eps) * 2.0 ** (-n * (down + 3 * eps))
+        enc_upper = 2.0 ** (-n * (down - 3 * eps))
+        detail = {
+            "up_companion": up,
+            "down_companion": down,
+            "full_companion": hs_u + hs_v - hs_uv,
+            "encoding_prob": p_enc,
+            "encoding_lower": enc_lower,
+            "encoding_upper": enc_upper,
+            "encoding_upper_ok": bool(p_enc <= enc_upper),
+            "encoding_lower_ok": bool(p_enc >= enc_lower),
+        }
+    return {
+        "n": n,
+        "epsilon": eps,
+        "prob_typical": p_hat,
+        "set_size": None,
+        "lower_bound": lower,
+        "upper_bound": upper,
+        "bound_satisfied": bool(satisfied),
+        "lower_bound_caveat": None,
+        "detail": detail,
+    }
+
+
 class TestJointMonteCarlo:
     def test_correlated_probability_approaches_one(self, table2_joint, table3_partitions):
         rep = estimate_joint_typicality(
@@ -479,6 +588,62 @@ class TestJointMonteCarlo:
         b = estimate_joint_typicality(WEAK_JOINT, WEAK_FJ, batch=911, **kw)
         assert a.prob_typical == b.prob_typical
         assert a.detail["encoding_prob"] == b.detail["encoding_prob"]
+
+    @pytest.mark.parametrize("mode", ["correlated", "independent"])
+    @pytest.mark.parametrize(
+        "joint, n, eps, seed, trials",
+        [
+            ("table2", 3, 0.5, 5, 20_000),
+            ("table2", 4, 0.3, 47, 20_000),
+            ("table2", 5, 0.4, 59, 20_000),
+            ("table2", 30, 0.1, 43, 5000),
+            ("table2", 200, 0.1, 41, 2000),
+            ("weak", 24, 0.1, 11, 100_000),
+            ("strong_identity", 6, 0.3, 2, 30_000),
+        ],
+    )
+    def test_matches_per_symbol_estimator(self, table2_joint, table3_partitions, joint, n, eps,
+                                          seed, trials, mode):
+        """Every report field equals the per-symbol oracle's at batches 4096,
+        1024 and 911.  On the weak joint at n = 24 rows survive the
+        representative test and decoding hits are nonzero; warnings are errors,
+        so an empty surviving subset must pass silently."""
+        j, fj = {
+            "table2": (table2_joint, table3_partitions),
+            "weak": (WEAK_JOINT, WEAK_FJ),
+            "strong_identity": (STRONG_JOINT, JointSynonymousPartition.identity(3, 2)),
+        }[joint]
+        expected = _per_symbol_estimator(j, fj, n, eps, trials, seed, mode)
+        if joint != "table2" and mode == "independent":
+            assert expected["prob_typical"] > 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for batch in (4096, 1024, 911):
+                rep = estimate_joint_typicality(
+                    j, fj, n=n, eps=eps, trials=trials, seed=seed, mode=mode, batch=batch
+                )
+                assert rep.to_json() == expected
+
+    @pytest.mark.parametrize("mode", ["correlated", "independent"])
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_n_must_be_positive(self, table2_joint, table3_partitions, n, mode):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            estimate_joint_typicality(table2_joint, table3_partitions, n=n, eps=0.1, trials=10,
+                                      mode=mode)
+
+    def test_independent_memory_is_batched(self, table2_joint, table3_partitions):
+        """The traced peak of an independent-mode call stays below one
+        4096-trial block of its 4n uniforms; the per-symbol estimator at its old
+        4096-trial default batch peaked at 66 MB."""
+        kw = dict(n=200, eps=0.1, trials=8192, seed=3, mode="independent")
+        estimate_joint_typicality(table2_joint, table3_partitions, **kw)  # one-time set-up
+        tracemalloc.start()
+        try:
+            estimate_joint_typicality(table2_joint, table3_partitions, **kw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < np.dtype(float).itemsize * 4096 * 4 * 200
 
 
 class TestInverseCdf:
