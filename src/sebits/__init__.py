@@ -36,7 +36,6 @@ from .optimize import (
     CapacityResult,
     RateDistortionResult,
     SemanticDistortionMatrix,
-    bell_number,
     blahut_arimoto_capacity,
     blahut_arimoto_rd,
     expected_semantic_distortion,
@@ -45,7 +44,6 @@ from .optimize import (
     maximize_up_smi,
     semantic_capacity,
     semantic_rate_distortion,
-    set_partitions,
 )
 from .srccode import (
     SemanticPrefixCode,

@@ -15,3 +15,10 @@ def trial_uniforms(seed: int, start: int, count: int, per_trial: int) -> np.ndar
     blocks_per_trial = (per_trial + 3) // 4
     gen = np.random.Generator(np.random.Philox(key=seed, counter=start * blocks_per_trial))
     return gen.random((count, 4 * blocks_per_trial))[:, :per_trial]
+
+
+def trial_batches(trials: int, batch: int):
+    """(start, count) of consecutive batches of at most `batch` trials covering [0, trials)."""
+    if batch < 1:
+        raise ValueError("batch must be at least 1")
+    return ((start, min(batch, trials - start)) for start in range(0, trials, batch))

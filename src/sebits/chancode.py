@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kernels import trial_uniforms
+from ._kernels import trial_batches, trial_uniforms
 from .errors import (
     DuplicateCodeword,
     GroupOutOfRange,
@@ -445,10 +445,8 @@ def simulate_awgn_sweep(
     m, n = signals.shape
 
     counts = np.zeros((len(sigmas), 3), dtype=np.int64)
-    done = 0
-    while done < trials:
-        b = min(batch, trials - done)
-        picks, normals = _trial_randoms(seed, done, b, n)
+    for start, b in trial_batches(trials, batch):
+        picks, normals = _trial_randoms(seed, start, b, n)
         sent = np.minimum((picks * m).astype(int), m - 1)
         clean = signals[sent]
         true_group = cb.group_of[sent]
@@ -457,7 +455,6 @@ def simulate_awgn_sweep(
             np.multiply(normals, sigma, out=y)
             y += clean  # bit-identical to clean + sigma * normals
             counts[k] += _error_counts(y, cb, sent, true_group)
-        done += b
     results = []
     for group_err, cw_err, ml_group_err in counts.tolist():
         ger = group_err / trials

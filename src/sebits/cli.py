@@ -219,12 +219,7 @@ def _cmd_measures(args) -> dict:
 
 def _cmd_capacity(args) -> dict:
     ch = load_channel(args.channel)
-    res = optimize.semantic_capacity(
-        ch,
-        partition_budget=args.budget,
-        tol=args.tol,
-        identity_only=args.identity_only,
-    )
+    res = optimize.semantic_capacity(ch, tol=args.tol, identity_only=args.identity_only)
     return res.to_json()
 
 
@@ -431,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add_parser("capacity", help="semantic channel capacity")
     sp.add_argument("--channel", required=True)
-    sp.add_argument("--budget", type=int, default=10_000)
     sp.add_argument("--tol", type=float, default=1e-8)
     sp.add_argument("--identity-only", action="store_true")
     sp.set_defaults(fn=_cmd_capacity, fmt="json")

@@ -1,7 +1,10 @@
 """Capacity and rate-distortion solvers over synonymous partitions.
 
-The outer search over mappings is exhaustive partition enumeration gated by a
-caller-supplied budget.  With the partition pair fixed, both inner problems are
+Semantic capacity needs no search over mappings: the up companion
+H(X) + H(Y) - Hs(X~,Y~) is largest on the pair that merges each alphabet into
+one block, where Hs(X~,Y~) = 0, so C_s = max_p H(X) + H(Y).  Semantic
+rate-distortion enumerates labeled partition pairs, gated by a caller-supplied
+budget.  With the partition pair fixed, both inner problems are
 solved by closed-form Blahut-Arimoto-style alternating updates, accelerated by
 SQUAREM extrapolation, that stop on a certificate: the up companion of mutual
 information is concave in the input distribution and its ascent stops on the
@@ -37,36 +40,6 @@ _LOG_FLOOR = 1e-300
 # ---------------------------------------------------------------------------
 # set-partition enumeration
 # ---------------------------------------------------------------------------
-
-def bell_number(n: int) -> int:
-    """Number of set partitions of an n-element set."""
-    row = [1]
-    for _ in range(n - 1):
-        nxt = [row[-1]]
-        for v in row:
-            nxt.append(nxt[-1] + v)
-        row = nxt
-    return row[-1] if n >= 1 else 1
-
-
-def set_partitions(n: int):
-    """All partitions of {0..n-1}, blocks ordered by smallest element."""
-    assignment = [0] * n
-
-    def rec(i: int, k: int):
-        if i == n:
-            blocks: list[list[int]] = [[] for _ in range(k)]
-            for idx, lab in enumerate(assignment):
-                blocks[lab].append(idx)
-            yield tuple(tuple(b) for b in blocks)
-            return
-        for lab in range(k + 1):
-            assignment[i] = lab
-            yield from rec(i + 1, k + 1 if lab == k else k)
-
-    if n >= 1:
-        yield from rec(1, 1)
-
 
 def ordered_set_partitions(n: int, k: int):
     """Partitions of {0..n-1} into exactly k labeled, non-empty blocks."""
@@ -191,26 +164,25 @@ def _up_smi_value_grad(
     return value, fused - (w @ logpy)
 
 
-def _ascend_up_smi(
-    w: np.ndarray,
-    wv: np.ndarray,
-    x_block: np.ndarray,
-    tol: float,
-    max_iter: int,
-    incumbent: float = -math.inf,
-) -> tuple[float, np.ndarray]:
-    """Block Blahut-Arimoto ascent from the uniform input; returns (value, p).
+def maximize_up_smi(
+    ch: ChannelModel,
+    fj: JointSynonymousPartition,
+    tol: float = 1e-8,
+    max_iter: int = 100_000,
+) -> tuple[float, Distribution]:
+    """max over p(x) of H(X)+H(Y)-Hs(X~,Y~) by block Blahut-Arimoto ascent.
 
     Written with a backward channel and a conditional block distribution, both
     fixed at the current point, the objective is H(A) + 2 H(X|A) + sum_x p_x c_x
     for the input block A, with c_x = g_x + 2 log p_x - log p_a and g the
     gradient.  Its exact maximizer p_x ~ S_a 2^{c_x/2}, S_a = sum over the
     block of 2^{c/2}, is the step, so no step lowers the objective; on
-    identity partitions it is classic Blahut-Arimoto.  The objective is
-    concave, so the Frank-Wolfe gap max g - g.p bounds the distance to the
-    maximum: the ascent stops once it is below `tol`, or once value + gap
-    falls below `incumbent`, a value the caller already holds.
+    identity partitions it is classic Blahut-Arimoto (Arimoto 1972).  The
+    ascent starts from the uniform input.  The objective is concave in p(x),
+    so the Frank-Wolfe gap max g - g.p bounds the distance to the global
+    maximum, and the ascent stops once it is below `tol`.
     """
+    w, wv, x_block = _up_smi_pieces(ch, fj)
     x_onehot = np.eye(x_block.max() + 1)[x_block]
 
     def step(p: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -222,34 +194,15 @@ def _ascend_up_smi(
         return nxt / nxt.sum(), float(g.max() - g @ p), -value
 
     p, f, stopped = _iterate_to_certificate(
-        step,
-        np.full(w.shape[0], 1.0 / w.shape[0]),
-        lambda gap, f: gap < tol or gap - f < incumbent,
-        max_iter,
+        step, np.full(w.shape[0], 1.0 / w.shape[0]), lambda gap, f: gap < tol, max_iter
     )
     if not stopped:
         raise NonConvergence(f"up-SMI ascent did not reach tol={tol} in {max_iter} rounds")
-    return -f, p
-
-
-def maximize_up_smi(
-    ch: ChannelModel,
-    fj: JointSynonymousPartition,
-    tol: float = 1e-8,
-    max_iter: int = 100_000,
-) -> tuple[float, Distribution]:
-    """max over p(x) of H(X)+H(Y)-Hs(X~,Y~) by block Blahut-Arimoto ascent.
-
-    Converged when the Frank-Wolfe gap, an upper bound on the distance to the
-    maximum, drops below `tol`.  The objective is concave in p(x), so the
-    maximum is global.
-    """
-    value, p = _ascend_up_smi(*_up_smi_pieces(ch, fj), tol, max_iter)
-    return value, Distribution(p)
+    return -f, Distribution(p)
 
 
 # ---------------------------------------------------------------------------
-# semantic capacity: exhaustive outer search over partition pairs
+# semantic capacity: one ascent on the single-block pair
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -273,54 +226,28 @@ class CapacityResult:
 
 def semantic_capacity(
     ch: ChannelModel,
-    partition_budget: int = 10_000,
     tol: float = 1e-8,
     identity_only: bool = False,
 ) -> CapacityResult:
     """max over (input-partition, output-partition) pairs and p(x) of the up companion.
 
-    The outer maximization enumerates every product pair of set partitions,
-    which grows as Bell(N_x) * Bell(N_y); the call refuses to start if that
-    exceeds `partition_budget`.  A pair's ascent stops early once its value
-    plus Frank-Wolfe gap shows it cannot reach the best value found so far.
-    `identity_only` restricts the search to the identity pair, which reduces
-    C_s to the classic capacity.
+    The up companion is H(X) + H(Y) - Hs(X~,Y~).  Hs >= 0, and it is 0 on the
+    pair with every input in one block and every output in one block, so that
+    pair attains the outer maximum at every p(x) and C_s = max_p H(X) + H(Y):
+    one ascent on it, stopped on its Frank-Wolfe gap, gives C_s.
+    `identity_only` ascends on the identity pair instead, which reduces C_s to
+    the classic capacity.
     """
     c_classic, _ = blahut_arimoto_capacity(ch, tol=min(tol, 1e-10))
     nx, ny = ch.input_size, ch.output_size
     if identity_only:
-        pairs = [
-            (
-                tuple((i,) for i in range(nx)),
-                tuple((j,) for j in range(ny)),
-            )
-        ]
+        fj = JointSynonymousPartition.identity(nx, ny)
     else:
-        required = bell_number(nx) * bell_number(ny)
-        if required > partition_budget:
-            raise BudgetExceeded(
-                f"enumeration needs {required} partition pairs, budget is {partition_budget}",
-                required=required,
-            )
-        pairs = (
-            (fu, fv)
-            for fu in set_partitions(nx)
-            for fv in set_partitions(ny)
-        )
-
-    best = None
-    for pair in pairs:
         fj = JointSynonymousPartition(
-            SynonymousPartition(pair[0], nx), SynonymousPartition(pair[1], ny)
+            SynonymousPartition.single_block(nx), SynonymousPartition.single_block(ny)
         )
-        incumbent = -math.inf if best is None else best[0]
-        value, p = _ascend_up_smi(*_up_smi_pieces(ch, fj), tol, 100_000, incumbent)
-        # deterministic winner: highest value, ties to the lexicographically smallest pair
-        if best is None or (-value, pair) < (-best[0], best[1]):
-            best = (value, pair, fj, p)
-    return CapacityResult(
-        c_s=best[0], best_input=Distribution(best[3]), best_partition=best[2], c_classic=c_classic
-    )
+    c_s, p = maximize_up_smi(ch, fj, tol)
+    return CapacityResult(c_s=c_s, best_input=p, best_partition=fj, c_classic=c_classic)
 
 
 # ---------------------------------------------------------------------------
@@ -627,8 +554,9 @@ def jscc_feasible(
     """Classify a code rate against the semantic source-channel criterion.
 
     Lossless: feasible iff Hs(U~) <= rate <= C_s.  Lossy (needs ds and
-    target_d): feasible iff R_s(D) <= rate <= C_s.  Returns "feasible",
-    "infeasible", or "boundary" when within `edge_tol` of either edge.
+    target_d): feasible iff R_s(D) <= rate <= C_s, with `partition_budget`
+    gating the R_s(D) enumeration.  Returns "feasible", "infeasible", or
+    "boundary" when within `edge_tol` of either edge.
     """
     if mode == "lossless":
         lower = semantic_entropy(src, f)
@@ -640,7 +568,7 @@ def jscc_feasible(
         ).r_s
     else:
         raise ValueError(f"mode must be 'lossless' or 'lossy', got {mode!r}")
-    upper = semantic_capacity(ch, partition_budget=partition_budget, tol=tol).c_s
+    upper = semantic_capacity(ch, tol=tol).c_s
     if abs(rate - lower) <= edge_tol or abs(rate - upper) <= edge_tol:
         return "boundary"
     if lower <= rate <= upper:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import trial_uniforms
+from ._kernels import trial_batches, trial_uniforms
 from .core import (
     Distribution,
     JointDistribution,
@@ -379,6 +379,9 @@ def estimate_joint_typicality(
     trials whose every x_i and y_i is its block's representative, the only
     trials it can count.  A trial's verdict depends on its own Philox slice
     alone, so the result does not depend on `batch`.
+
+    Raises ValueError when `batch` < 1 and, in independent mode, raises
+    BudgetExceeded before drawing when a band edge overflows a double.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -413,13 +416,26 @@ def estimate_joint_typicality(
     is_rep_u = np.array([min(b) for b in fj.u_partition.blocks])[bu] == np.arange(nu)
     is_rep_v = np.array([min(b) for b in fj.v_partition.blocks])[bv] == np.arange(nv)
 
+    if mode == "correlated":
+        lower, upper = 1.0 - eps, 1.0
+    else:
+        try:
+            lower = (1.0 - eps) * 2.0 ** (-n * (up + 3 * eps))
+            upper = 2.0 ** (-n * (up - 3 * eps))
+            enc_lower = (1.0 - eps) * 2.0 ** (-n * (down + 3 * eps))
+            enc_upper = 2.0 ** (-n * (down - 3 * eps))
+        except OverflowError:
+            exponent = n * (3 * eps - min(up, down))
+            raise BudgetExceeded(
+                f"typicality band 2^{exponent:.1f} overflows a double at n={n}",
+                required=math.ceil(exponent),
+            ) from None
+
     per_trial = n if mode == "correlated" else 4 * n
     hits = 0
     enc_hits = 0
-    done = 0
-    while done < trials:
-        b = min(batch, trials - done)
-        u = trial_uniforms(seed, done, b, per_trial)
+    for start, b in trial_batches(trials, batch):
+        u = trial_uniforms(seed, start, b, per_trial)
         if mode == "correlated":
             cells = _inverse_cdf(u, j.probs.ravel()).astype(np.intp)
             sem_rates = [_rate(t, cells, n) for t in sem_tables]
@@ -448,20 +464,14 @@ def estimate_joint_typicality(
             keep = np.abs(rate_zj - hs_uv) < eps
             rates = [_rate(l2_ju, zx[keep], n), _rate(l2_jv, zy[keep], n)]
             enc_hits += int(_within(rates, (hs_u, hs_v), eps).sum())
-        done += b
 
     p_hat = hits / trials
     if mode == "correlated":
-        lower, upper = 1.0 - eps, 1.0
         satisfied = p_hat > lower
         detail = {"target": "prob of semantic joint typicality approaches 1"}
     else:
-        lower = (1.0 - eps) * 2.0 ** (-n * (up + 3 * eps))
-        upper = 2.0 ** (-n * (up - 3 * eps))
         satisfied = lower <= p_hat <= upper
         p_enc = enc_hits / trials
-        enc_lower = (1.0 - eps) * 2.0 ** (-n * (down + 3 * eps))
-        enc_upper = 2.0 ** (-n * (down - 3 * eps))
         full = hs_u + hs_v - hs_uv
         detail = {
             "up_companion": up,

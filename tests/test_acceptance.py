@@ -405,7 +405,7 @@ def test_criterion8_capacity_solvers():
     ok_identity = True
     ok_dominates = True
     for ch in two_by_two:
-        res = semantic_capacity(ch, partition_budget=10)
+        res = semantic_capacity(ch)
         if abs(semantic_capacity(ch, identity_only=True).c_s - res.c_classic) > 1e-4:
             ok_identity = False
         if res.c_s < res.c_classic - 1e-6:
@@ -414,7 +414,7 @@ def test_criterion8_capacity_solvers():
 
     for _ in range(3):
         ch = ChannelModel(rng.dirichlet(np.ones(3), size=3))
-        res = semantic_capacity(ch, partition_budget=30)
+        res = semantic_capacity(ch)
         if abs(semantic_capacity(ch, identity_only=True).c_s - res.c_classic) > 1e-4:
             ok_identity = False
         if res.c_s < res.c_classic - 1e-6:
@@ -422,7 +422,7 @@ def test_criterion8_capacity_solvers():
     checks["identity-only equals Blahut-Arimoto on 3x3 sample"] = ok_identity
     checks["C_s >= C on every enumerated instance"] = ok_dominates
 
-    merged = semantic_capacity(ChannelModel(np.eye(2)), partition_budget=10)
+    merged = semantic_capacity(ChannelModel(np.eye(2)))
     checks["noiseless binary full merging gives 2.0 +/- 1e-4"] = abs(merged.c_s - 2.0) < 1e-4
     report("criterion 8a (capacity solvers)", checks)
 

@@ -273,6 +273,10 @@ class TestSimulation:
         b = simulate_awgn(hamming_codebook, cfg, batch=977)
         assert a.group_error_rate == b.group_error_rate
 
+    def test_batch_must_be_positive(self, hamming_codebook):
+        with pytest.raises(ValueError, match="batch must be at least 1"):
+            simulate_awgn_sweep(hamming_codebook, [1.0, 2.0], trials=10, seed=5, batch=0)
+
     def test_high_snr_is_error_free(self, hamming_codebook):
         res = simulate_awgn(hamming_codebook, AwgnConfig(es_n0=100.0, trials=20_000, seed=1))
         assert res.group_error_rate == 0.0

@@ -113,10 +113,17 @@ class TestCapacity:
         assert got["c_classic"] == pytest.approx(1.0, abs=1e-9)
 
     def test_budget_exit_4(self, tmp_path):
-        ch = tmp_path / "ch.json"
-        ch.write_text(json.dumps({"transition": [[1, 0], [0, 1]]}))
-        code, _, _ = run_cli("capacity", "--channel", str(ch), "--budget", "1")
+        """The enumeration budget now gates R_s(D) only; capacity has none."""
+        dist = tmp_path / "d.json"
+        dist.write_text(json.dumps({"probs": [0.5, 0.5]}))
+        ds = tmp_path / "ds.json"
+        ds.write_text(json.dumps({"values": [[0, 1], [1, 0]]}))
+        code, _, err = run_cli(
+            "rate-distortion", "--dist", str(dist), "--distortion", str(ds),
+            "--d-target", "0.25", "--budget", "1",
+        )
         assert code == 4
+        assert "partition pairs" in err
 
 
 class TestRateDistortion:
@@ -196,6 +203,21 @@ class TestTypicality:
         part.write_text(json.dumps({"blocks": [[0, 1, 2]]}))
         code, out, err = run_cli(
             "typicality", "--dist", str(dist), "--partition", str(part), "--n", "700", "--eps", "0.1"
+        )
+        assert code == 4
+        assert out == ""
+        assert "Traceback" not in err and "overflows" in err
+
+    def test_overflowing_joint_band_exits_4(self):
+        """Table II's down companion is negative, so at n = 2000 the encoding
+        band's upper edge 2^{-n(down - 3 eps)} is beyond the largest double;
+        the call refuses before drawing."""
+        code, out, err = run_cli(
+            "typicality",
+            "--joint", str(FIXTURES / "tableII_joint.json"),
+            "--u-partition", str(FIXTURES / "tableIII_u_partition.json"),
+            "--v-partition", str(FIXTURES / "tableIII_v_partition.json"),
+            "--n", "2000", "--trials", "10", "--eps", "0.1", "--mc-mode", "independent",
         )
         assert code == 4
         assert out == ""

@@ -17,7 +17,6 @@ from sebits.errors import BudgetExceeded, Infeasible
 from sebits.measures import mutual_information, up_smi
 from sebits.optimize import (
     SemanticDistortionMatrix,
-    bell_number,
     blahut_arimoto_capacity,
     blahut_arimoto_rd,
     count_ordered_set_partitions,
@@ -28,8 +27,9 @@ from sebits.optimize import (
     ordered_set_partitions,
     semantic_capacity,
     semantic_rate_distortion,
-    set_partitions,
 )
+
+from _oracles import bell_number, exhaustive_capacity, set_partitions
 
 
 def h2(x: float) -> float:
@@ -209,7 +209,7 @@ class TestMaximizeUpSmi:
 
 class TestSemanticCapacity:
     def test_noiseless_binary_fully_merged(self):
-        res = semantic_capacity(ChannelModel(np.eye(2)), partition_budget=10)
+        res = semantic_capacity(ChannelModel(np.eye(2)))
         assert res.c_s == pytest.approx(2.0, abs=1e-8)
         assert res.best_partition.u_partition.semantic_size == 1
         assert res.best_partition.v_partition.semantic_size == 1
@@ -226,41 +226,52 @@ class TestSemanticCapacity:
         rng = np.random.default_rng(11)
         for _ in range(4):
             ch = ChannelModel(rng.dirichlet(np.ones(3), size=3))
-            res = semantic_capacity(ch, partition_budget=30)
+            res = semantic_capacity(ch)
             assert res.c_s >= res.c_classic - 1e-6
 
     def test_full_merging_degenerates_to_marginal_entropies(self):
         """Merging both alphabets zeroes the joint block entropy, so the outer
         maximum is H(X)+H(Y) for any binary channel: both extremes reach 2.0
         and the classic gap shows up in c_classic only."""
-        r0 = semantic_capacity(bsc(0.0), partition_budget=10)
-        r5 = semantic_capacity(bsc(0.5), partition_budget=10)
+        r0 = semantic_capacity(bsc(0.0))
+        r5 = semantic_capacity(bsc(0.5))
         assert r0.c_s == pytest.approx(2.0, abs=1e-6)
         assert r5.c_s == pytest.approx(2.0, abs=1e-6)
         assert r0.c_classic > r5.c_classic
 
-    def test_budget_gate(self):
-        with pytest.raises(BudgetExceeded) as exc:
-            semantic_capacity(ChannelModel(np.eye(3)), partition_budget=3)
-        assert exc.value.required == bell_number(3) ** 2
+    @staticmethod
+    def reached(ch: ChannelModel, res) -> float:
+        """The up companion of the returned input on the returned pair."""
+        return up_smi(ch.joint_with(res.best_input), res.best_partition)
 
     def test_pruned_search_matches_exhaustive(self):
-        """Abandoning pairs that cannot beat the incumbent leaves the winner as is."""
+        """The single-block ascent gives the C_s of the search over every
+        partition pair, and the returned input and pair reach it."""
         rng = np.random.default_rng(5)
-        for _ in range(3):
-            ch = ChannelModel(rng.dirichlet(np.ones(3), size=3))
-            solved = []
-            for fu in set_partitions(3):
-                for fv in set_partitions(3):
-                    fj = JointSynonymousPartition(
-                        SynonymousPartition(fu, 3), SynonymousPartition(fv, 3)
-                    )
-                    solved.append((-maximize_up_smi(ch, fj)[0], (fu, fv)))
-            value, pair = min(solved)
-            res = semantic_capacity(ch, partition_budget=30)
-            assert res.c_s == pytest.approx(-value, abs=1e-8)
-            best = res.best_partition
-            assert (best.u_partition.blocks, best.v_partition.blocks) == pair
+        for nx, ny in [(2, 2), (2, 3), (3, 2), (3, 3), (3, 3), (3, 3)]:
+            ch = ChannelModel(rng.dirichlet(np.ones(ny), size=nx))
+            oracle = exhaustive_capacity(ch)
+            res = semantic_capacity(ch)
+            assert res.c_s == pytest.approx(oracle, abs=1e-8)
+            assert self.reached(ch, res) == pytest.approx(oracle, abs=1e-8)
+
+    def test_unreachable_output_ties(self):
+        """An all-zero output column ties the single-block pair with pairs
+        that split it off; the returned pair still reaches the maximum."""
+        ch = ChannelModel(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+        oracle = exhaustive_capacity(ch)
+        res = semantic_capacity(ch)
+        assert res.c_s == pytest.approx(oracle, abs=1e-8)
+        assert self.reached(ch, res) == pytest.approx(oracle, abs=1e-8)
+        assert res.best_partition.v_partition.blocks == ((0, 1, 2),)
+
+    def test_6x6_channel_needs_no_budget(self):
+        """Bell(6)^2 = 41 209 partition pairs, more than an exhaustive search
+        at a budget of 10 000 would take on."""
+        ch = ChannelModel(np.random.default_rng(6).dirichlet(np.ones(6), 6))
+        res = semantic_capacity(ch)
+        assert res.c_s == pytest.approx(4.99037, abs=1e-5)
+        assert res.c_s >= res.c_classic
 
     def test_5x5_channel_finishes(self):
         rng = np.random.default_rng(3)
@@ -391,6 +402,18 @@ class TestSemanticRateDistortion:
         ds = SemanticDistortionMatrix(1e-4 * (1.0 - np.eye(3)))
         res = semantic_rate_distortion(Distribution(probs), ds, 0.0)
         assert res.r_s == pytest.approx(float(-(probs @ np.log2(probs))), abs=1e-6)
+
+    def test_budget_gate(self):
+        """The gate counts labeled partition pairs on both sides and refuses
+        before solving any."""
+        src = Distribution(np.array([0.5, 0.3, 0.2]))
+        required = count_ordered_set_partitions(3, 2) * count_ordered_set_partitions(4, 2)
+        with pytest.raises(BudgetExceeded) as exc:
+            semantic_rate_distortion(
+                src, hamming_distortion(2), 0.2, partition_budget=required - 1,
+                reconstruction_size=4,
+            )
+        assert exc.value.required == required == 6 * 14
 
     def test_merged_source_is_free(self):
         res = semantic_rate_distortion(

@@ -631,6 +631,12 @@ class TestJointMonteCarlo:
             estimate_joint_typicality(table2_joint, table3_partitions, n=n, eps=0.1, trials=10,
                                       mode=mode)
 
+    @pytest.mark.parametrize("mode", ["correlated", "independent"])
+    def test_batch_must_be_positive(self, table2_joint, table3_partitions, mode):
+        with pytest.raises(ValueError, match="batch must be at least 1"):
+            estimate_joint_typicality(table2_joint, table3_partitions, n=10, eps=0.1, trials=10,
+                                      mode=mode, batch=0)
+
     def test_independent_memory_is_batched(self, table2_joint, table3_partitions):
         """The traced peak of an independent-mode call stays below one
         4096-trial block of its 4n uniforms; the per-symbol estimator at its old
