@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -56,8 +57,10 @@ def load_distribution(path: str) -> Distribution:
     return Distribution(np.asarray(_need(_load_json(path), "probs", path), dtype=float))
 
 
-def load_partition(path: str, alphabet_size: int) -> SynonymousPartition:
+def load_partition(path: str, alphabet_size: int | None = None) -> SynonymousPartition:
     blocks = _need(_load_json(path), "blocks", path)
+    if alphabet_size is None:  # one syntactic symbol per block member
+        alphabet_size = sum(len(b) for b in blocks)
     return SynonymousPartition(tuple(tuple(b) for b in blocks), alphabet_size)
 
 
@@ -150,15 +153,13 @@ def schema_check(path: str, kind: str) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def _emit(text: str, output: str | None):
+    if not text.endswith("\n"):
+        text += "\n"
     if output in (None, "-"):
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(output, "w") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
 
 
 def _json_dumps(obj) -> str:
@@ -264,7 +265,7 @@ def _load_code(path: str) -> srccode.SemanticPrefixCode:
 def _read_symbols(path: str) -> list[int]:
     try:
         with open(path) as fh:
-            return [int(tok) for tok in fh.read().split()]
+            return list(map(int, fh.read().split()))
     except OSError as e:
         raise ValidationError(f"cannot read {path}: {e}") from e
     except ValueError as e:
@@ -273,22 +274,19 @@ def _read_symbols(path: str) -> list[int]:
 
 def _cmd_encode(args) -> str:
     code = _load_code(args.code)
-    f_size = sum(len(b) for b in _need(_load_json(args.partition), "blocks", args.partition))
-    f = load_partition(args.partition, f_size)
-    return srccode.encode_sequence(_read_symbols(args.input), code, f)
+    return srccode.encode_sequence(_read_symbols(args.input), code, load_partition(args.partition))
 
 
 def _cmd_decode(args) -> str:
     code = _load_code(args.code)
-    f_size = sum(len(b) for b in _need(_load_json(args.partition), "blocks", args.partition))
-    f = load_partition(args.partition, f_size)
+    f = load_partition(args.partition)
     try:
         with open(args.input) as fh:
             stream = fh.read().strip()
     except OSError as e:
         raise ValidationError(f"cannot read {args.input}: {e}") from e
     symbols = srccode.decode_sequence(stream, code, f, policy=args.policy, seed=args.seed)
-    return " ".join(str(s) for s in symbols)
+    return " ".join(map(str, symbols))
 
 
 def _cmd_chancode(args) -> dict:
@@ -404,6 +402,7 @@ def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="sebits", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)

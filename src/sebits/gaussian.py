@@ -80,9 +80,13 @@ def gaussian_semantic_rd(p: float, d: float, s: float) -> float:
 
 def spectral_efficiency(eb_n0_linear: float, s: float, lower_bound: bool = False) -> float:
     """Largest eta with eta = log2[S^4 (1 + eta Eb/N0)] (capacity form) or
-    eta = log2(1 + S^4 eta Eb/N0) (lower-bound form); 0 when no positive root exists.
+    eta = log2(1 + S^4 eta Eb/N0) (lower-bound form), found by bisection.
 
     This is the per-hertz rate at which the energy per sebit equals Eb/N0.
+    The lower-bound form, and the capacity form at S = 1, have no positive root
+    below the Eb/N0 limit ln2 / S^4.  There the result is not exactly 0 but a
+    rounding residue of g near eta = 0: 9.6e-16 at -2 dB and S = 1, growing
+    to about 1e-8 within 1e-9 dB of the limit.
     """
     if eb_n0_linear <= 0:
         raise ValueError("Eb/N0 must be positive")
@@ -99,10 +103,13 @@ def spectral_efficiency(eb_n0_linear: float, s: float, lower_bound: bool = False
         hi *= 2.0
         if hi > 1e9:
             raise ValueError("spectral efficiency diverged")
-    # bisection returns sup{eta > 0 : g(eta) > 0}, which is 0 below the Eb/N0 limit
+    # bisection for sup{eta > 0 : g(eta) > 0}; once mid rounds to lo or hi, a step
+    # keeps the state or sets lo == hi == mid, so 0.5 * (lo + hi) is already final
     lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if g(mid) > 0:
             lo = mid
         else:
@@ -146,21 +153,11 @@ def emit_curves(kind: str, params: dict, grid) -> tuple[list[str], list[list[flo
         return header, rows
     if kind == "min_energy_vs_mu":
         header = ["mu", "classic"] + [f"energy_S{s:g}" for s in s_values]
-        rows = []
-        for mu in grid:
-            rows.append(
-                [mu, min_energy_per_sebit(mu, 1.0)]
-                + [min_energy_per_sebit(mu, s) for s in s_values]
-            )
+        rows = [[mu] + [min_energy_per_sebit(mu, s) for s in (1.0, *s_values)] for mu in grid]
         return header, rows
     if kind == "rd_vs_d":
         p = float(params.get("p", 1.0))
         header = ["d", "classic"] + [f"rate_S{s:g}" for s in s_values]
-        rows = []
-        for d in grid:
-            rows.append(
-                [d, gaussian_semantic_rd(p, d, 1.0)]
-                + [gaussian_semantic_rd(p, d, s) for s in s_values]
-            )
+        rows = [[d] + [gaussian_semantic_rd(p, d, s) for s in (1.0, *s_values)] for d in grid]
         return header, rows
     raise ValueError(f"kind must be one of {CURVE_KINDS}, got {kind!r}")

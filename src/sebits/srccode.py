@@ -8,6 +8,7 @@ block representative; the round-trip guarantee is blockwise, not symbolwise.
 from __future__ import annotations
 
 import heapq
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,16 +129,17 @@ def optimal_length_bounds(
 
 
 def encode_sequence(symbols, code: SemanticPrefixCode, f: SynonymousPartition) -> str:
-    """Concatenate the codeword of each symbol's block."""
+    """Concatenate the codeword of each symbol's block: one range check, which
+    reports the first symbol outside [0, N), then one table lookup per symbol."""
     if len(code.codewords) != f.semantic_size:
         raise SizeMismatch("code does not match the partition's semantic alphabet")
-    out = []
-    for u in symbols:
-        u = int(u)
-        if not 0 <= u < f.alphabet_size:
-            raise IndexOutOfRange(f"symbol index {u} outside [0, {f.alphabet_size})")
-        out.append(code.codewords[f.block_of[u]])
-    return "".join(out)
+    symbols = list(map(int, symbols))
+    n = f.alphabet_size
+    if symbols and (min(symbols) < 0 or max(symbols) >= n):
+        bad = next(u for u in symbols if not 0 <= u < n)
+        raise IndexOutOfRange(f"symbol index {bad} outside [0, {n})")
+    word_of = [code.codewords[k] for k in f.block_of.tolist()]
+    return "".join(map(word_of.__getitem__, symbols))
 
 
 def decode_sequence(
@@ -149,36 +151,33 @@ def decode_sequence(
 ) -> list[int]:
     """Parse a codeword stream and emit one block representative per symbol.
 
+    Parsing is one linear scan.  A stream that does not parse raises at the
+    first position no codeword matches: TruncatedStream when the rest of the
+    stream is a proper prefix of a codeword, InvalidPrefix otherwise.
     policy "lowest" picks the smallest index in the block; "random" draws
-    uniformly from the block (seeded).  Blockwise round trip is exact:
-    block(decode(encode(s))[k]) == block(s[k]) for every k.
+    uniformly from the block (seeded, one draw per symbol).  Blockwise round
+    trip is exact: block(decode(encode(s))[k]) == block(s[k]) for every k.
     """
     if len(code.codewords) != f.semantic_size:
         raise SizeMismatch("code does not match the partition's semantic alphabet")
     if policy not in ("lowest", "random"):
         raise ValueError(f"policy must be 'lowest' or 'random', got {policy!r}")
     rng = np.random.default_rng(seed) if policy == "random" else None
-    word_to_block = {w: k for k, w in enumerate(code.codewords)}
-    max_len = max(len(w) for w in code.codewords)
-
-    out: list[int] = []
+    # group k + 1 matches codeword k; re.compile caches the pattern by its text
+    token = re.compile("|".join(f"({w})" for w in code.codewords))
+    blocks = []
     pos = 0
-    while pos < len(stream):
-        match = None
-        for ln in range(1, max_len + 1):
-            if pos + ln > len(stream):
-                break
-            block = word_to_block.get(stream[pos : pos + ln])
-            if block is not None:
-                match = (block, ln)
-                break
-        if match is None:
-            tail = stream[pos:]
-            if any(w.startswith(tail) for w in code.codewords):
-                raise TruncatedStream(f"stream ends inside a codeword after position {pos}")
-            raise InvalidPrefix(f"no codeword starts with {tail[:max_len]!r} at position {pos}")
-        block, ln = match
-        members = f.blocks[block]
-        out.append(min(members) if rng is None else int(rng.choice(members)))
-        pos += ln
-    return out
+    for m in token.finditer(stream):
+        if m.start() != pos:
+            break
+        blocks.append(m.lastindex - 1)
+        pos = m.end()
+    if pos != len(stream):
+        tail = stream[pos:]
+        if any(w.startswith(tail) for w in code.codewords):
+            raise TruncatedStream(f"stream ends inside a codeword after position {pos}")
+        raise InvalidPrefix(f"no codeword starts with {tail[:max(code.lengths)]!r} at position {pos}")
+    if rng is None:
+        lowest = [min(b) for b in f.blocks]
+        return list(map(lowest.__getitem__, blocks))
+    return [int(rng.choice(f.blocks[k])) for k in blocks]

@@ -252,6 +252,24 @@ class TestGaussian:
         assert lines[0] == "mu,classic,energy_S2,energy_S4"
         assert len(lines) == 5
 
+    def test_cached_parser_keeps_list_defaults(self, tmp_path):
+        """The parser is built once per process; no call may leak into the next."""
+        from sebits.cli import build_parser, main
+
+        assert build_parser() is build_parser()
+        outs = [tmp_path / f"curve_{i}.csv" for i in range(3)]
+        curve = ["gaussian", "--curve", "capacity_vs_ebn0"]
+        assert main([*curve, "-o", str(outs[0])]) == 0
+        assert main([*curve, "--s-values", "2,4", "-o", str(outs[1])]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main([*curve, "--s-values", "2,x", "-o", str(tmp_path / "never.csv")])
+        assert exc.value.code == 2
+        assert main([*curve, "-o", str(outs[2])]) == 0
+        first, other, last = (p.read_bytes() for p in outs)
+        assert first == last
+        assert first.splitlines()[0] == b"eb_n0_db,classic,cs_S2,lower_S2"
+        assert other.splitlines()[0] == b"eb_n0_db,classic,cs_S2,lower_S2,cs_S4,lower_S4"
+
 
 class TestSchemaCheck:
     def test_valid_file_empty_report(self):

@@ -153,3 +153,39 @@ class TestCurves:
             lim = math.log(2) / s**4
             assert spectral_efficiency(lim * 0.99, s, lower_bound=True) < 1e-6
             assert spectral_efficiency(lim * 1.2, s, lower_bound=True) > 1e-3
+
+
+def _bisect_200(eb_n0_linear, s, lower_bound=False):
+    """Oracle: the fixed 200-step bisection that spectral_efficiency stops early."""
+
+    def g(eta):
+        if lower_bound:
+            return math.log2(1.0 + s**4 * eta * eb_n0_linear) - eta
+        return math.log2(s**4 * (1.0 + eta * eb_n0_linear)) - eta
+
+    hi = 1.0
+    while g(hi) > 0:
+        hi *= 2.0
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if g(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class TestBisectionFixedPoint:
+    @pytest.mark.parametrize("s", [1.0, 1.5, 2.0, 4.0])
+    def test_early_stop_is_bit_identical(self, s):
+        limit_db = 10.0 * math.log10(math.log(2) / s**4)
+        grid = np.concatenate(
+            [np.linspace(-30.0, 30.0, 121), limit_db + np.linspace(-0.2, 0.2, 41), [limit_db]]
+        )
+        for db in grid:
+            lin = db_to_linear(float(db))
+            for lower_bound in (False, True):
+                got = spectral_efficiency(lin, s, lower_bound=lower_bound)
+                want = _bisect_200(lin, s, lower_bound=lower_bound)
+                assert got.hex() == want.hex(), (s, db, lower_bound)

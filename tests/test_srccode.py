@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sebits.core import Distribution, SynonymousPartition, induced_semantic_distribution
-from sebits.errors import IndexOutOfRange, InvalidPrefix, TruncatedStream
+from sebits.errors import IndexOutOfRange, InvalidPrefix, SizeMismatch, TruncatedStream
 from sebits.measures import semantic_entropy
 from sebits.srccode import (
     SemanticPrefixCode,
@@ -186,6 +186,107 @@ class TestHuffmanOptimality:
             f_id = SynonymousPartition.identity(n)
             classic_avg = average_length(build_semantic_huffman(d, f_id), d, f_id)
             assert sem_avg <= classic_avg + 1e-9
+
+
+def _loop_encode(symbols, code, f):
+    """Oracle: the symbol-at-a-time encoder the table lookup replaced."""
+    if len(code.codewords) != f.semantic_size:
+        raise SizeMismatch("code does not match the partition's semantic alphabet")
+    out = []
+    for u in symbols:
+        u = int(u)
+        if not 0 <= u < f.alphabet_size:
+            raise IndexOutOfRange(f"symbol index {u} outside [0, {f.alphabet_size})")
+        out.append(code.codewords[f.block_of[u]])
+    return "".join(out)
+
+
+def _loop_decode(stream, code, f, policy="lowest", seed=None):
+    """Oracle: the slice-and-lookup decoder the single regex scan replaced."""
+    if len(code.codewords) != f.semantic_size:
+        raise SizeMismatch("code does not match the partition's semantic alphabet")
+    if policy not in ("lowest", "random"):
+        raise ValueError(f"policy must be 'lowest' or 'random', got {policy!r}")
+    rng = np.random.default_rng(seed) if policy == "random" else None
+    word_to_block = {w: k for k, w in enumerate(code.codewords)}
+    max_len = max(len(w) for w in code.codewords)
+    out = []
+    pos = 0
+    while pos < len(stream):
+        match = None
+        for ln in range(1, max_len + 1):
+            if pos + ln > len(stream):
+                break
+            block = word_to_block.get(stream[pos : pos + ln])
+            if block is not None:
+                match = (block, ln)
+                break
+        if match is None:
+            tail = stream[pos:]
+            if any(w.startswith(tail) for w in code.codewords):
+                raise TruncatedStream(f"stream ends inside a codeword after position {pos}")
+            raise InvalidPrefix(f"no codeword starts with {tail[:max_len]!r} at position {pos}")
+        block, ln = match
+        members = f.blocks[block]
+        out.append(min(members) if rng is None else int(rng.choice(members)))
+        pos += ln
+    return out
+
+
+def _outcome(fn, *args, **kw):
+    try:
+        return "ok", fn(*args, **kw)
+    except Exception as e:  # the exception type and message are part of the contract
+        return type(e).__name__, str(e)
+
+
+class TestCodecsMatchLoopOracles:
+    """encode/decode give the loop oracles' outputs, or their exceptions word for word."""
+
+    def _streams(self, rng, code, f):
+        n = f.alphabet_size
+        seq = rng.integers(0, n, size=int(rng.integers(0, 60))).tolist()
+        valid = encode_sequence(seq, code, f)
+        yield valid
+        if valid:
+            cut = int(rng.integers(0, len(valid)))
+            yield valid[:cut]  # truncated, often inside a codeword
+            yield valid[:-1]
+            digit = str(int(rng.integers(0, code.arity)))
+            yield valid[:cut] + digit + valid[cut + 1 :]  # one digit replaced
+            yield valid[:cut] + digit + valid[cut:]  # one digit inserted
+            yield valid[:cut] + str(code.arity) + valid[cut:]  # a digit outside the alphabet
+            yield valid[:cut] + "x" + valid[cut:]
+
+    def test_decode_matches_oracle(self):
+        rng = np.random.default_rng(91)
+        for _ in range(300):
+            arity = int(rng.integers(2, 8))
+            n = int(rng.integers(1, 12))
+            d, f = random_distribution(rng, n), random_partition(rng, n)
+            code = build_semantic_huffman(d, f, arity=arity)
+            for stream in self._streams(rng, code, f):
+                for policy in ("lowest", "random"):
+                    got = _outcome(decode_sequence, stream, code, f, policy=policy, seed=5)
+                    want = _outcome(_loop_decode, stream, code, f, policy=policy, seed=5)
+                    assert got == want, (code, stream, policy)
+
+    def test_encode_matches_oracle(self):
+        rng = np.random.default_rng(92)
+        for _ in range(300):
+            arity = int(rng.integers(2, 8))
+            n = int(rng.integers(1, 12))
+            d, f = random_distribution(rng, n), random_partition(rng, n)
+            code = build_semantic_huffman(d, f, arity=arity)
+            seq = rng.integers(0, n, size=int(rng.integers(0, 40))).tolist()
+            cases = [seq, np.array(seq, dtype=np.int64)]
+            if seq:
+                k = int(rng.integers(0, len(seq)))
+                cases += [seq[:k] + [n] + seq[k:], seq[:k] + [-1] + seq[k:] + [n + 3]]
+            for symbols in cases:
+                assert _outcome(encode_sequence, symbols, code, f) == _outcome(
+                    _loop_encode, symbols, code, f
+                )
 
 
 class TestRoundTripProperty:
