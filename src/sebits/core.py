@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import block_sums
 from .errors import (
     EmptyBlock,
     IncompleteCover,
@@ -72,26 +73,22 @@ class SynonymousPartition:
         n = int(self.alphabet_size)
         if n < 1:
             raise SizeMismatch("alphabet_size must be >= 1")
-        seen: set[int] = set()
+        block_of = [-1] * n
         for k, b in enumerate(blocks):
             if len(b) == 0:
                 raise EmptyBlock(f"block {k} is empty")
             for i in b:
                 if not 0 <= i < n:
                     raise IndexOutOfRange(f"index {i} in block {k} outside [0, {n})")
-                if i in seen:
+                if block_of[i] >= 0:
                     raise OverlappingBlocks(f"index {i} appears in more than one block")
-                seen.add(i)
-        if len(seen) != n:
-            missing = sorted(set(range(n)) - seen)
-            raise IncompleteCover(f"indices {missing} not covered by any block")
-        block_of = np.empty(n, dtype=int)
-        for k, b in enumerate(blocks):
-            for i in b:
                 block_of[i] = k
+        missing = [i for i, k in enumerate(block_of) if k < 0]
+        if missing:
+            raise IncompleteCover(f"indices {missing} not covered by any block")
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "alphabet_size", n)
-        object.__setattr__(self, "_block_of", block_of)
+        object.__setattr__(self, "_block_of", np.array(block_of))
 
     @property
     def semantic_size(self) -> int:
@@ -207,7 +204,7 @@ def induced_semantic_distribution(d: Distribution, f: SynonymousPartition) -> Di
             f"partition covers {f.alphabet_size} symbols, distribution has {d.alphabet_size}"
         )
     # block sums of a valid distribution stay within the validation tolerance
-    return Distribution(np.array([d.probs[list(b)].sum() for b in f.blocks]))
+    return Distribution(block_sums(d.probs, 0, 1, f.block_of, f.semantic_size)[0])
 
 
 def induced_semantic_joint(j: JointDistribution, fj: JointSynonymousPartition) -> JointDistribution:
@@ -215,12 +212,10 @@ def induced_semantic_joint(j: JointDistribution, fj: JointSynonymousPartition) -
     nu, nv = j.shape
     if fj.u_partition.alphabet_size != nu or fj.v_partition.alphabet_size != nv:
         raise SizeMismatch("joint partition does not tile the joint distribution's grid")
-    out = np.zeros(fj.semantic_shape)
-    for a, bu in enumerate(fj.u_partition.blocks):
-        sub = j.probs[list(bu), :]
-        for b, bv in enumerate(fj.v_partition.blocks):
-            out[a, b] = sub[:, list(bv)].sum()
-    return JointDistribution(out)
+    fu, fv = fj.u_partition, fj.v_partition
+    return JointDistribution(
+        block_sums(j.probs, fu.block_of, fu.semantic_size, fv.block_of, fv.semantic_size)
+    )
 
 
 def marginals(j: JointDistribution) -> tuple[Distribution, Distribution]:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._kernels import block_sums, xlog2x
 from .core import (
     Distribution,
     JointDistribution,
@@ -31,17 +32,10 @@ from .errors import SizeMismatch, SupportMismatch
 RELATIVE_ENTROPY_MODES = ("full", "semantic_vs_syntactic", "syntactic_vs_semantic")
 
 
-def _xlog2x(p: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(p, dtype=float)
-    mask = p > 0
-    out[mask] = p[mask] * np.log2(p[mask])
-    return out
-
-
 def entropy(d: Distribution | np.ndarray) -> float:
     """Shannon entropy -sum p log2 p in bits."""
     p = d.probs if isinstance(d, Distribution) else np.asarray(d, dtype=float)
-    return float(-_xlog2x(p).sum())
+    return float(-xlog2x(p).sum())
 
 
 def semantic_entropy(d: Distribution, f: SynonymousPartition) -> float:
@@ -81,27 +75,19 @@ def semantic_conditional_entropy(
     The conditional mapping applies the same partition of the semantic-side
     alphabet for every conditioning symbol.
     """
-    nu, nv = j.shape
-    if direction == "u_given_v":
-        if f_cond.alphabet_size != nu:
-            raise SizeMismatch("partition must cover the U alphabet for Hs(U~|V)")
-        cond_mass = np.stack([j.probs[list(b), :].sum(axis=0) for b in f_cond.blocks])  # (Ñu, Nv)
-        given = j.probs.sum(axis=0)  # p(v)
-    elif direction == "v_given_u":
-        if f_cond.alphabet_size != nv:
-            raise SizeMismatch("partition must cover the V alphabet for Hs(V~|U)")
-        cond_mass = np.stack([j.probs[:, list(b)].sum(axis=1) for b in f_cond.blocks])  # (Ñv, Nu)
-        given = j.probs.sum(axis=1)  # p(u)
-    else:
+    if direction not in ("u_given_v", "v_given_u"):
         raise ValueError(f"direction must be 'u_given_v' or 'v_given_u', got {direction!r}")
-    total = 0.0
-    for k, g in enumerate(given):
-        if g <= 0:
-            continue
-        q = cond_mass[:, k]
-        mask = q > 0
-        total -= float(np.sum(q[mask] * np.log2(q[mask] / g)))
-    return total
+    # rows: the conditioning symbol; columns: the symbols the partition covers
+    m = j.probs.T if direction == "u_given_v" else j.probs
+    if f_cond.alphabet_size != m.shape[1]:
+        side, other = ("U", "V") if direction == "u_given_v" else ("V", "U")
+        raise SizeMismatch(f"partition must cover the {side} alphabet for Hs({side}~|{other})")
+    cond_mass = block_sums(m, np.arange(len(m)), len(m), f_cond.block_of, f_cond.semantic_size)
+    # ratio 1 keeps empty cells at 0 without a 0/0 (a cell with mass has a row with mass);
+    # the sum per conditioning symbol, then over them, fixes the printed bits
+    given = m.sum(axis=1)[:, None]
+    ratio = np.divide(cond_mass, given, out=np.ones_like(cond_mass), where=cond_mass > 0)
+    return float(-np.sum(cond_mass * np.log2(ratio), axis=1).sum())
 
 
 def semantic_relative_entropy(
@@ -122,30 +108,25 @@ def semantic_relative_entropy(
 
     p_s = induced_semantic_distribution(p, f).probs
     q_s = induced_semantic_distribution(q, f).probs
-    total = 0.0
-    for k, block in enumerate(f.blocks):
-        idx = list(block)
-        pb, qb = p.probs[idx], q.probs[idx]
-        if mode == "full":
-            if p_s[k] > 0:
-                if q_s[k] <= 0:
-                    raise SupportMismatch(f"q has no mass on block {k} where p does")
-                total += p_s[k] * np.log2(p_s[k] / q_s[k])
-        elif mode == "semantic_vs_syntactic":
-            if p_s[k] <= 0:
-                continue
-            for pu, qu in zip(pb, qb):
-                if pu > 0:
-                    if qu <= 0:
-                        raise SupportMismatch("q vanishes at a symbol where p has mass")
-                    total += pu * np.log2(p_s[k] / qu)
+    if mode == "full":
+        blocks = np.flatnonzero(p_s > 0)
+        weight = num = p_s[blocks]
+        den = q_s[blocks]
+    else:
+        # a symbol with mass puts mass on its block, so this covers every nonzero term
+        has_mass = p.probs > 0
+        blocks = f.block_of[has_mass]
+        weight = p.probs[has_mass]
+        if mode == "semantic_vs_syntactic":
+            num, den = p_s[blocks], q.probs[has_mass]
         else:  # syntactic_vs_semantic
-            for pu in pb:
-                if pu > 0:
-                    if q_s[k] <= 0:
-                        raise SupportMismatch(f"q has no mass on block {k} where p does")
-                    total += pu * np.log2(pu / q_s[k])
-    return float(total)
+            num, den = weight, q_s[blocks]
+    missing = den <= 0
+    if missing.any():
+        if mode == "semantic_vs_syntactic":
+            raise SupportMismatch("q vanishes at a symbol where p has mass")
+        raise SupportMismatch(f"q has no mass on block {blocks[missing].min()} where p does")
+    return float(np.sum(weight * np.log2(num / den)))
 
 
 def up_smi(j: JointDistribution, fj: JointSynonymousPartition) -> float:

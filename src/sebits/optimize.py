@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import block_sums
 from .core import (
     ChannelModel,
     Distribution,
@@ -61,11 +62,6 @@ def count_ordered_set_partitions(n: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 # shared solver pieces
 # ---------------------------------------------------------------------------
-
-def _xlog2x_sum(p: np.ndarray) -> float:
-    mask = p > 0
-    return float(np.sum(p[mask] * np.log2(p[mask])))
-
 
 def _iterate_to_certificate(step, x: np.ndarray, done, rounds: int):
     """Run a monotone map on the simplex until its certificate says stop.
@@ -139,11 +135,10 @@ def blahut_arimoto_capacity(
 def _up_smi_pieces(ch: ChannelModel, fj: JointSynonymousPartition):
     if fj.u_partition.alphabet_size != ch.input_size or fj.v_partition.alphabet_size != ch.output_size:
         raise SizeMismatch("joint partition does not tile the channel's input x output grid")
-    w = ch.transition
+    w, fv = ch.transition, fj.v_partition
     # column-block sums of the transition matrix: wv[x, b] = sum_{y in V_b} p(y|x)
-    wv = np.stack([w[:, list(b)].sum(axis=1) for b in fj.v_partition.blocks], axis=1)
-    x_block = fj.u_partition.block_of
-    return w, wv, x_block
+    wv = block_sums(w, np.arange(w.shape[0]), w.shape[0], fv.block_of, fv.semantic_size)
+    return w, wv, fj.u_partition.block_of
 
 
 def _up_smi_value_grad(
@@ -153,7 +148,7 @@ def _up_smi_value_grad(
     py = p @ w
     own = p[:, None] * wv
     pb = x_onehot.T @ own  # pb[a, b]: mass of input block a and output block b
-    value = -_xlog2x_sum(p) - _xlog2x_sum(py) + _xlog2x_sum(pb.ravel())
+    value = entropy(p) + entropy(py) - entropy(pb.ravel())
     logpy = np.log2(np.maximum(py, 1e-15))
     # -log p_x + sum_b wv log pb fused as sum_b wv log(pb / p_x); the mass each
     # x contributes to its block cancels exactly, so boundary points cannot
@@ -358,7 +353,7 @@ def _down_smi_of_block_channel(
     block b the mass qb[x, b], spread evenly over the block's symbols."""
     joint = p[:, None] * qb
     r = joint.sum(axis=0)
-    return hs_x - _xlog2x_sum(r) + _xlog2x_sum(joint.ravel()) - float(r @ np.log2(sizes))
+    return hs_x + entropy(r) - entropy(joint.ravel()) - float(r @ np.log2(sizes))
 
 
 def _meet_target(
@@ -438,7 +433,7 @@ def _min_down_smi_under_distortion(
     limit = target_d + 1e-12
     row_min = dblk.min(axis=1)
     shifted = dblk - row_min[:, None]
-    offset = hs_x + _xlog2x_sum(p)  # Hs(X~) - H(X)
+    offset = hs_x - entropy(p)  # Hs(X~) - H(X)
     lam, lower, best = 0.0, -math.inf, None
 
     def step(t: np.ndarray) -> tuple[np.ndarray, float, float]:

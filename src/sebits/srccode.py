@@ -69,7 +69,10 @@ def build_semantic_huffman(
     by the smallest original block index, and pop order fixes digit assignment.
     A single-block source gets the one-digit codeword "0".  For arity > 2 the
     symbol list is padded with zero-probability dummies so every merge is full.
+    Codeword digits are the characters 0-9, so the arity must lie in [2, 10].
     """
+    if not 2 <= arity <= 10:
+        raise ValueError(f"arity must be in [2, 10] (one character per digit), got {arity}")
     sem = induced_semantic_distribution(d, f)
     n = sem.alphabet_size
     if n == 1:

@@ -35,7 +35,7 @@ from .core import (
     marginals,
 )
 from .errors import BudgetExceeded, IndexOutOfRange
-from .measures import entropy, joint_entropy, semantic_joint_entropy
+from .measures import entropy, joint_entropy
 
 EXHAUSTIVE_STATE_CAP = 2**24
 SMALL_N_THRESHOLD = 64
@@ -397,8 +397,7 @@ def estimate_joint_typicality(
     sem_u = induced_semantic_distribution(pu, fj.u_partition)
     sem_v = induced_semantic_distribution(pv, fj.v_partition)
     h_u, h_v, h_uv = entropy(pu), entropy(pv), joint_entropy(j)
-    hs_u, hs_v = entropy(sem_u), entropy(sem_v)
-    hs_uv = semantic_joint_entropy(j, fj)
+    hs_u, hs_v, hs_uv = entropy(sem_u), entropy(sem_v), entropy(sem_joint.probs.ravel())
     up = h_u + h_v - hs_uv
     down = hs_u + hs_v - h_uv
 

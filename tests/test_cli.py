@@ -71,6 +71,17 @@ class TestHuffman:
         assert got["codewords"] == ["0", "10", "11"]
         assert got["avg_length"] == 1.5
 
+    @pytest.mark.parametrize("arity", ["1", "12"])
+    def test_arity_out_of_range_exits_2(self, arity):
+        code, _, err = run_cli(
+            "huffman",
+            "--dist", str(FIXTURES / "tableVI_dist.json"),
+            "--partition", str(FIXTURES / "tableVII_partition.json"),
+            "--arity", arity,
+        )
+        assert code == 2
+        assert "[2, 10]" in err
+
     def test_encode_decode_round_trip(self, tmp_path):
         code_path = tmp_path / "code.json"
         run_code, out, _ = run_cli(

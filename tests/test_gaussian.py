@@ -5,6 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from sebits.core import (
+    Distribution,
+    JointDistribution,
+    JointSynonymousPartition,
+    SynonymousPartition,
+)
 from sebits.gaussian import (
     bandlimited_semantic_capacity,
     db_to_linear,
@@ -16,6 +22,7 @@ from sebits.gaussian import (
     spectral_efficiency,
     uniform_semantic_entropy,
 )
+from sebits.measures import semantic_entropy, up_smi
 
 
 class TestClosedForms:
@@ -189,3 +196,64 @@ class TestBisectionFixedPoint:
                 got = spectral_efficiency(lin, s, lower_bound=lower_bound)
                 want = _bisect_200(lin, s, lower_bound=lower_bound)
                 assert got.hex() == want.hex(), (s, db, lower_bound)
+
+
+_normal_cdf = np.vectorize(lambda z: 0.5 * (1.0 + math.erf(z / math.sqrt(2.0))))
+
+
+class TestQuantizationBridge:
+    """The closed forms as limits of the discrete measures (Cover & Thomas 8.3).
+
+    Quantize at step delta and put S = 2 consecutive cells in each block: the
+    block width is S delta, so Hs + log2 delta -> h - log2 S and the up
+    companion -> I + 2 log2 S, with an O(delta^2) error.
+    """
+
+    S = 2
+
+    @staticmethod
+    def _cells(half_width: float, delta: float) -> np.ndarray:
+        return np.linspace(-half_width, half_width, int(round(2 * half_width / delta)) + 1)
+
+    def _blocks(self, n: int) -> SynonymousPartition:
+        return SynonymousPartition(tuple(tuple(range(i, i + self.S)) for i in range(0, n, self.S)), n)
+
+    def test_gaussian_entropy_is_the_limit(self):
+        target = gaussian_semantic_entropy(1.0, self.S)
+        errors = []
+        for delta in (0.2, 0.1, 0.05, 0.025):
+            p = np.diff(_normal_cdf(self._cells(8.0, delta)))
+            hs = semantic_entropy(Distribution(p / p.sum()), self._blocks(p.size))
+            errors.append(hs + math.log2(delta) - target)
+        assert errors[0] == pytest.approx(1.05665 - 1.047096, abs=1e-5)
+        assert all(e > 0 for e in errors)
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 3.5 < coarse / fine < 4.5
+        assert errors[-1] < 2e-4
+
+    def test_gaussian_capacity_is_the_limit_of_the_up_companion(self):
+        # N(0, P) input on the AWGN channel at P = sigma^2 = 1; the up
+        # companion at the capacity-achieving input tends to C_s
+        target, _ = gaussian_semantic_capacity(1.0, 1.0, self.S)
+        errors = []
+        for delta in (0.4, 0.2, 0.1):
+            x_edges, y_edges = self._cells(8.0, delta), self._cells(12.0, delta)
+            px = np.diff(_normal_cdf(x_edges))
+            x_mid = 0.5 * (x_edges[1:] + x_edges[:-1])
+            w = np.diff(_normal_cdf(y_edges[None, :] - x_mid[:, None]), axis=1)
+            joint = (px / px.sum())[:, None] * (w / w.sum(axis=1, keepdims=True))
+            fj = JointSynonymousPartition(self._blocks(px.size), self._blocks(y_edges.size - 1))
+            errors.append(target - up_smi(JointDistribution(joint), fj))
+        assert target - errors[-1] == pytest.approx(2.4946, abs=1e-4)
+        assert all(e > 0 for e in errors)
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 3.5 < coarse / fine < 4.5
+        assert errors[-1] < 0.01
+
+    @pytest.mark.parametrize("n_tilde", [1, 2, 5, 8, 13])
+    def test_uniform_entropy_is_exact(self, n_tilde):
+        # U[-3, 5] at step 8 / (S n_tilde): every cell, so every block, has the
+        # same mass, and Hs is log2 n_tilde with no discretization error
+        n = self.S * n_tilde
+        hs = semantic_entropy(Distribution(np.full(n, 1.0 / n)), self._blocks(n))
+        assert hs == pytest.approx(uniform_semantic_entropy(-3.0, 5.0, n_tilde), abs=1e-14)

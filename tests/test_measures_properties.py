@@ -6,19 +6,26 @@ slack for float error; the convexity/concavity statements are checked through
 random convex combinations.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sebits.core import (
+    ChannelModel,
     Distribution,
     JointDistribution,
     JointSynonymousPartition,
     SynonymousPartition,
+    induced_semantic_distribution,
+    induced_semantic_joint,
     marginals,
 )
+from sebits.errors import SupportMismatch
 from sebits.measures import (
+    RELATIVE_ENTROPY_MODES,
     conditional_entropy,
     down_smi,
     entropy,
@@ -32,6 +39,15 @@ from sebits.measures import (
     up_smi,
 )
 
+from sebits.optimize import _up_smi_pieces
+
+from _oracles import (
+    loop_column_block_sums,
+    loop_induced_semantic_distribution,
+    loop_induced_semantic_joint,
+    loop_semantic_conditional_entropy,
+    loop_semantic_relative_entropy,
+)
 from conftest import random_joint, random_partition
 
 SLACK = 1e-9
@@ -262,3 +278,58 @@ def test_companion_sandwich_hypothesis(nu, nv, seed):
     assert down_smi(j, fj) <= mutual_information(j) + SLACK
     assert mutual_information(j) <= up_smi(j, fj) + SLACK
     assert full_smi(j, fj) >= -SLACK
+
+
+def _scrambled_partition(rng: np.random.Generator, n: int) -> SynonymousPartition:
+    """A random partition whose blocks, and the symbols inside each, are listed out of order."""
+    labels = rng.integers(0, n, size=n)
+    blocks = [tuple(rng.permutation(np.flatnonzero(labels == lab)).tolist()) for lab in np.unique(labels)]
+    return SynonymousPartition(tuple(blocks[k] for k in rng.permutation(len(blocks))), n)
+
+
+def _with_zeros(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
+    """Random probabilities with about `rate` of the entries set to exactly 0, renormalized."""
+    m = rng.dirichlet(np.ones(int(np.prod(shape)))).reshape(shape)
+    m[rng.random(shape) < rate] = 0.0
+    if not m.any():
+        m.flat[rng.integers(m.size)] = 1.0
+    return m / m.sum()
+
+
+@given(st.integers(1, 7), st.integers(1, 7), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_block_aggregators_match_per_block_loops_hypothesis(nu, nv, seed):
+    """block_sums-based aggregation agrees with the per-block loops it replaced,
+    on zero-mass symbols and scrambled block order, and raises where they raise."""
+    rng = np.random.default_rng(seed)
+    j = JointDistribution(_with_zeros(rng, (nu, nv), 0.3))
+    fj = JointSynonymousPartition(_scrambled_partition(rng, nu), _scrambled_partition(rng, nv))
+    pu, _ = marginals(j)
+    close = dict(rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        induced_semantic_distribution(pu, fj.u_partition).probs,
+        loop_induced_semantic_distribution(pu.probs, fj.u_partition), **close,
+    )
+    np.testing.assert_allclose(
+        induced_semantic_joint(j, fj).probs, loop_induced_semantic_joint(j.probs, fj), **close
+    )
+    for direction, f in (("u_given_v", fj.u_partition), ("v_given_u", fj.v_partition)):
+        assert semantic_conditional_entropy(j, f, direction) == pytest.approx(
+            loop_semantic_conditional_entropy(j.probs, f, direction), abs=1e-12
+        )
+    w = _with_zeros(rng, (nu, nv), 0.3)
+    w[w.sum(axis=1) == 0, 0] = 1.0
+    w /= w.sum(axis=1, keepdims=True)
+    np.testing.assert_allclose(
+        _up_smi_pieces(ChannelModel(w), fj)[1], loop_column_block_sums(w, fj.v_partition), **close
+    )
+    p, q = (_with_zeros(rng, (nu,), rate) for rate in (0.3, rng.choice([0.0, 0.4])))
+    for mode in RELATIVE_ENTROPY_MODES:
+        args = (Distribution(p), Distribution(q), fj.u_partition, mode)
+        try:
+            want = loop_semantic_relative_entropy(p, q, fj.u_partition, mode)
+        except SupportMismatch as e:
+            with pytest.raises(SupportMismatch, match=re.escape(str(e))):
+                semantic_relative_entropy(*args)
+        else:
+            assert semantic_relative_entropy(*args) == pytest.approx(want, abs=1e-12)

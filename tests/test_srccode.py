@@ -104,6 +104,25 @@ class TestHuffmanGoldens:
         assert (lo_b, hi_b) == (0.0, 1.0)
 
 
+class TestHuffmanArity:
+    """Digits are the characters 0-9: arities outside [2, 10] are refused up front."""
+
+    @pytest.mark.parametrize("arity", [1, 12])
+    def test_out_of_range_rejected(self, huffman_dist, huffman_partition, arity):
+        # arity 1 used to loop forever; 12 failed with a misleading prefix error
+        with pytest.raises(ValueError, match=r"\[2, 10\]"):
+            build_semantic_huffman(huffman_dist, huffman_partition, arity=arity)
+
+    def test_arity_ten_builds(self):
+        d = Distribution(np.full(14, 1.0 / 14))
+        f = SynonymousPartition.identity(14)
+        code = build_semantic_huffman(d, f, arity=10)
+        assert code.arity == 10
+        assert len(code.codewords) == 14
+        assert "9" in "".join(code.codewords)
+        assert decode_sequence(encode_sequence(range(14), code, f), code, f) == list(range(14))
+
+
 class TestStreamErrors:
     def test_truncated(self, huffman_dist, huffman_partition):
         code = build_semantic_huffman(huffman_dist, huffman_partition)
