@@ -9,10 +9,13 @@ For each --seed and each workload in perfbench/workloads.py (awgn, solvers,
 typicality, cli_small), the script builds the jobs of one pass, runs each
 through `sebits.cli.main` in order, and prints the workload, the seed, the
 exit code, the sha256 of the output file ("-" when there is none) and the
-argv.  Inputs and outputs go to a temporary directory, written as <work> in
-the argv, so the lines of two checkouts compare with `diff`.  --root names
-the checkout whose src/, perfbench/ and fixtures/ are used; it defaults to
-the one holding this script.
+argv.  A fixed set of "extra" jobs outside the benchmark follows, once: the
+random decode policy, and the joint Monte Carlo in both modes at n = 3,
+n = 1000 and one trial on Table II, and on a joint where the decoding probe
+counts hits.  Inputs and outputs go to a temporary directory, written as
+<work> in the argv, so the lines of two checkouts compare with `diff`.
+--root names the checkout whose src/, perfbench/ and fixtures/ are used; it
+defaults to the one holding this script.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -34,6 +38,52 @@ def digest(path: Path) -> str:
         return "-"
 
 
+def extra_jobs(work: Path) -> list[tuple[list[str], Path]]:
+    """(argv, output) of the fixed jobs outside the benchmark, in order."""
+    import numpy as np
+    from workloads import _write_json
+
+    rng = np.random.default_rng(9)
+    probs = json.loads(Path("fixtures/tableVI_dist.json").read_text())["probs"]
+    symbols = work / "symbols.txt"
+    symbols.write_text(" ".join(map(str, rng.choice(len(probs), size=20_000, p=probs))))
+    part = ["--partition", "fixtures/tableVII_partition.json"]
+    code, stream = work / "code.json", work / "stream.txt"
+    jobs = [
+        (["huffman", "--dist", "fixtures/tableVI_dist.json", *part], code),
+        (["encode", "--code", str(code), *part, "--input", str(symbols)], stream),
+        (["decode", "--code", str(code), *part, "--input", str(stream), "--policy", "random", "--seed", "9"],
+         work / "decoded.txt"),
+    ]
+    table2 = ["--joint", "fixtures/tableII_joint.json", "--u-partition", "fixtures/tableIII_u_partition.json",
+              "--v-partition", "fixtures/tableIII_v_partition.json"]
+    # a weakly dependent joint on which the decoding probe's probability is not 0
+    weak_matrix = [[0.26, 0.24], [0.12, 0.13], [0.12, 0.13]]
+    weak = ["--joint", _write_json(work / "weak.json", {"matrix": weak_matrix}),
+            "--u-partition", _write_json(work / "weak_u.json", {"blocks": [[0], [1, 2]]}),
+            "--v-partition", _write_json(work / "weak_v.json", {"blocks": [[0], [1]]})]
+    for joint, n, trials, eps in ((table2, 3, 20_000, 0.1), (table2, 1000, 1500, 0.02), (table2, 200, 1, 0.1),
+                                  (weak, 24, 30_000, 0.1)):
+        for mode in ("correlated", "independent"):
+            argv = ["typicality", *joint, "--n", str(n), "--trials", str(trials), "--eps", str(eps),
+                    "--mc-mode", mode, "--seed", "5"]
+            jobs.append((argv, work / f"joint_{mode}_{n}_{trials}.json"))
+    return jobs
+
+
+def run(name: str, seed, argv: list[str], out: Path, work: Path) -> None:
+    """Run one job through the CLI and print its line."""
+    import sebits.cli
+
+    argv = [*argv, "-o", str(out)]
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = sebits.cli.main(argv)
+        except Exception as e:  # a crash is an outcome to compare too
+            code = f"raised:{type(e).__name__}"
+    print(name, seed, code, digest(out), " ".join(argv).replace(str(work), "<work>"), flush=True)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
@@ -43,7 +93,6 @@ def main() -> None:
     root = args.root.resolve()
     os.chdir(root)  # the workloads read fixtures/ relative to the checkout
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
-    import sebits.cli
     from workloads import WORKLOADS
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -52,13 +101,11 @@ def main() -> None:
                 work = Path(tmp) / f"{name}_{seed}"
                 work.mkdir()
                 for job in WORKLOADS[name].build(work, seed):
-                    with contextlib.redirect_stderr(io.StringIO()):
-                        try:
-                            code = sebits.cli.main(job.cli_argv())
-                        except Exception as e:  # a crash is an outcome to compare too
-                            code = f"raised:{type(e).__name__}"
-                    argv = " ".join(job.cli_argv()).replace(str(work), "<work>")
-                    print(name, seed, code, digest(job.out), argv, flush=True)
+                    run(name, seed, job.argv, job.out, work)
+        work = Path(tmp) / "extra"
+        work.mkdir()
+        for argv, out in extra_jobs(work):
+            run("extra", "-", argv, out, work)
 
 
 if __name__ == "__main__":

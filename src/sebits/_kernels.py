@@ -1,6 +1,8 @@
 """Numerical primitives shared by the sebits modules.
 
 - `trial_uniforms` / `trial_batches`: one Philox counter slice per trial.
+- `trial_stream`: the same slices in draw-sized batches, the next batch drawn
+  on one worker thread while the caller scores the current one.
 - `xlog2x`: p log2 p with the 0 log 0 = 0 convention.
 - `block_sums`: masses summed over the blocks of a synonymous partition, or a
   product of two, in one `np.bincount`.
@@ -8,7 +10,17 @@
 
 from __future__ import annotations
 
+import os
+import threading
+
 import numpy as np
+
+BATCH_DRAWS = 1 << 18  # uniforms per trial_stream batch by default: 2 MB of doubles
+
+
+def _philox(seed: int, start: int, width: int) -> np.random.Generator:
+    """A generator at the first slice of trial `start`, for slices of `width` = 4 k uniforms."""
+    return np.random.Generator(np.random.Philox(key=seed, counter=start * (width // 4)))
 
 
 def trial_uniforms(seed: int, start: int, count: int, per_trial: int) -> np.ndarray:
@@ -18,9 +30,8 @@ def trial_uniforms(seed: int, start: int, count: int, per_trial: int) -> np.ndar
     (four doubles per block), so any batching or parallel split over trial
     indices reproduces the same stream (Salmon et al., SC'11).
     """
-    blocks_per_trial = (per_trial + 3) // 4
-    gen = np.random.Generator(np.random.Philox(key=seed, counter=start * blocks_per_trial))
-    return gen.random((count, 4 * blocks_per_trial))[:, :per_trial]
+    width = 4 * ((per_trial + 3) // 4)
+    return _philox(seed, start, width).random((count, width))[:, :per_trial]
 
 
 def trial_batches(trials: int, batch: int):
@@ -28,6 +39,66 @@ def trial_batches(trials: int, batch: int):
     if batch < 1:
         raise ValueError("batch must be at least 1")
     return ((start, min(batch, trials - start)) for start in range(0, trials, batch))
+
+
+_prefetch_lock = threading.Lock()
+_prefetch_pool = None
+_prefetch_pid = None
+
+
+def _prefetcher():
+    """The process's one-worker pool, created on first use and again in a forked child,
+    where the worker thread of the parent's pool does not exist."""
+    global _prefetch_pool, _prefetch_pid
+    with _prefetch_lock:
+        if _prefetch_pid != os.getpid():
+            from concurrent.futures import ThreadPoolExecutor
+
+            _prefetch_pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="sebits-philox")
+            _prefetch_pid = os.getpid()
+        return _prefetch_pool
+
+
+def trial_stream(seed: int, trials: int, per_trial: int, batch: int | None = None):
+    """Yield (start, u) for consecutive batches of trials covering [0, trials).
+
+    u is `trial_uniforms(seed, start, count, per_trial)`: the stream does not
+    depend on `batch`.  The default batch is max(1, BATCH_DRAWS // per_trial)
+    trials, so a batch holds at most about BATCH_DRAWS uniforms whatever n is.
+    A single-batch stream is drawn inline.  Otherwise two (batch, 4 k) buffers
+    are allocated once, and while the caller scores batch i, the process's one
+    prefetch worker thread draws batch i + 1 into the other buffer (numpy's
+    Philox fill releases the GIL), so the work runs on at most two threads.
+    The worker only fills: it allocates no array, which would come from its
+    own malloc arena and raise the process's peak RSS.
+
+    A yielded u is a view of one of those buffers: it is valid only until the
+    next iteration, which starts overwriting it.  Raises ValueError when
+    `batch` < 1.
+    """
+    if batch is None:
+        batch = max(1, BATCH_DRAWS // per_trial)
+    batches = trial_batches(trials, batch)
+    if trials <= batch:
+        for start, count in batches:
+            yield start, trial_uniforms(seed, start, count, per_trial)
+        return
+    width = 4 * ((per_trial + 3) // 4)
+    buffers = (np.empty((batch, width)), np.empty((batch, width)))
+    pool = _prefetcher()
+    start, count = next(batches)
+    u = _philox(seed, start, width).random(out=buffers[0][:count])
+    pending = None
+    try:
+        for i, (nxt, nxt_count) in enumerate(batches, start=1):
+            pending = pool.submit(_philox(seed, nxt, width).random, out=buffers[i % 2][:nxt_count])
+            yield start, u[:, :per_trial]
+            u, pending = pending.result(), None
+            start = nxt
+        yield start, u[:, :per_trial]
+    finally:
+        if pending is not None:  # the caller stopped early: let the fill finish with its buffer
+            pending.result()
 
 
 def xlog2x(p: np.ndarray) -> np.ndarray:

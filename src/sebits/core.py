@@ -61,6 +61,17 @@ def validate_distribution(probs) -> Distribution:
     return Distribution(np.asarray(probs, dtype=float))
 
 
+def _block_index(i, k: int) -> int:
+    """Block k's entry i as an int; a bool or a value that int() would change is refused."""
+    try:
+        index = int(i)
+    except (TypeError, ValueError, OverflowError):
+        index = None
+    if index is None or index != i or isinstance(i, (bool, np.bool_)):
+        raise IndexOutOfRange(f"index {i!r} in block {k} is not an integer")
+    return index
+
+
 @dataclass(frozen=True, eq=False)
 class SynonymousPartition:
     """Ordered disjoint blocks of {0..N-1}; one block per semantic symbol."""
@@ -69,7 +80,7 @@ class SynonymousPartition:
     alphabet_size: int
 
     def __post_init__(self):
-        blocks = tuple(tuple(int(i) for i in b) for b in self.blocks)
+        blocks = tuple(tuple(_block_index(i, k) for i in b) for k, b in enumerate(self.blocks))
         n = int(self.alphabet_size)
         if n < 1:
             raise SizeMismatch("alphabet_size must be >= 1")

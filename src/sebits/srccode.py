@@ -183,4 +183,6 @@ def decode_sequence(
     if rng is None:
         lowest = [min(b) for b in f.blocks]
         return list(map(lowest.__getitem__, blocks))
-    return [int(rng.choice(f.blocks[k])) for k in blocks]
+    # members[rng.integers(len(members))] draws what rng.choice(members) does,
+    # without converting the block to an array for every symbol
+    return [members[rng.integers(len(members))] for members in map(f.blocks.__getitem__, blocks)]

@@ -10,7 +10,9 @@ comparison-count inverse CDF as cell indices, and each rate is a row sum of
 log-probabilities gathered from a table over the syntactic or semantic joint
 cells, built once per call.  The decoding probe computes rates only for
 trials whose every symbol is its block's representative, the only trials it
-can count.
+can count.  Trials run in batches of about 2^18 uniforms, so memory does not
+grow with n, and one worker thread draws the next batch's Philox slices
+while the current one is scored: two threads at most.
 
 The non-asymptotic upper bounds on set sizes hold at every n; the matching
 lower bounds only for "sufficiently large n", so violations below a caller
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import trial_batches, trial_uniforms
+from ._kernels import trial_stream
 from .core import (
     Distribution,
     JointDistribution,
@@ -353,7 +355,7 @@ def estimate_joint_typicality(
     trials: int,
     seed: int = 0,
     mode: str = "correlated",
-    batch: int = 1024,
+    batch: int | None = None,
 ) -> TypicalityReport:
     """Monte Carlo probes of the joint typicality statements.
 
@@ -377,8 +379,14 @@ def estimate_joint_typicality(
     (x * |V| + y, or the semantic cell in the encoding probe) from tables
     built once per call.  The decoding probe computes its six rates only for
     trials whose every x_i and y_i is its block's representative, the only
-    trials it can count.  A trial's verdict depends on its own Philox slice
-    alone, so the result does not depend on `batch`.
+    trials it can count, and draws y only for trials whose every x_i is.
+
+    Trials come from `_kernels.trial_stream` in batches of `batch` trials,
+    by default as many as hold about BATCH_DRAWS (2^18) uniforms, so memory
+    stays at a few MB whatever n is; while one batch is scored, the one
+    prefetch worker thread draws the next, so a call runs on at most two
+    threads.  A trial's verdict depends on its own Philox slice alone, so
+    the result does not depend on `batch`.
 
     Raises ValueError when `batch` < 1 and, in independent mode, raises
     BudgetExceeded before drawing when a band edge overflows a double.
@@ -433,21 +441,21 @@ def estimate_joint_typicality(
     per_trial = n if mode == "correlated" else 4 * n
     hits = 0
     enc_hits = 0
-    for start, b in trial_batches(trials, batch):
-        u = trial_uniforms(seed, start, b, per_trial)
+    for _, u in trial_stream(seed, trials, per_trial, batch):
         if mode == "correlated":
             cells = _inverse_cdf(u, j.probs.ravel()).astype(np.intp)
             sem_rates = [_rate(t, cells, n) for t in sem_tables]
             hits += int(_within(sem_rates, sem_targets, eps).sum())
         else:
-            xs = _inverse_cdf(u[:, :n], pu.probs)
-            ys = _inverse_cdf(u[:, n : 2 * n], pv.probs)
             # decoding probe: the pair must be the representative of a jointly
             # synonymous typical class, so only rows whose every x_i and y_i
-            # is its block's representative get rates (ys only where xs are)
-            rep = is_rep_u[xs].all(axis=1)
-            rep[rep] = is_rep_v[ys[rep]].all(axis=1)
-            cells = xs[rep].astype(np.intp) * nv + ys[rep]
+            # is its block's representative get rates; ys are drawn only on
+            # the rows whose xs all are
+            xs = _inverse_cdf(u[:, :n], pu.probs)
+            rep = np.flatnonzero(is_rep_u[xs].all(axis=1))
+            ys = _inverse_cdf(u[rep, n : 2 * n], pv.probs)
+            rep_y = is_rep_v[ys].all(axis=1)
+            cells = xs[rep[rep_y]].astype(np.intp) * nv + ys[rep_y]
             rates = [_rate(t, cells, n) for t in syn_tables + sem_tables]
             typical = _within(rates, (h_u, h_v, h_uv, *sem_targets), eps)
             # the conditional rate is taken on typical rows only, where rate_xy

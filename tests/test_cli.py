@@ -50,6 +50,16 @@ class TestMeasures:
         assert code == 2
         assert "nope.json" in err
 
+    def test_non_integer_partition_index_exits_2(self, tmp_path):
+        dist = tmp_path / "d3.json"
+        dist.write_text(json.dumps({"probs": [0.25, 0.25, 0.5]}))
+        part = tmp_path / "p.json"
+        part.write_text(json.dumps({"blocks": [[0, 1.7], [2.9]]}))
+        code, out, err = run_cli("measures", "--dist", str(dist), "--partition", str(part))
+        assert code == 2
+        assert out == ""
+        assert "index 1.7 in block 0 is not an integer" in err
+
     def test_error_json(self, tmp_path):
         code, _, err = run_cli(
             "measures", "--dist", str(tmp_path / "nope.json"), "--error-json"

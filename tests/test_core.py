@@ -81,6 +81,22 @@ class TestValidatePartition:
         with pytest.raises(IndexOutOfRange):
             validate_partition([[0], [5]], 2)
 
+    @pytest.mark.parametrize(
+        "blocks, bad",
+        [([[0, 1.7], [2.9]], "1.7"), ([[0, True], [2]], "True"), ([[0], [1, np.True_]], "np.True_"),
+         ([[0], ["1", 2]], "'1'"), ([[0, float("nan")], [1, 2]], "nan"), ([[0], [1, [2]]], "[2]")],
+    )
+    def test_non_integer_index_rejected(self, blocks, bad):
+        with pytest.raises(IndexOutOfRange) as exc:
+            validate_partition(blocks, 3)
+        block = next(k for k, b in enumerate(blocks) if any(repr(i) == bad for i in b))
+        assert str(exc.value) == f"index {bad} in block {block} is not an integer"
+
+    def test_integer_types_accepted(self):
+        f = validate_partition([[np.int64(0), np.uint8(2)], [1.0]], 3)
+        assert f.blocks == ((0, 2), (1,))
+        assert all(type(i) is int for b in f.blocks for i in b)
+
     def test_block_order_preserved(self):
         f = validate_partition([[3], [0, 1, 2]], 4)
         assert f.blocks == ((3,), (0, 1, 2))

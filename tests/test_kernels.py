@@ -1,12 +1,14 @@
 """The shared kernels: pinned draws of both streams built on the Philox per-trial
-slice, the 0 log 0 convention of xlog2x, and block_sums against a per-block loop."""
+slice, the prefetching trial_stream against those slices, the 0 log 0
+convention of xlog2x, and block_sums against a per-block loop."""
 
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
-from sebits._kernels import block_sums, trial_uniforms, xlog2x
+from sebits._kernels import BATCH_DRAWS, block_sums, trial_stream, trial_uniforms, xlog2x
 from sebits.core import SynonymousPartition
 from sebits.chancode import _trial_randoms
 
@@ -36,6 +38,49 @@ def test_slices_do_not_depend_on_batching(per_trial):
     parts = np.vstack([trial_uniforms(11, s, c, per_trial) for s, c in [(0, 13), (13, 1), (14, 36)]])
     assert whole.shape == (50, per_trial)
     assert np.array_equal(whole, parts)
+
+
+@pytest.mark.parametrize("per_trial", [1, 5, 800])
+@pytest.mark.parametrize("batch", [1, 977, None])
+def test_stream_is_the_trial_uniforms_stream(per_trial, batch):
+    """Batches start where the last ended, hold `batch` trials (by default as
+    many as fit in BATCH_DRAWS uniforms) and concatenate to trial_uniforms."""
+    trials = 2000
+    size = batch or max(1, BATCH_DRAWS // per_trial)
+    starts, parts = [], []
+    for start, u in trial_stream(4, trials, per_trial, batch):
+        starts.append(start)
+        parts.append(u.copy())  # u is only valid until the next iteration
+    assert starts == list(range(0, trials, size))
+    assert [len(u) for u in parts] == [min(size, trials - s) for s in starts]
+    assert np.array_equal(np.vstack(parts), trial_uniforms(4, 0, trials, per_trial))
+
+
+def test_stream_batch_must_be_positive():
+    with pytest.raises(ValueError, match="batch must be at least 1"):
+        next(trial_stream(0, 10, 3, batch=0))
+
+
+def test_stream_runs_on_at_most_one_extra_thread():
+    before = threading.active_count()
+    during = []
+    for _ in range(3):
+        for _, u in trial_stream(1, 60, 7, batch=4):
+            during.append(threading.active_count())
+    assert max(during) <= before + 1
+    assert threading.active_count() <= before + 1
+
+
+def test_breaking_out_early_leaves_the_next_stream_intact():
+    for start, _ in trial_stream(2, 100, 9, batch=8):
+        if start >= 16:
+            break
+    abandoned = trial_stream(2, 100, 9, batch=8)
+    next(abandoned)
+    next(abandoned)  # left suspended with a fill in flight
+    got = np.vstack([u.copy() for _, u in trial_stream(2, 100, 9, batch=8)])
+    assert np.array_equal(got, trial_uniforms(2, 0, 100, 9))
+    abandoned.close()
 
 
 def test_xlog2x_zero_convention_without_warning():

@@ -290,6 +290,26 @@ class TestCodecsMatchLoopOracles:
                     want = _outcome(_loop_decode, stream, code, f, policy=policy, seed=5)
                     assert got == want, (code, stream, policy)
 
+    def test_random_policy_draws_the_choice_stream(self):
+        """The random policy's picks equal one `rng.choice(members)` per symbol,
+        the loop it replaced, on 200 random codes at several seeds, with
+        singleton blocks (where neither form may consume a draw differently)."""
+        rng = np.random.default_rng(93)
+        singletons = 0
+        for _ in range(200):
+            n = int(rng.integers(1, 12))
+            d, f = random_distribution(rng, n), random_partition(rng, n)
+            singletons += sum(len(b) == 1 for b in f.blocks)
+            code = build_semantic_huffman(d, f, arity=int(rng.integers(2, 8)))
+            stream = encode_sequence(rng.integers(0, n, size=int(rng.integers(0, 200))).tolist(), code, f)
+            blocks = [f.block_of[s] for s in decode_sequence(stream, code, f)]
+            for seed in (0, 5, 9, 2**40):
+                choice = np.random.default_rng(seed)
+                want = [int(choice.choice(f.blocks[k])) for k in blocks]
+                got = decode_sequence(stream, code, f, policy="random", seed=seed)
+                assert got == want, (f.blocks, seed)
+        assert singletons > 100
+
     def test_encode_matches_oracle(self):
         rng = np.random.default_rng(92)
         for _ in range(300):

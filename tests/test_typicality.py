@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import multiprocessing
+import queue
+import threading
 import tracemalloc
 import warnings
 from collections import Counter
@@ -366,6 +369,10 @@ STRONG_FJ = JointSynonymousPartition(
 )
 
 
+def _report_in_child(results, j, fj, kw):
+    results.put(estimate_joint_typicality(j, fj, **kw).to_json())
+
+
 def _per_symbol_estimator(j, fj, n, eps, trials, seed, mode, batch=4096):
     """The per-symbol joint estimator that the representative-first, cell-table
     version replaced, kept as a test oracle: every rate of every trial through
@@ -605,7 +612,8 @@ class TestJointMonteCarlo:
     def test_matches_per_symbol_estimator(self, table2_joint, table3_partitions, joint, n, eps,
                                           seed, trials, mode):
         """Every report field equals the per-symbol oracle's at batches 4096,
-        1024 and 911.  On the weak joint at n = 24 rows survive the
+        1024 and 911 and at the default, draw-sized batch (inline when one
+        batch holds every trial, prefetched otherwise).  On the weak joint at n = 24 rows survive the
         representative test and decoding hits are nonzero; warnings are errors,
         so an empty surviving subset must pass silently."""
         j, fj = {
@@ -618,7 +626,7 @@ class TestJointMonteCarlo:
             assert expected["prob_typical"] > 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for batch in (4096, 1024, 911):
+            for batch in (4096, 1024, 911, None):
                 rep = estimate_joint_typicality(
                     j, fj, n=n, eps=eps, trials=trials, seed=seed, mode=mode, batch=batch
                 )
@@ -636,6 +644,61 @@ class TestJointMonteCarlo:
         with pytest.raises(ValueError, match="batch must be at least 1"):
             estimate_joint_typicality(table2_joint, table3_partitions, n=10, eps=0.1, trials=10,
                                       mode=mode, batch=0)
+
+    @pytest.mark.parametrize("mode", ["correlated", "independent"])
+    @pytest.mark.parametrize(
+        "joint, n, eps, seed, trials",
+        [("table2", 200, 0.1, 41, 2000), ("weak", 24, 0.1, 1, 2000), ("table2", 3, 0.5, 5, 2000)],
+    )
+    def test_one_trial_batches_match_per_symbol_estimator(self, table2_joint, table3_partitions, joint,
+                                                          n, eps, seed, trials, mode):
+        """At one trial per batch, 2000 batches go through the prefetch
+        worker and every report field still equals the per-symbol oracle's."""
+        j, fj = {"table2": (table2_joint, table3_partitions), "weak": (WEAK_JOINT, WEAK_FJ)}[joint]
+        expected = _per_symbol_estimator(j, fj, n, eps, trials, seed, mode)
+        if joint == "weak" and mode == "independent":
+            assert expected["prob_typical"] > 0
+        rep = estimate_joint_typicality(j, fj, n=n, eps=eps, trials=trials, seed=seed, mode=mode, batch=1)
+        assert rep.to_json() == expected
+
+    def test_correlated_memory_does_not_grow_with_n(self, table2_joint, table3_partitions):
+        """A correlated call at n = 10 000 peaks under 32 MB traced: the
+        default batch holds about 2^18 uniforms (26 trials here), where the
+        old fixed 1024-trial batch peaked at 235 MB."""
+        kw = dict(n=10_000, eps=0.1, trials=1100, seed=3, mode="correlated")
+        estimate_joint_typicality(table2_joint, table3_partitions, n=10, eps=0.1, trials=10)
+        tracemalloc.start()
+        try:
+            rep = estimate_joint_typicality(table2_joint, table3_partitions, **kw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.prob_typical == 1.0
+        assert peak < 32 * 2**20
+
+    def test_forked_child_reports_after_the_parent_used_the_pool(self, table2_joint, table3_partitions):
+        """The prefetch worker thread does not survive a fork, so a child must
+        not hand its batches to the parent's pool; its call returns the
+        parent's report instead of hanging."""
+        kw = dict(n=200, eps=0.1, trials=2000, seed=17, mode="independent")
+        before = threading.active_count()
+        want = estimate_joint_typicality(table2_joint, table3_partitions, **kw).to_json()
+        assert threading.active_count() <= before + 1
+        ctx = multiprocessing.get_context("fork")
+        results = ctx.Queue()
+        child = ctx.Process(target=_report_in_child, args=(results, table2_joint, table3_partitions, kw))
+        child.start()
+        try:
+            got = results.get(timeout=60)
+        except queue.Empty:
+            got = None
+        finally:
+            child.join(timeout=10)
+            if child.is_alive():
+                child.kill()
+                child.join(timeout=10)
+        assert got == want
+        assert child.exitcode == 0
 
     def test_independent_memory_is_batched(self, table2_joint, table3_partitions):
         """The traced peak of an independent-mode call stays below one
