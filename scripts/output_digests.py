@@ -10,9 +10,11 @@ typicality, cli_small), the script builds the jobs of one pass, runs each
 through `sebits.cli.main` in order, and prints the workload, the seed, the
 exit code, the sha256 of the output file ("-" when there is none) and the
 argv.  A fixed set of "extra" jobs outside the benchmark follows, once: the
-random decode policy, and the joint Monte Carlo in both modes at n = 3,
+random decode policy; the joint Monte Carlo in both modes at n = 3,
 n = 1000 and one trial on Table II, and on a joint where the decoding probe
-counts hits.  Inputs and outputs go to a temporary directory, written as
+counts hits; and R_s(D) beyond the binary case, with a Hamming cost on
+[0.5, 0.3, 0.2] at n^ = 4, D = 0.1 and on [0.4, 0.3, 0.2, 0.1] at n^ = 4,
+D = 0.2.  Inputs and outputs go to a temporary directory, written as
 <work> in the argv, so the lines of two checkouts compare with `diff`.
 --root names the checkout whose src/, perfbench/ and fixtures/ are used; it
 defaults to the one holding this script.
@@ -68,6 +70,12 @@ def extra_jobs(work: Path) -> list[tuple[list[str], Path]]:
             argv = ["typicality", *joint, "--n", str(n), "--trials", str(trials), "--eps", str(eps),
                     "--mc-mode", mode, "--seed", "5"]
             jobs.append((argv, work / f"joint_{mode}_{n}_{trials}.json"))
+    for probs, target in (([0.5, 0.3, 0.2], 0.1), ([0.4, 0.3, 0.2, 0.1], 0.2)):
+        k = len(probs)
+        argv = ["rate-distortion", "--dist", _write_json(work / f"rd{k}.json", {"probs": probs}),
+                "--distortion", _write_json(work / f"hamming{k}.json", {"values": (1.0 - np.eye(k)).tolist()}),
+                "--d-target", str(target), "--reconstruction-size", "4"]
+        jobs.append((argv, work / f"rd_{k}x{k}.json"))
     return jobs
 
 

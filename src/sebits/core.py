@@ -44,7 +44,7 @@ class Distribution:
             raise SizeMismatch("probability vector must be non-empty and 1-D")
         if np.any(p < 0):
             raise NegativeProbability(f"negative entries at {np.flatnonzero(p < 0).tolist()}")
-        if abs(float(p.sum()) - 1.0) > PROB_TOL:
+        if not abs(float(p.sum()) - 1.0) <= PROB_TOL:  # NaN fails this too
             raise SumNotOne(f"entries sum to {float(p.sum())!r}, expected 1 within {PROB_TOL}")
         object.__setattr__(self, "probs", _frozen(p))
 
@@ -143,7 +143,7 @@ class JointDistribution:
             raise SizeMismatch("joint distribution must be a non-empty 2-D matrix")
         if np.any(p < 0):
             raise NegativeProbability("joint distribution has negative entries")
-        if abs(float(p.sum()) - 1.0) > PROB_TOL:
+        if not abs(float(p.sum()) - 1.0) <= PROB_TOL:  # NaN fails this too
             raise SumNotOne(f"entries sum to {float(p.sum())!r}, expected 1 within {PROB_TOL}")
         object.__setattr__(self, "probs", _frozen(p))
 
@@ -183,7 +183,7 @@ class ChannelModel:
             raise SizeMismatch("transition matrix must be a non-empty 2-D matrix")
         if np.any(w < 0):
             raise NegativeProbability("transition matrix has negative entries")
-        bad = np.flatnonzero(np.abs(w.sum(axis=1) - 1.0) > PROB_TOL)
+        bad = np.flatnonzero(~(np.abs(w.sum(axis=1) - 1.0) <= PROB_TOL))
         if bad.size:
             raise SumNotOne(f"rows {bad.tolist()} do not sum to 1 within {PROB_TOL}")
         object.__setattr__(self, "transition", _frozen(w))

@@ -33,9 +33,9 @@ RELATIVE_ENTROPY_MODES = ("full", "semantic_vs_syntactic", "syntactic_vs_semanti
 
 
 def entropy(d: Distribution | np.ndarray) -> float:
-    """Shannon entropy -sum p log2 p in bits."""
+    """Shannon entropy -sum p log2 p in bits; +0.0, never -0.0, when no term is nonzero."""
     p = d.probs if isinstance(d, Distribution) else np.asarray(d, dtype=float)
-    return float(-xlog2x(p).sum())
+    return float(-xlog2x(p).sum()) + 0.0
 
 
 def semantic_entropy(d: Distribution, f: SynonymousPartition) -> float:
@@ -84,10 +84,10 @@ def semantic_conditional_entropy(
         raise SizeMismatch(f"partition must cover the {side} alphabet for Hs({side}~|{other})")
     cond_mass = block_sums(m, np.arange(len(m)), len(m), f_cond.block_of, f_cond.semantic_size)
     # ratio 1 keeps empty cells at 0 without a 0/0 (a cell with mass has a row with mass);
-    # the sum per conditioning symbol, then over them, fixes the printed bits
+    # the sum per conditioning symbol, then over them, fixes the printed bits; + 0.0 turns -0.0 to 0.0
     given = m.sum(axis=1)[:, None]
     ratio = np.divide(cond_mass, given, out=np.ones_like(cond_mass), where=cond_mass > 0)
-    return float(-np.sum(cond_mass * np.log2(ratio), axis=1).sum())
+    return float(-np.sum(cond_mass * np.log2(ratio), axis=1).sum()) + 0.0
 
 
 def semantic_relative_entropy(

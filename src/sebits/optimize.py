@@ -3,8 +3,10 @@
 Semantic capacity needs no search over mappings: the up companion
 H(X) + H(Y) - Hs(X~,Y~) is largest on the pair that merges each alphabet into
 one block, where Hs(X~,Y~) = 0, so C_s = max_p H(X) + H(Y).  Semantic
-rate-distortion enumerates labeled partition pairs, gated by a caller-supplied
-budget.  With the partition pair fixed, both inner problems are
+rate-distortion enumerates labeled source partitions and reconstruction
+block-size vectors, gated by a caller-supplied budget: the cost sees only the
+semantic symbols, so each such pair is one problem on the semantic alphabet.
+With the partition pair fixed, both inner problems are
 solved by closed-form Blahut-Arimoto-style alternating updates, accelerated by
 SQUAREM extrapolation, that stop on a certificate: the up companion of mutual
 information is concave in the input distribution and its ascent stops on the
@@ -316,7 +318,7 @@ def blahut_arimoto_rd(
     if target_d < d_floor - 1e-12:
         raise Infeasible(f"no test channel reaches distortion {target_d} (minimum {d_floor})")
     rate, _, q = _min_down_smi_under_distortion(
-        p, d, np.ones(d.shape[1]), entropy(src), target_d, tol, max_iter
+        p, d, np.ones(d.shape[1]), 0.0, target_d, tol, max_iter
     )
     return max(rate, 0.0), ChannelModel(q)
 
@@ -347,25 +349,27 @@ class RateDistortionResult:
 
 
 def _down_smi_of_block_channel(
-    p: np.ndarray, qb: np.ndarray, sizes: np.ndarray, hs_x: float
+    p: np.ndarray, qb: np.ndarray, sizes: np.ndarray, offset: float
 ) -> float:
-    """Hs(X~) + Hs(X^~) - H(X, X^) for a test channel that gives reconstruction
-    block b the mass qb[x, b], spread evenly over the block's symbols."""
+    """offset + I(A;B) - sum_b r_b log2 |b| for the block channel qb[a, b] on A ~ p,
+    where r is the law of B: with offset = -H(X|X~), the down companion
+    Hs(X~) + Hs(X^~) - H(X, X^) of the test channel that is constant on each
+    source block and spreads block b's mass evenly over its |b| symbols."""
     joint = p[:, None] * qb
     r = joint.sum(axis=0)
-    return hs_x + entropy(r) - entropy(joint.ravel()) - float(r @ np.log2(sizes))
+    return offset + entropy(p) + entropy(r) - entropy(joint.ravel()) - float(r @ np.log2(sizes))
 
 
 def _meet_target(
-    p: np.ndarray, dblk: np.ndarray, shifted: np.ndarray, sizes: np.ndarray,
+    p: np.ndarray, d: np.ndarray, shifted: np.ndarray, sizes: np.ndarray,
     t: np.ndarray, aim: float, lam: float,
 ) -> tuple[float, np.ndarray]:
-    """The multiplier at which the channel qb ~ t_b A_xb has distortion `aim`.
+    """The multiplier at which the channel qb ~ t_b A_ab has distortion `aim`.
 
-    A_xb = |b| 2^{-lam d(x, b)}, taken with each row of d shifted to start at
+    A_ab = |b| 2^{-lam d(a, b)}, taken with each row of d shifted to start at
     0, which rescales the rows of A and leaves qb as it is.  The distortion
     falls as lam grows, with slope -ln 2 times the p-mean of the variance of
-    d under qb(.|x).  Returns (lam, A) with A taken at that lam: lam = 0 when
+    d under qb(.|a).  Returns (lam, A) with A taken at that lam: lam = 0 when
     the target is slack there, else the root by Newton's method from `lam`,
     kept inside the bracket by doubling and bisection, or the last probe if
     rounding keeps the distortion from meeting `aim` within 0.5e-12 relative.
@@ -377,7 +381,7 @@ def _meet_target(
         a = sizes * np.exp2(-at * shifted)
         qb = t * a
         qb /= qb.sum(axis=1, keepdims=True)
-        mean = np.sum(qb * dblk, axis=1)
+        mean = np.sum(qb * d, axis=1)
         excess = float(p @ mean) - aim
         if abs(excess) <= 0.5e-12 * max(1.0, aim) or (probe == 0.0 and excess <= 0.0):
             break
@@ -388,7 +392,7 @@ def _meet_target(
         if probe == 0.0 and lam > 0.0:
             probe = lam  # the previous step's multiplier is close
             continue
-        var = float(p @ (np.sum(qb * dblk * dblk, axis=1) - mean * mean))
+        var = float(p @ (np.sum(qb * d * d, axis=1) - mean * mean))
         newton = probe + excess / (math.log(2.0) * var) if var > 0.0 else math.inf
         if not lo < newton < hi:
             newton = 2.0 * lo + 1.0 if hi == math.inf else 0.5 * (lo + hi)
@@ -398,47 +402,53 @@ def _meet_target(
 
 def _min_down_smi_under_distortion(
     p: np.ndarray,
-    dblk: np.ndarray,
+    d: np.ndarray,
     sizes: np.ndarray,
-    hs_x: float,
+    offset: float,
     target_d: float,
     tol: float,
     max_iter: int,
 ) -> tuple[float, float, np.ndarray]:
-    """min down-SMI subject to expected distortion <= target, by constrained Blahut-Arimoto.
+    """min of offset + I(A;B) - sum_b r_b log2 sizes_b subject to E d(A, B) <= target,
+    by constrained Blahut-Arimoto.
 
+    A ~ p ranges over the source blocks and B over the reconstruction blocks,
+    with law r.  For a partition pair, p the block masses p~, d the semantic
+    cost and offset = -H(X|X~), this is the least down companion over test
+    channels: the optimal channel is even inside each reconstruction block,
+    and averaging its rows over a source block (p-weighted) keeps the law of
+    (X~, X^~), so the distortion and Hs(X^~), and does not lower H(X^|X)
+    (entropy is concave), so one row per source block, qb[a, b], carries it.
     Hs(X^~) = min_t -sum_b r_b log t_b over block distributions t, so the
     problem is a joint minimum over (channel, t), alternated in closed form.
-    The cost is constant on a reconstruction block, so the channel is even
-    inside each block and its block masses qb[x, b] carry it.  Given t, the
-    best feasible channel is qb ~ t_b |b| 2^{-lam d(x, b)} with the multiplier
-    lam set so that it meets the target exactly (lam = 0 when the target is
-    slack); given the channel, t is the block masses of p qb.  Re-solving lam
-    at every step keeps the iteration off the multipliers near the slope of a
-    straight segment of the curve, where Blahut-Arimoto at a fixed slope
-    contracts at a rate near 1.  Every step certifies the Lagrange-dual lower
-    bound hs_x - H(X) - sum_x p_x log2 c_x - lam * target - gap (c = A t,
-    gap = log2 max_b sum_x p_x A_xb / c_x, the Blahut-Arimoto duality gap),
-    and its channel is feasible; the descent stops when the best feasible
-    value is within `tol` of the bound, or reaches 0, where the caller's clamp
-    makes it final.  Returns the best feasible (value, dist, qb).
+    Given t, the best feasible channel is qb ~ t_b |b| 2^{-lam d(a, b)} with
+    the multiplier lam set so that it meets the target exactly (lam = 0 when
+    the target is slack); given the channel, t is the block masses of p qb.
+    Re-solving lam at every step keeps the iteration off the multipliers near
+    the slope of a straight segment of the curve, where Blahut-Arimoto at a
+    fixed slope contracts at a rate near 1.  Every step certifies the
+    Lagrange-dual lower bound offset - sum_a p_a log2 c_a - lam * target - gap
+    (c = A t, gap = log2 max_b sum_a p_a A_ab / c_a, the Blahut-Arimoto
+    duality gap), and its channel is feasible; the descent stops when the best
+    feasible value is within `tol` of the bound, or reaches 0, where the
+    caller's clamp makes it final.  Returns the best feasible (value, dist, qb).
     """
-    col_cost = p @ dblk
+    col_cost = p @ d
     j = int(np.argmin(col_cost))
     if col_cost[j] <= target_d:
-        # all to one reconstruction block: Hs(X^~) = 0 and H(X, X^) >= H(X) >= Hs(X~)
-        qb = np.zeros_like(dblk)
+        # all to one reconstruction block: I(A;B) = 0 and offset <= 0, so the value is
+        # at most 0, where the caller's clamp makes it final
+        qb = np.zeros_like(d)
         qb[:, j] = 1.0
-        return _down_smi_of_block_channel(p, qb, sizes, hs_x), float(col_cost[j]), qb
+        return _down_smi_of_block_channel(p, qb, sizes, offset), float(col_cost[j]), qb
     limit = target_d + 1e-12
-    row_min = dblk.min(axis=1)
-    shifted = dblk - row_min[:, None]
-    offset = hs_x - entropy(p)  # Hs(X~) - H(X)
+    row_min = d.min(axis=1)
+    shifted = d - row_min[:, None]
     lam, lower, best = 0.0, -math.inf, None
 
     def step(t: np.ndarray) -> tuple[np.ndarray, float, float]:
         nonlocal lam, lower, best
-        lam, a = _meet_target(p, dblk, shifted, sizes, t, target_d, lam)
+        lam, a = _meet_target(p, d, shifted, sizes, t, target_d, lam)
         c = a @ t
         ratio = (p / c) @ a
         gap = math.log2(ratio.max())
@@ -447,9 +457,9 @@ def _min_down_smi_under_distortion(
         joint = offset - float(p @ (np.log2(c) - lam * row_min)) - lam * target_d
         lower = max(lower, joint - gap)
         qb = t * a / c[:, None]
-        dist = float(np.sum(p[:, None] * qb * dblk))
+        dist = float(np.sum(p[:, None] * qb * d))
         if dist <= limit:
-            value = _down_smi_of_block_channel(p, qb, sizes, hs_x)
+            value = _down_smi_of_block_channel(p, qb, sizes, offset)
             if best is None or value < best[0]:
                 best = (value, dist, qb)
         return t * ratio / (t @ ratio), gap, joint
@@ -474,9 +484,17 @@ def semantic_rate_distortion(
 ) -> RateDistortionResult:
     """min over partition pairs and distortion-feasible test channels of the down companion.
 
-    `ds` is indexed by semantic symbols, so the enumeration ranges over labeled
-    partitions of the source alphabet into ds.shape[0] blocks and of the
-    reconstruction alphabet into ds.shape[1] blocks.  The reconstruction
+    `ds` is indexed by semantic symbols, so a source partition into
+    k = ds.shape[0] blocks enters only through its block masses p~ and
+    H(X|X~), and a partition of the n^ reconstruction symbols into
+    k^ = ds.shape[1] blocks only through its block sizes.  The enumeration
+    ranges over labeled source partitions and the compositions of n^ into k^
+    sizes, one k x k^ solve each, and `partition_budget` caps their number.
+    Each composition stands for its consecutive-block partition, the least
+    labeled partition with those sizes, so the least (value, source blocks,
+    reconstruction blocks) is the one the enumeration of every labeled pair
+    would keep.  The returned n x n^ test channel is constant on each source
+    block and even inside each reconstruction block.  The reconstruction
     syntactic alphabet defaults to one symbol per semantic symbol.  The result
     is clamped at zero.
     """
@@ -488,37 +506,39 @@ def semantic_rate_distortion(
     n_hat = reconstruction_size if reconstruction_size is not None else n_sxh
     if n_sx > n or n_sxh > n_hat:
         raise SizeMismatch("distortion matrix implies more semantic symbols than syntactic ones")
-    required = count_ordered_set_partitions(n, n_sx) * count_ordered_set_partitions(n_hat, n_sxh)
+    required = count_ordered_set_partitions(n, n_sx) * math.comb(n_hat - 1, n_sxh - 1)
     if required > partition_budget:
         raise BudgetExceeded(
             f"enumeration needs {required} partition pairs, budget is {partition_budget}",
             required=required,
         )
 
+    # each size vector's consecutive blocks: the least labeled partition with those sizes
+    cuts = itertools.combinations(range(1, n_hat), n_sxh - 1)
+    recon = [tuple(tuple(range(a, b)) for a, b in zip((0, *c), (*c, n_hat))) for c in cuts]
+    h_x = entropy(src)
     best: tuple | None = None
     for fx_blocks in ordered_set_partitions(n, n_sx):
         fx = SynonymousPartition(fx_blocks, n)
-        hs_x = semantic_entropy(src, fx)
-        dblk = ds.values[fx.block_of]  # dblk[x, b] = d_s(block of x, b)
-        if target_d < float(p @ dblk.min(axis=1)) - 1e-12:
+        pt = block_sums(p, 0, 1, fx.block_of, n_sx)[0]
+        if target_d < float(pt @ ds.values.min(axis=1)) - 1e-12:
             continue  # no pair with this source partition can meet the distortion target
-        for fxh_blocks in ordered_set_partitions(n_hat, n_sxh):
+        offset = entropy(pt) - h_x  # -H(X|X~)
+        for fxh_blocks in recon:
             sizes = np.array([len(b) for b in fxh_blocks], dtype=float)
             value, dist, qb = _min_down_smi_under_distortion(
-                p, dblk, sizes, hs_x, target_d, tol, max_iter
+                pt, ds.values, sizes, offset, target_d, tol, max_iter
             )
-            value = max(value, 0.0)
-            key = (value, fx_blocks, fxh_blocks)
-            if best is None or key < (best[0], best[3], best[4]):
-                best = (value, dist, qb, fx_blocks, fxh_blocks)
+            key = (max(value, 0.0), fx_blocks, fxh_blocks)
+            if best is None or key < best[0]:
+                best = (key, dist, qb)
     if best is None:
         raise Infeasible(f"no partition pair admits a test channel with distortion <= {target_d}")
 
-    value, dist, qb, fx_blocks, fxh_blocks = best
-    fx = SynonymousPartition(fx_blocks, n)
-    fxh = SynonymousPartition(fxh_blocks, n_hat)
+    (value, fx_blocks, fxh_blocks), dist, qb = best
+    fx, fxh = SynonymousPartition(fx_blocks, n), SynonymousPartition(fxh_blocks, n_hat)
     sizes = np.array([len(b) for b in fxh_blocks], dtype=float)
-    q = qb[:, fxh.block_of] / sizes[fxh.block_of]
+    q = qb[fx.block_of][:, fxh.block_of] / sizes[fxh.block_of]
     dsyn = ds.values[np.ix_(fx.block_of, fxh.block_of)]
     r_classic, _ = blahut_arimoto_rd(src, dsyn, target_d)
     return RateDistortionResult(

@@ -1,12 +1,21 @@
 """References that the library no longer runs: all set partitions, the
-capacity search over every (input, output) partition pair, and the per-block
+capacity search over every (input, output) partition pair, the R_s(D) search
+over every labeled (source, reconstruction) partition pair, and the per-block
 loops that summed masses over the blocks before `_kernels.block_sums`."""
 
 import numpy as np
 
+from sebits._kernels import block_sums
 from sebits.core import ChannelModel, JointSynonymousPartition, SynonymousPartition
-from sebits.errors import SupportMismatch
-from sebits.optimize import maximize_up_smi
+from sebits.errors import Infeasible, SupportMismatch
+from sebits.measures import entropy, semantic_entropy
+from sebits.optimize import (
+    RateDistortionResult,
+    _min_down_smi_under_distortion,
+    blahut_arimoto_rd,
+    maximize_up_smi,
+    ordered_set_partitions,
+)
 
 
 def bell_number(n: int) -> int:
@@ -49,6 +58,60 @@ def exhaustive_capacity(ch: ChannelModel) -> float:
         )[0]
         for fu in set_partitions(nx)
         for fv in set_partitions(ny)
+    )
+
+
+def labeled_pair_solve(src, ds, target_d, fx_blocks, fxh_blocks, reduced=False, tol=1e-7):
+    """(value, dist, qb) of one labeled partition pair, None when the source
+    partition cannot meet the target.
+
+    By default this is the n x k^ problem on the syntactic source, with the
+    cost gathered to d_s(block of x, b) and the offset Hs(X~) - H(X).
+    `reduced` solves the k x k^ problem on the block masses instead, with the
+    offset -H(X|X~), as the library does once per reconstruction size vector.
+    """
+    p, n = src.probs, src.alphabet_size
+    fx = SynonymousPartition(fx_blocks, n)
+    if reduced:
+        a = block_sums(p, 0, 1, fx.block_of, ds.shape[0])[0]
+        d, offset = ds.values, entropy(a) - entropy(src)
+    else:
+        a = p
+        d, offset = ds.values[fx.block_of], semantic_entropy(src, fx) - entropy(p)
+    if target_d < float(a @ d.min(axis=1)) - 1e-12:
+        return None
+    sizes = np.array([len(b) for b in fxh_blocks], dtype=float)
+    return _min_down_smi_under_distortion(a, d, sizes, offset, target_d, tol, 100_000)
+
+
+def labeled_rate_distortion(src, ds, target_d, n_hat, reduced=False, tol=1e-7):
+    """R_s(D) with one `labeled_pair_solve` per labeled (source, reconstruction)
+    partition pair, the least (value, source blocks, reconstruction blocks) kept."""
+    n = src.alphabet_size
+    k, k_hat = ds.shape
+    best = None
+    for fx_blocks in ordered_set_partitions(n, k):
+        for fxh_blocks in ordered_set_partitions(n_hat, k_hat):
+            solved = labeled_pair_solve(src, ds, target_d, fx_blocks, fxh_blocks, reduced, tol)
+            if solved is None:
+                break
+            value, dist, qb = solved
+            key = (max(value, 0.0), fx_blocks, fxh_blocks)
+            if best is None or key < best[0]:
+                best = (key, dist, qb)
+    if best is None:
+        raise Infeasible(f"no partition pair admits a test channel with distortion <= {target_d}")
+    (value, fx_blocks, fxh_blocks), dist, qb = best
+    fx, fxh = SynonymousPartition(fx_blocks, n), SynonymousPartition(fxh_blocks, n_hat)
+    sizes = np.array([len(b) for b in fxh_blocks], dtype=float)
+    rows = qb[fx.block_of] if reduced else qb
+    r_classic, _ = blahut_arimoto_rd(src, ds.values[np.ix_(fx.block_of, fxh.block_of)], target_d)
+    return RateDistortionResult(
+        r_s=value,
+        best_test_channel=ChannelModel(rows[:, fxh.block_of] / sizes[fxh.block_of]),
+        best_partitions=(fx, fxh),
+        r_classic=r_classic,
+        distortion_achieved=dist,
     )
 
 

@@ -60,6 +60,29 @@ class TestMeasures:
         assert out == ""
         assert "index 1.7 in block 0 is not an integer" in err
 
+    def test_nan_probability_exits_2(self, tmp_path):
+        dist = tmp_path / "nan.json"
+        dist.write_text('{"probs": [NaN, 0.5, 0.5]}')
+        code, out, err = run_cli("measures", "--dist", str(dist))
+        assert code == 2
+        assert out == ""
+        assert "sum to nan" in err
+
+    def test_point_mass_entropy_prints_positive_zero(self, tmp_path):
+        dist = tmp_path / "point.json"
+        dist.write_text(json.dumps({"probs": [1.0, 0.0]}))
+        joint = tmp_path / "joint.json"
+        joint.write_text(json.dumps({"matrix": [[0.5, 0.25], [0.25, 0.0]]}))
+        one = tmp_path / "one.json"
+        one.write_text(json.dumps({"blocks": [[0, 1]]}))
+        code, out, _ = run_cli("measures", "--dist", str(dist), "--joint", str(joint),
+                               "--u-partition", str(one), "--v-partition", str(one))
+        assert code == 0
+        assert "-0.0" not in out
+        got = json.loads(out)
+        assert math.copysign(1.0, got["H"]) == 1.0 and got["H"] == 0.0
+        assert got["Hs_u_given_v"] == got["Hs_v_given_u"] == 0.0
+
     def test_error_json(self, tmp_path):
         code, _, err = run_cli(
             "measures", "--dist", str(tmp_path / "nope.json"), "--error-json"
@@ -307,6 +330,19 @@ class TestSchemaCheck:
         assert code == 2
         v = json.loads(out)["violations"]
         assert len(v) == 1 and v[0]["pointer"] == "/probs"
+
+    @pytest.mark.parametrize("kind,key,value", [
+        ("distribution", "probs", "[NaN, 0.5, 0.5]"),
+        ("joint", "matrix", "[[0.5, NaN], [0.25, 0.25]]"),
+        ("channel", "transition", "[[0.5, NaN], [0.25, 0.75]]"),
+    ])
+    def test_nan_reports_violation(self, tmp_path, kind, key, value):
+        bad = tmp_path / "nan.json"
+        bad.write_text(f'{{"{key}": {value}}}')
+        code, out, _ = run_cli("schema-check", "--file", str(bad), "--kind", kind)
+        assert code == 2
+        v = json.loads(out)["violations"]
+        assert len(v) == 1 and v[0]["pointer"] == f"/{key}"
 
     def test_overlapping_partition_pointer(self, tmp_path):
         bad = tmp_path / "bad.json"

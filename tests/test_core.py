@@ -40,6 +40,12 @@ class TestValidateDistribution:
         with pytest.raises(SumNotOne):
             validate_distribution([0.5, 0.6])
 
+    def test_nan_rejected(self):
+        """NaN passes every comparison false, so a tolerance test written as
+        `> tol` would let it through."""
+        with pytest.raises(SumNotOne):
+            validate_distribution([np.nan, 0.5, 0.5])
+
     def test_negative(self):
         with pytest.raises(NegativeProbability):
             validate_distribution([1.2, -0.2])
@@ -146,6 +152,14 @@ class TestChannelModel:
     def test_row_validation(self):
         with pytest.raises(SumNotOne):
             ChannelModel(np.array([[0.5, 0.4], [0.5, 0.5]]))
+
+    def test_nan_entry_rejected(self):
+        with pytest.raises(SumNotOne, match=r"rows \[0\]"):
+            ChannelModel(np.array([[0.5, np.nan], [0.25, 0.75]]))
+
+    def test_nan_joint_cell_rejected(self):
+        with pytest.raises(SumNotOne):
+            JointDistribution(np.array([[0.5, np.nan], [0.25, 0.25]]))
 
     def test_joint_with(self):
         ch = ChannelModel(np.array([[0.9, 0.1], [0.2, 0.8]]))

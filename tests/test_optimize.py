@@ -2,10 +2,13 @@
 ordering invariants."""
 
 import itertools
+import json
+import math
 
 import numpy as np
 import pytest
 
+from sebits._kernels import block_sums
 from sebits.core import (
     ChannelModel,
     Distribution,
@@ -29,7 +32,13 @@ from sebits.optimize import (
     semantic_rate_distortion,
 )
 
-from _oracles import bell_number, exhaustive_capacity, set_partitions
+from _oracles import (
+    bell_number,
+    exhaustive_capacity,
+    labeled_pair_solve,
+    labeled_rate_distortion,
+    set_partitions,
+)
 
 
 def h2(x: float) -> float:
@@ -404,16 +413,17 @@ class TestSemanticRateDistortion:
         assert res.r_s == pytest.approx(float(-(probs @ np.log2(probs))), abs=1e-6)
 
     def test_budget_gate(self):
-        """The gate counts labeled partition pairs on both sides and refuses
-        before solving any."""
+        """The gate counts the solves: labeled source partitions times the
+        reconstruction block-size vectors (compositions of n^ into k^ parts),
+        and refuses before solving any."""
         src = Distribution(np.array([0.5, 0.3, 0.2]))
-        required = count_ordered_set_partitions(3, 2) * count_ordered_set_partitions(4, 2)
+        required = count_ordered_set_partitions(3, 2) * math.comb(4 - 1, 2 - 1)
         with pytest.raises(BudgetExceeded) as exc:
             semantic_rate_distortion(
                 src, hamming_distortion(2), 0.2, partition_budget=required - 1,
                 reconstruction_size=4,
             )
-        assert exc.value.required == required == 6 * 14
+        assert exc.value.required == required == 6 * 3
 
     def test_merged_source_is_free(self):
         res = semantic_rate_distortion(
@@ -531,6 +541,79 @@ class TestSemanticRateDistortion:
         ds = SemanticDistortionMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(Infeasible):
             semantic_rate_distortion(src, ds, 0.5)
+
+    @staticmethod
+    def random_instances(seed: int, count: int, max_n: int, max_n_hat: int):
+        """(source, cost, D, n^) with D between the least distortion any source
+        partition can meet and the least at which every one of them can send
+        all its mass to one reconstruction block (rate 0), drawn as
+        floor + u^2 (max - floor) to favour positive rates.  Half the
+        sources and half the reconstructions have one symbol per block:
+        merging lowers the down companion, so these carry most of them."""
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            n = int(rng.integers(2, max_n + 1))
+            k = n if rng.random() < 0.5 else int(rng.integers(1, n + 1))
+            k_hat = int(rng.integers(1, max_n_hat + 1))
+            n_hat = k_hat if rng.random() < 0.5 else int(rng.integers(k_hat, max_n_hat + 1))
+            p = rng.dirichlet(np.ones(n))
+            d = rng.random((k, k_hat))
+            masses = [block_sums(p, 0, 1, SynonymousPartition(b, n).block_of, k)[0]
+                      for b in ordered_set_partitions(n, k)]
+            d_floor = min(float(a @ d.min(axis=1)) for a in masses)
+            d_max = max(float((a @ d).min()) for a in masses)
+            target = d_floor + rng.random() ** 2 * (d_max - d_floor)
+            yield Distribution(p), SemanticDistortionMatrix(d), target, n_hat
+
+    def test_matches_labeled_enumeration_of_the_syntactic_problem(self):
+        """One k x k^ solve per (source partition, size vector) gives what one
+        n x k^ solve per labeled partition pair gives.  Where pairs tie in
+        exact arithmetic (several reach rate 0, say), rounding at 1e-16
+        decides which one the tie-break keeps, in either enumeration: a
+        differing pair must then tie the reference's value within 1e-12 in
+        the reference's own solve."""
+        skewed = Distribution(np.array([0.7, 0.1, 0.1, 0.1]))
+        instances = [
+            (skewed, hamming_distortion(3), 0.05, 3),  # rate > 0 with a merged source pair
+            (skewed, hamming_distortion(2), 0.02, 2),  # -H(X|X~) takes the rate to 0
+            *self.random_instances(5, 40, 4, 3),
+        ]
+        positive = ties = 0
+        for src, ds, target, n_hat in instances:
+            res = semantic_rate_distortion(src, ds, target, reconstruction_size=n_hat)
+            ref = labeled_rate_distortion(src, ds, target, n_hat)
+            assert res.r_s == pytest.approx(ref.r_s, abs=1e-12)
+            pairs = [tuple(f.blocks for f in r.best_partitions) for r in (res, ref)]
+            if pairs[0] != pairs[1]:
+                value = labeled_pair_solve(src, ds, target, *pairs[0])[0]
+                assert max(value, 0.0) == pytest.approx(ref.r_s, abs=1e-12)
+                ties += 1
+                continue
+            assert res.distortion_achieved == pytest.approx(ref.distortion_achieved, abs=1e-12)
+            assert res.r_classic == pytest.approx(ref.r_classic, abs=1e-12)
+            positive += res.r_s > 0
+        assert positive >= 5 and ties <= 5
+
+    def test_json_matches_labeled_enumeration_on_the_block_masses(self):
+        """Each size vector's consecutive blocks are the least labeled partition
+        with those sizes, so the tie-break, and the JSON, are those of the
+        labeled enumeration."""
+        instances = list(self.random_instances(7, 24, 3, 4))
+        instances.append((Distribution(np.array([0.5, 0.3, 0.2])), hamming_distortion(3), 0.1, 4))
+        for src, ds, target, n_hat in instances:
+            res = semantic_rate_distortion(src, ds, target, reconstruction_size=n_hat)
+            ref = labeled_rate_distortion(src, ds, target, n_hat, reduced=True)
+            assert json.dumps(res.to_json()) == json.dumps(ref.to_json())
+
+    def test_4x4_hamming_beyond_the_old_budget(self):
+        """Source [0.4, 0.3, 0.2, 0.1], 4x4 Hamming cost, D = 0.2: the rates
+        of the labeled enumeration at n^ = 4 and 5, and 0 at n^ = 6, which the
+        labeled enumeration's 37 440 pairs put past the default budget."""
+        src = Distribution(np.array([0.4, 0.3, 0.2, 0.1]))
+        for n_hat, r_s in [(4, 0.8075187496394216), (5, 0.3038999093445769), (6, 0.0)]:
+            res = semantic_rate_distortion(src, hamming_distortion(4), 0.2, reconstruction_size=n_hat)
+            assert res.r_s == pytest.approx(r_s, abs=1e-9)
+            assert res.distortion_achieved <= 0.2 + 1e-9
 
 
 class TestJsccFeasible:
