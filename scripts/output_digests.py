@@ -8,14 +8,18 @@
 For each --seed and each workload in perfbench/workloads.py (awgn, solvers,
 typicality, cli_small), the script builds the jobs of one pass, runs each
 through `sebits.cli.main` in order, and prints the workload, the seed, the
-exit code, the sha256 of the output file ("-" when there is none) and the
-argv.  A fixed set of "extra" jobs outside the benchmark follows, once: the
+exit code, the sha256 of the output file ("-" when there is none; a
+`schema-check` report names its input, so the work directory is written as
+<work> before hashing) and the argv.  A fixed set of "extra" jobs outside the benchmark follows, once: the
 random decode policy; the joint Monte Carlo in both modes at n = 3,
 n = 1000 and one trial on Table II, and on a joint where the decoding probe
 counts hits; and R_s(D) beyond the binary case, with a Hamming cost on
 [0.5, 0.3, 0.2] at n^ = 4, D = 0.1 and on [0.4, 0.3, 0.2, 0.1] at n^ = 4,
-D = 0.2.  Inputs and outputs go to a temporary directory, written as
-<work> in the argv, so the lines of two checkouts compare with `diff`.
+D = 0.2; and every malformed file of tests/malformed_inputs.json (read from
+this script's checkout), run through the subcommand of its kind and, for the
+five schema kinds, through `schema-check`.  Inputs and outputs go to a
+temporary directory, written as <work> in the argv, so the lines of two
+checkouts compare with `diff`.
 --root names the checkout whose src/, perfbench/ and fixtures/ are used; it
 defaults to the one holding this script.
 """
@@ -33,9 +37,10 @@ import tempfile
 from pathlib import Path
 
 
-def digest(path: Path) -> str:
+def digest(path: Path, work: Path) -> str:
+    """sha256 of the file with the work directory written as <work>, as in the argv."""
     try:
-        return hashlib.sha256(path.read_bytes()).hexdigest()
+        return hashlib.sha256(path.read_bytes().replace(str(work).encode(), b"<work>")).hexdigest()
     except OSError:
         return "-"
 
@@ -76,6 +81,13 @@ def extra_jobs(work: Path) -> list[tuple[list[str], Path]]:
                 "--distortion", _write_json(work / f"hamming{k}.json", {"values": (1.0 - np.eye(k)).tolist()}),
                 "--d-target", str(target), "--reconstruction-size", "4"]
         jobs.append((argv, work / f"rd_{k}x{k}.json"))
+    malformed = json.loads((Path(__file__).resolve().parent.parent / "tests" / "malformed_inputs.json").read_text())
+    for i, (kind, _, doc) in enumerate(malformed["cases"]):
+        file = _write_json(work / f"malformed_{i}.json", doc)
+        argv = [a.format(file=file, fixtures="fixtures", symbols=symbols) for a in malformed["commands"][kind]]
+        jobs.append((argv, work / f"malformed_{i}.out"))
+        if kind in malformed["schema_kinds"]:
+            jobs.append((["schema-check", "--file", file, "--kind", kind], work / f"malformed_{i}_schema.json"))
     return jobs
 
 
@@ -89,7 +101,7 @@ def run(name: str, seed, argv: list[str], out: Path, work: Path) -> None:
             code = sebits.cli.main(argv)
         except Exception as e:  # a crash is an outcome to compare too
             code = f"raised:{type(e).__name__}"
-    print(name, seed, code, digest(out), " ".join(argv).replace(str(work), "<work>"), flush=True)
+    print(name, seed, code, digest(out, work), " ".join(argv).replace(str(work), "<work>"), flush=True)
 
 
 def main() -> None:

@@ -29,6 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from ._kernels import trial_batches, trial_uniforms
+from .core import _block_index
 from .errors import (
     DuplicateCodeword,
     GroupOutOfRange,
@@ -36,26 +37,54 @@ from .errors import (
     RaggedLengths,
     SizeMismatch,
     UnequalGroupSizes,
+    ValidationError,
 )
 
 _SPECTRUM_DECIMALS = 9  # rounding for spectrum dictionary keys
+_CHAR_BITS = {"0": 0, "1": 1}
+
+
+def _bit_row(w) -> list:
+    """One codeword's bits; 2 stands for anything but a '0'/'1' character or a 0/1 number."""
+    if isinstance(w, str):
+        return [_CHAR_BITS.get(c, 2) for c in w]
+    if isinstance(w, (list, tuple, np.ndarray)):
+        return [2 if isinstance(b, (bool, np.bool_)) or b not in (0, 1) else b for b in w]
+    raise ValidationError(f"codeword {w!r} is neither a string nor an array of bits")
 
 
 def _as_bit_matrix(codewords) -> np.ndarray:
-    rows = []
-    width = None
-    for w in codewords:
-        bits = [int(c) for c in w] if isinstance(w, str) else [int(b) for b in w]
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError("codewords must be binary")
-        if width is None:
-            width = len(bits)
-        elif len(bits) != width:
+    """Codewords as an int64 0/1 matrix, one row each.
+
+    A codeword is a '0'/'1' string or a sequence of the numbers 0 and 1; a
+    bool, 1.5 or "1" among the numbers is refused, not rounded or parsed.  An
+    integer matrix is checked without a Python loop over its bits.
+    """
+    if isinstance(codewords, np.ndarray) and codewords.dtype.kind in "iu":
+        rows = codewords
+    elif isinstance(codewords, (list, tuple)):
+        rows = [_bit_row(w) for w in codewords]
+        if len({len(r) for r in rows}) > 1:
             raise RaggedLengths("codewords have differing lengths")
-        rows.append(bits)
-    if not rows or width == 0:
+    else:
+        raise ValidationError("codewords must be an array of '0'/'1' strings or 0/1 sequences")
+    cw = np.array(rows, dtype=np.int64)
+    if cw.ndim != 2 or cw.size == 0:
         raise SizeMismatch("codebook must contain non-empty codewords")
-    return np.array(rows, dtype=np.int64)
+    if np.any((cw != 0) & (cw != 1)):
+        raise ValidationError("codewords must be binary")
+    return cw
+
+
+def codeword_matrix(codewords) -> np.ndarray:
+    """Distinct binary codewords as an int64 matrix (see `_as_bit_matrix` for the forms accepted)."""
+    cw = _as_bit_matrix(codewords)
+    seen = {}
+    for i, row in enumerate(map(bytes, cw)):
+        if row in seen:
+            raise DuplicateCodeword(f"codewords {seen[row]} and {i} are identical")
+        seen[row] = i
+    return cw
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,14 +96,9 @@ class GroupedCodebook:
     _group_of: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        cw = _as_bit_matrix(self.codewords)
+        cw = codeword_matrix(self.codewords)
         m = cw.shape[0]
-        seen = {}
-        for i, row in enumerate(map(tuple, cw)):
-            if row in seen:
-                raise DuplicateCodeword(f"codewords {seen[row]} and {i} are identical")
-            seen[row] = i
-        groups = tuple(tuple(int(i) for i in g) for g in self.groups)
+        groups = tuple(tuple(_block_index(i, k) for i in g) for k, g in enumerate(self.groups))
         if not groups:
             raise SizeMismatch("codebook needs at least one group")
         sizes = {len(g) for g in groups}
@@ -149,7 +173,7 @@ def build_grouped_codebook(codewords, groups) -> GroupedCodebook:
 
 def singleton_codebook(codewords) -> GroupedCodebook:
     """Each codeword alone in its group (classic code, R_s = 0)."""
-    cw = _as_bit_matrix(codewords)
+    cw = codeword_matrix(codewords)
     return GroupedCodebook(cw, tuple((i,) for i in range(cw.shape[0])))
 
 

@@ -1,8 +1,10 @@
 """Command-line front end: JSON in, JSON or CSV out, deterministic seeding.
 
 Exit codes: 0 success, 2 validation error (bad files, bad schemas, bad
-values), 3 solver non-convergence, 4 enumeration budget exceeded.  Identical
-inputs, flags, and seed produce byte-identical output.
+values), 3 solver non-convergence, 4 enumeration budget exceeded; exit 1 (a
+traceback) means a bug.  Every input file goes through one loader per kind,
+which `schema-check` runs too.  Identical inputs, flags, and seed produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .core import (
     SynonymousPartition,
     marginals,
 )
-from .errors import BudgetExceeded, NonConvergence, ToolkitError, ValidationError
+from .errors import BudgetExceeded, LengthMismatch, NonConvergence, ValidationError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -37,115 +39,118 @@ EXIT_BUDGET = 4
 # input loading and schema checking
 # ---------------------------------------------------------------------------
 
-def _load_json(path: str) -> dict:
+def _read_text(path: str) -> str:
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except OSError as e:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
         raise ValidationError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
+
+
+def _load_json(path: str) -> dict:
+    text = _read_text(path)
+    try:
+        obj = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as e:  # the decoder recurses once per nesting level
         raise ValidationError(f"{path} is not valid JSON: {e}") from e
+    if not isinstance(obj, dict):
+        raise _at("", ValidationError(f"{path}: top level must be a JSON object"))
+    return obj
 
 
-def _need(obj: dict, key: str, path: str):
-    if not isinstance(obj, dict) or key not in obj:
-        raise ValidationError(f"{path}: missing required key /{key}")
-    return obj[key]
+def _at(pointer: str, e: ValidationError) -> ValidationError:
+    e.pointer = pointer
+    return e
+
+
+def _need(obj: dict, key: str, path: str, build):
+    """build(obj[key]); a ValidationError it raises gets the JSON pointer /key."""
+    if key not in obj:
+        raise _at(f"/{key}", ValidationError(f"{path}: missing required key /{key}"))
+    try:
+        return build(obj[key])
+    except ValidationError as e:
+        raise _at(f"/{key}", e)
+
+
+def _float_array(value, ndim: int) -> np.ndarray:
+    """A JSON vector (ndim 1) or matrix (ndim 2) of numbers as float64.
+
+    The constructors check the values.  numpy would read true as 1 and "0.5"
+    as 0.5, so every cell must be a JSON number (an int or a float); a bool,
+    string, null, ragged row or other nesting depth is refused.
+    """
+    if isinstance(value, list):
+        try:
+            cells = np.array(value, dtype=object)
+            if cells.ndim == ndim and all(type(x) in (int, float) for x in cells.flat):
+                return cells.astype(float)
+        except (ValueError, OverflowError):  # a nesting numpy cannot hold; an int beyond float range
+            pass
+    raise ValidationError(f"must be a {('vector', 'matrix')[ndim - 1]} of JSON numbers")
+
+
+def _array_of(value, cls: type, what: str) -> tuple:
+    if not isinstance(value, list) or not all(isinstance(v, cls) for v in value):
+        raise ValidationError(f"must be an array of {what}")
+    return tuple(value)
 
 
 def load_distribution(path: str) -> Distribution:
-    return Distribution(np.asarray(_need(_load_json(path), "probs", path), dtype=float))
+    return _need(_load_json(path), "probs", path, lambda v: Distribution(_float_array(v, 1)))
 
 
 def load_partition(path: str, alphabet_size: int | None = None) -> SynonymousPartition:
-    blocks = _need(_load_json(path), "blocks", path)
-    if alphabet_size is None:  # one syntactic symbol per block member
-        alphabet_size = sum(len(b) for b in blocks)
-    return SynonymousPartition(tuple(tuple(b) for b in blocks), alphabet_size)
+    def build(value):
+        blocks = tuple(map(tuple, _array_of(value, list, "index arrays")))
+        # without a distribution to match, one syntactic symbol per block member
+        return SynonymousPartition(blocks, sum(map(len, blocks)) if alphabet_size is None else alphabet_size)
+
+    return _need(_load_json(path), "blocks", path, build)
 
 
 def load_joint(path: str) -> JointDistribution:
-    return JointDistribution(np.asarray(_need(_load_json(path), "matrix", path), dtype=float))
+    return _need(_load_json(path), "matrix", path, lambda v: JointDistribution(_float_array(v, 2)))
 
 
 def load_channel(path: str) -> ChannelModel:
-    return ChannelModel(np.asarray(_need(_load_json(path), "transition", path), dtype=float))
+    return _need(_load_json(path), "transition", path, lambda v: ChannelModel(_float_array(v, 2)))
 
 
 def load_codebook(path: str) -> chancode.GroupedCodebook:
+    """Codewords, then groups, then a declared length "n" if the file has one."""
     obj = _load_json(path)
-    return chancode.build_grouped_codebook(
-        _need(obj, "codewords", path), _need(obj, "groups", path)
+    codewords = _need(obj, "codewords", path, chancode.codeword_matrix)
+    cb = _need(
+        obj, "groups", path, lambda v: chancode.GroupedCodebook(codewords, _array_of(v, list, "index arrays"))
     )
+    n = obj.get("n", cb.n)
+    if isinstance(n, bool) or n != cb.n:
+        raise _at("/n", LengthMismatch(f"declared length {n} but codewords have length {cb.n}"))
+    return cb
 
 
-SCHEMA_KINDS = ("distribution", "partition", "joint", "channel", "codebook")
+LOADERS = {
+    "distribution": load_distribution,
+    "partition": load_partition,
+    "joint": load_joint,
+    "channel": load_channel,
+    "codebook": load_codebook,
+}
 
 
 def schema_check(path: str, kind: str) -> list[dict]:
-    """Structural and semantic validation; returns one violation per finding."""
-    violations: list[dict] = []
-    obj = _load_json(path)
+    """Run the kind's loader; report the first violation it finds, with its JSON pointer.
 
-    def err(pointer: str, message: str):
-        violations.append({"pointer": pointer, "message": message})
-
-    if kind == "distribution":
-        probs = obj.get("probs")
-        if not isinstance(probs, list) or not probs:
-            err("/probs", "must be a non-empty array of numbers")
-        else:
-            try:
-                Distribution(np.asarray(probs, dtype=float))
-            except (ToolkitError, ValueError) as e:
-                err("/probs", str(e))
-    elif kind == "partition":
-        blocks = obj.get("blocks")
-        if not isinstance(blocks, list) or not blocks:
-            err("/blocks", "must be a non-empty array of index arrays")
-        else:
-            size = obj.get("alphabet_size")
-            if size is None:
-                size = sum(len(b) for b in blocks if isinstance(b, list))
-            try:
-                SynonymousPartition(tuple(tuple(b) for b in blocks), int(size))
-            except (ToolkitError, ValueError, TypeError) as e:
-                err("/blocks", str(e))
-    elif kind == "joint":
-        matrix = obj.get("matrix")
-        if not isinstance(matrix, list) or not matrix:
-            err("/matrix", "must be a non-empty matrix of numbers")
-        else:
-            try:
-                JointDistribution(np.asarray(matrix, dtype=float))
-            except (ToolkitError, ValueError) as e:
-                err("/matrix", str(e))
-    elif kind == "channel":
-        transition = obj.get("transition")
-        if not isinstance(transition, list) or not transition:
-            err("/transition", "must be a non-empty matrix of numbers")
-        else:
-            try:
-                ChannelModel(np.asarray(transition, dtype=float))
-            except (ToolkitError, ValueError) as e:
-                err("/transition", str(e))
-    elif kind == "codebook":
-        codewords = obj.get("codewords")
-        groups = obj.get("groups")
-        if not isinstance(codewords, list) or not codewords:
-            err("/codewords", "must be a non-empty array of binary strings")
-        if not isinstance(groups, list) or not groups:
-            err("/groups", "must be a non-empty array of index arrays")
-        if not violations:
-            try:
-                cb = chancode.build_grouped_codebook(codewords, groups)
-                if "n" in obj and obj["n"] != cb.n:
-                    err("/n", f"declared length {obj['n']} but codewords have length {cb.n}")
-            except (ToolkitError, ValueError) as e:
-                err("/groups", str(e))
-    else:
-        raise ValidationError(f"unknown schema kind {kind!r}")
-    return violations
+    A file that cannot be read or parsed has no pointer, so its error is raised.
+    """
+    try:
+        LOADERS[kind](path)
+    except ValidationError as e:
+        if e.pointer is None:
+            raise
+        return [{"pointer": e.pointer, "message": str(e)}]
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +231,9 @@ def _cmd_capacity(args) -> dict:
 
 def _cmd_rate_distortion(args) -> dict:
     src = load_distribution(args.dist)
-    ds = optimize.SemanticDistortionMatrix(
-        np.asarray(_need(_load_json(args.distortion), "values", args.distortion), dtype=float)
+    ds = _need(
+        _load_json(args.distortion), "values", args.distortion,
+        lambda v: optimize.SemanticDistortionMatrix(_float_array(v, 2)),
     )
     res = optimize.semantic_rate_distortion(
         src,
@@ -256,18 +262,23 @@ def _cmd_huffman(args) -> dict:
 
 
 def _load_code(path: str) -> srccode.SemanticPrefixCode:
-    obj = _load_json(path)
+    obj = {"arity": 2, **_load_json(path)}  # the file may leave out a binary arity
     return srccode.SemanticPrefixCode(
-        tuple(_need(obj, "codewords", path)), int(obj.get("arity", 2))
+        _need(obj, "codewords", path, lambda v: _array_of(v, str, "strings")),
+        _need(obj, "arity", path, _integer),
     )
 
 
+def _integer(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{value!r} is not an integer")
+    return value
+
+
 def _read_symbols(path: str) -> list[int]:
+    text = _read_text(path)
     try:
-        with open(path) as fh:
-            return list(map(int, fh.read().split()))
-    except OSError as e:
-        raise ValidationError(f"cannot read {path}: {e}") from e
+        return list(map(int, text.split()))
     except ValueError as e:
         raise ValidationError(f"{path}: symbols must be whitespace-separated integers") from e
 
@@ -280,11 +291,7 @@ def _cmd_encode(args) -> str:
 def _cmd_decode(args) -> str:
     code = _load_code(args.code)
     f = load_partition(args.partition)
-    try:
-        with open(args.input) as fh:
-            stream = fh.read().strip()
-    except OSError as e:
-        raise ValidationError(f"cannot read {args.input}: {e}") from e
+    stream = _read_text(args.input).strip()
     symbols = srccode.decode_sequence(stream, code, f, policy=args.policy, seed=args.seed)
     return " ".join(map(str, symbols))
 
@@ -499,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add_parser("schema-check", help="validate a JSON input file")
     sp.add_argument("--file", required=True)
-    sp.add_argument("--kind", choices=list(SCHEMA_KINDS), required=True)
+    sp.add_argument("--kind", choices=list(LOADERS), required=True)
     sp.set_defaults(fn=_cmd_schema_check, fmt="json")
 
     return p
@@ -516,7 +523,7 @@ def main(argv: list[str] | None = None) -> int:
     except NonConvergence as e:
         _report_error(args, e, EXIT_NONCONVERGENCE)
         return EXIT_NONCONVERGENCE
-    except (ValidationError, ValueError) as e:
+    except ValueError as e:  # ValidationError is one
         _report_error(args, e, EXIT_VALIDATION)
         return EXIT_VALIDATION
 
@@ -533,9 +540,10 @@ def main(argv: list[str] | None = None) -> int:
 
 def _report_error(args, exc: Exception, code: int):
     if getattr(args, "error_json", False):
-        sys.stderr.write(
-            _json_dumps({"error": type(exc).__name__, "message": str(exc), "exit_code": code}) + "\n"
-        )
+        report = {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
+        if getattr(exc, "pointer", None) is not None:
+            report["pointer"] = exc.pointer
+        sys.stderr.write(_json_dumps(report) + "\n")
     else:
         sys.stderr.write(f"error: {exc}\n")
 

@@ -2,7 +2,8 @@
 
 Validation failures (bad inputs, malformed structures) and solver failures
 (non-convergence, enumeration budgets) are kept in separate branches so the
-CLI can map them to distinct exit codes.
+CLI can map them to distinct exit codes.  A validation failure is also a
+`ValueError`, so callers that catch the built-in see every bad-input error.
 """
 
 from __future__ import annotations
@@ -12,8 +13,12 @@ class ToolkitError(Exception):
     """Base class for every error raised by this package."""
 
 
-class ValidationError(ToolkitError):
+class ValidationError(ToolkitError, ValueError):
     """Bad or inconsistent input data."""
+
+    # RFC 6901 pointer to the faulty part of an input JSON document ("" is the
+    # whole document); the CLI loaders set it, None means no document location
+    pointer: str | None = None
 
 
 class NegativeProbability(ValidationError):

@@ -34,7 +34,7 @@ from .core import (
     SynonymousPartition,
     induced_semantic_joint,
 )
-from .errors import BudgetExceeded, Infeasible, NonConvergence, SizeMismatch
+from .errors import BudgetExceeded, Infeasible, NonConvergence, SizeMismatch, ValidationError
 from .measures import entropy, semantic_entropy
 
 _LOG_FLOOR = 1e-300
@@ -262,7 +262,7 @@ class SemanticDistortionMatrix:
         if v.ndim != 2 or v.size == 0:
             raise SizeMismatch("distortion matrix must be a non-empty 2-D matrix")
         if np.any(v < 0) or not np.all(np.isfinite(v)):
-            raise ValueError("distortion entries must be finite and non-negative")
+            raise ValidationError("distortion entries must be finite and non-negative")
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)

@@ -1,5 +1,8 @@
 """End-to-end CLI checks: golden fixtures, exit codes, determinism."""
 
+import contextlib
+import copy
+import io
 import json
 import math
 import subprocess
@@ -7,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -358,3 +363,169 @@ class TestSchemaCheck:
         )
         assert code == 0
         assert json.loads(out)["violations"] == []
+
+
+def run_main(*args):
+    """sebits.cli.main in this process: (exit code, stdout, stderr)."""
+    from sebits.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(args))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _argv(template, file, symbols=""):
+    return [a.format(file=file, fixtures=FIXTURES, symbols=symbols) for a in template]
+
+
+MALFORMED = json.loads((Path(__file__).resolve().parent / "malformed_inputs.json").read_text())
+
+
+class TestOneLoaderPerKind:
+    """The subcommand that reads a file and `schema-check` run the same loader."""
+
+    @pytest.mark.parametrize(
+        "kind,pointer,doc", MALFORMED["cases"], ids=[f"{c[0]}-{i}" for i, c in enumerate(MALFORMED["cases"])]
+    )
+    def test_same_exit_code_and_pointer(self, tmp_path, kind, pointer, doc):
+        f = tmp_path / "input.json"
+        f.write_text(json.dumps(doc))
+        symbols = tmp_path / "symbols.txt"
+        symbols.write_text("0 1 2 3 2 1 0")
+        want = 0 if pointer is None else 2
+        code, _, err = run_main(*_argv(MALFORMED["commands"][kind], f, symbols), "--error-json")
+        assert code == want, err
+        if pointer is not None:
+            assert json.loads(err)["pointer"] == pointer
+        if kind in MALFORMED["schema_kinds"]:
+            code, out, _ = run_main("schema-check", "--file", str(f), "--kind", kind)
+            assert code == want
+            assert [v["pointer"] for v in json.loads(out)["violations"]] == ([] if pointer is None else [pointer])
+
+    @pytest.mark.parametrize("depth", [40, 100_000])
+    def test_deep_nesting_exits_2(self, tmp_path, depth):
+        """Past numpy's 32 dimensions or the JSON decoder's recursion limit."""
+        f = tmp_path / "deep.json"
+        f.write_text('{"probs": ' + "[" * depth + "0.5" + "]" * depth + "}")
+        assert run_main("measures", "--dist", str(f))[0] == 2
+        assert run_main("schema-check", "--file", str(f), "--kind", "distribution")[0] == 2
+
+    def test_schema_kinds_are_the_loaders(self):
+        from sebits.cli import LOADERS
+
+        assert sorted(MALFORMED["schema_kinds"]) == sorted(LOADERS)
+
+
+# document -> (schema kind, the subcommands that read it)
+FUZZ_TARGETS = {
+    "tableI_dist": ("distribution", [
+        ["measures", "--dist", "{file}", "--partition", "{fixtures}/tableI_partition.json"],
+        ["huffman", "--dist", "{file}"],
+        ["typicality", "--dist", "{file}", "--n", "4"],
+    ]),
+    "tableVI_dist": ("distribution", [["measures", "--dist", "{file}"]]),
+    "tableI_partition": ("partition", [
+        ["measures", "--dist", "{fixtures}/tableI_dist.json", "--partition", "{file}"],
+        ["huffman", "--dist", "{fixtures}/tableI_dist.json", "--partition", "{file}"],
+        ["typicality", "--dist", "{fixtures}/tableI_dist.json", "--partition", "{file}", "--n", "4"],
+    ]),
+    "tableVII_partition": ("partition", [
+        ["huffman", "--dist", "{fixtures}/tableVI_dist.json", "--partition", "{file}"],
+    ]),
+    "tableIII_u_partition": ("partition", [
+        ["measures", "--joint", "{fixtures}/tableII_joint.json", "--u-partition", "{file}"],
+    ]),
+    "tableIII_v_partition": ("partition", [
+        ["typicality", "--joint", "{fixtures}/tableII_joint.json", "--v-partition", "{file}",
+         "--n", "3", "--trials", "20"],
+    ]),
+    "tableII_joint": ("joint", [
+        ["measures", "--joint", "{file}"],
+        ["typicality", "--joint", "{file}", "--n", "3", "--trials", "20"],
+    ]),
+    "tableVIII_codebook": ("codebook", [
+        ["chancode", "--codebook", "{file}", "--es-n0", "1.0"],
+        ["simulate", "--codebook", "{file}", "--es-n0-db", "0", "--trials", "20"],
+    ]),
+    "channel3": ("channel", [["capacity", "--channel", "{file}"]]),
+}
+FUZZ_DOCS = {
+    name: json.loads((FIXTURES / f"{name}.json").read_text()) for name in FUZZ_TARGETS if name != "channel3"
+}
+FUZZ_DOCS["channel3"] = {"transition": [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]}
+_DROP = object()
+
+
+def _locations(doc, path=()):
+    """Every JSON pointer of `doc`, as a tuple of keys and indices, the root first."""
+    yield path
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in children:
+        yield from _locations(value, (*path, key))
+
+
+def _replace(doc, path, value):
+    if not path:
+        return {} if value is _DROP else value
+    doc = copy.deepcopy(doc)
+    *head, last = path
+    parent = doc
+    for key in head:
+        parent = parent[key]
+    if value is _DROP:
+        del parent[last]
+    else:
+        parent[last] = value
+    return doc
+
+
+@st.composite
+def mutated_documents(draw):
+    """(name, kind, commands, document): one fixture with one mutation at one location."""
+    name = draw(st.sampled_from(sorted(FUZZ_TARGETS)))
+    doc = FUZZ_DOCS[name]
+    path = draw(st.sampled_from(list(_locations(doc))))
+    old = doc
+    for key in path:
+        old = old[key]
+    number = isinstance(old, (int, float)) and not isinstance(old, bool)
+    mutation = draw(st.sampled_from(
+        ["drop", "wrong type", "non-finite", "bool", "float index", "extra nesting", "top-level array"]
+    ))
+    if mutation == "top-level array":
+        mutated = list(doc.values())
+    else:
+        new = {
+            "drop": _DROP,
+            "wrong type": draw(st.sampled_from([1] if isinstance(old, str) else ["1", None, {"a": 1}])),
+            "non-finite": draw(st.sampled_from([math.nan, math.inf, -math.inf])),
+            "bool": draw(st.booleans()),
+            "float index": old + 0.5 if number else 1.5,
+            "extra nesting": [old],
+        }[mutation]
+        mutated = _replace(doc, path, new)
+    kind, commands = FUZZ_TARGETS[name]
+    return name, kind, commands, mutated
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=mutated_documents())
+def test_fuzzed_inputs_exit_cleanly_and_agree_with_schema_check(fuzz_dir, case):
+    """Nothing escapes main, and a file schema-check rejects is rejected by every reader."""
+    name, kind, commands, doc = case
+    f = fuzz_dir / f"{name}.json"
+    f.write_text(json.dumps(doc))  # NaN and Infinity as Python's json module writes them
+    schema_code, out, _ = run_main("schema-check", "--file", str(f), "--kind", kind)
+    assert schema_code in (0, 2)
+    assert len(json.loads(out)["violations"]) == schema_code // 2
+    for template in commands:
+        code, _, err = run_main(*_argv(template, f))
+        assert code in (0, 2, 3, 4)
+        if schema_code == 2:
+            assert code == 2, (template, err)
