@@ -168,7 +168,7 @@ class GroupedCodebook:
 
 def build_grouped_codebook(codewords, groups) -> GroupedCodebook:
     """Validate codewords and grouping; computes R and R_s."""
-    return GroupedCodebook(codewords, tuple(tuple(g) for g in groups))
+    return GroupedCodebook(codewords, groups)
 
 
 def singleton_codebook(codewords) -> GroupedCodebook:
