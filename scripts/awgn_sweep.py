@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from pathlib import Path
 
-from sebits.chancode import build_grouped_codebook, gep_union_bound, simulate_awgn_sweep
+from sebits.chancode import gep_union_bound, simulate_awgn_sweep
+from sebits.cli import load_codebook
 from sebits.gaussian import db_to_linear
 
 DEFAULT_CODEBOOK = Path(__file__).resolve().parent.parent / "fixtures" / "tableVIII_codebook.json"
@@ -32,9 +32,7 @@ def main() -> None:
     parser.add_argument("--output", default=None, type=Path)
     args = parser.parse_args()
 
-    with open(args.codebook) as fh:
-        obj = json.load(fh)
-    cb = build_grouped_codebook(obj["codewords"], obj["groups"])
+    cb = load_codebook(args.codebook)
 
     header = ["es_n0_db", "group_err", "cw_err", "ml_group_err", "mlg_bound", "ml_bound"]
     dbs = []

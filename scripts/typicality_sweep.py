@@ -8,12 +8,9 @@ probability mass captured, demonstrating the march toward probability one.
 from __future__ import annotations
 
 import argparse
-import json
 from pathlib import Path
 
-import numpy as np
-
-from sebits.core import Distribution, SynonymousPartition
+from sebits.cli import load_distribution, load_partition
 from sebits.typicality import enumerate_typical_sets
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -27,11 +24,8 @@ def main() -> None:
     parser.add_argument("--n-values", default="1,2,4,8,12", help="comma-separated block lengths")
     args = parser.parse_args()
 
-    with open(args.dist) as fh:
-        d = Distribution(np.asarray(json.load(fh)["probs"]))
-    with open(args.partition) as fh:
-        blocks = json.load(fh)["blocks"]
-    f = SynonymousPartition(tuple(tuple(b) for b in blocks), d.alphabet_size)
+    d = load_distribution(args.dist)
+    f = load_partition(args.partition, d.alphabet_size)
 
     print(f"{'n':>4} {'|A~|':>12} {'lower':>12} {'upper':>12} {'Pr':>8} {'tiles A':>8}")
     prev = 0.0

@@ -1,8 +1,9 @@
 """Numerical primitives shared by the sebits modules.
 
-- `trial_uniforms` / `trial_batches`: one Philox counter slice per trial.
-- `trial_stream`: the same slices in draw-sized batches, the next batch drawn
-  on one worker thread while the caller scores the current one.
+- `trial_uniforms`: one Philox counter slice per trial.
+- `trial_stream`: the one batching loop over those slices, which both Monte
+  Carlo loops (AWGN and joint typicality) draw through; the next batch is
+  drawn on one worker thread while the caller scores the current one.
 - `xlog2x`: p log2 p with the 0 log 0 = 0 convention.
 - `block_sums`: masses summed over the blocks of a synonymous partition, or a
   product of two, in one `np.bincount`.
@@ -32,13 +33,6 @@ def trial_uniforms(seed: int, start: int, count: int, per_trial: int) -> np.ndar
     """
     width = 4 * ((per_trial + 3) // 4)
     return _philox(seed, start, width).random((count, width))[:, :per_trial]
-
-
-def trial_batches(trials: int, batch: int):
-    """(start, count) of consecutive batches of at most `batch` trials covering [0, trials)."""
-    if batch < 1:
-        raise ValueError("batch must be at least 1")
-    return ((start, min(batch, trials - start)) for start in range(0, trials, batch))
 
 
 _prefetch_lock = threading.Lock()
@@ -78,23 +72,22 @@ def trial_stream(seed: int, trials: int, per_trial: int, batch: int | None = Non
     """
     if batch is None:
         batch = max(1, BATCH_DRAWS // per_trial)
-    batches = trial_batches(trials, batch)
+    if batch < 1:
+        raise ValueError("batch must be at least 1")
     if trials <= batch:
-        for start, count in batches:
-            yield start, trial_uniforms(seed, start, count, per_trial)
+        yield 0, trial_uniforms(seed, 0, trials, per_trial)
         return
     width = 4 * ((per_trial + 3) // 4)
     buffers = (np.empty((batch, width)), np.empty((batch, width)))
     pool = _prefetcher()
-    start, count = next(batches)
-    u = _philox(seed, start, width).random(out=buffers[0][:count])
+    start, u = 0, _philox(seed, 0, width).random(out=buffers[0])
     pending = None
     try:
-        for i, (nxt, nxt_count) in enumerate(batches, start=1):
-            pending = pool.submit(_philox(seed, nxt, width).random, out=buffers[i % 2][:nxt_count])
+        for i, nxt in enumerate(range(batch, trials, batch), start=1):
+            out = buffers[i % 2][: min(batch, trials - nxt)]
+            pending = pool.submit(_philox(seed, nxt, width).random, out=out)
             yield start, u[:, :per_trial]
-            u, pending = pending.result(), None
-            start = nxt
+            start, u, pending = nxt, pending.result(), None
         yield start, u[:, :per_trial]
     finally:
         if pending is not None:  # the caller stopped early: let the fill finish with its buffer

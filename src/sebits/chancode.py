@@ -15,9 +15,11 @@ costs two matrix products and O(b (M + G)) memory for M codewords in G groups,
 not O(b M n).  The distance spectra are computed once per codebook.
 
 An SNR sweep (`simulate_awgn_sweep`) draws each batch's codeword picks and
-Philox/Box-Muller noise once and decodes them at every Es/N0 point: common
-random numbers, so the error-rate curve is paired across SNR and every point
-equals the one-point simulation with the same seed.
+Box-Muller noise once and decodes them at every Es/N0 point: common random
+numbers, so the error-rate curve is paired across SNR and every point equals
+the one-point simulation with the same seed.  The Philox slices come from
+`_kernels.trial_stream`, the driver the joint typicality Monte Carlo uses too,
+in batches of 2^13 trials by default.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kernels import trial_batches, trial_uniforms
+from ._kernels import trial_stream
 from .core import _block_index
 from .errors import (
     DuplicateCodeword,
@@ -402,18 +404,17 @@ def wilson_halfwidth(p_hat: float, n: int, z: float = 1.959963984540054) -> floa
     return (z / denom) * math.sqrt(p_hat * (1.0 - p_hat) / n + z * z / (4.0 * n * n))
 
 
-def _trial_randoms(seed: int, start: int, count: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Codeword-pick uniforms and n standard normals for trials [start, start+count).
+def _trial_randoms(u: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Codeword-pick uniforms and n standard normals from a block of trial slices.
 
-    Each trial's Philox slice holds one uniform for the pick plus an even
-    number for Box-Muller noise.  The picks are a copy, so the uniform block
-    is freed on return.
+    Each row of u is one trial's Philox slice: one uniform for the pick, then
+    an even number for Box-Muller noise.  Both outputs are new arrays, so the
+    caller can drop u before decoding.
     """
-    u = trial_uniforms(seed, start, count, 1 + 2 * ((n + 1) // 2))
     half = (u.shape[1] - 1) // 2
     radius = np.sqrt(-2.0 * np.log1p(-u[:, 1 : 1 + half]))
     angle = 2.0 * math.pi * u[:, 1 + half :]
-    normals = np.empty((count, 2 * half))
+    normals = np.empty((len(u), 2 * half))
     np.cos(angle, out=normals[:, :half])
     np.sin(angle, out=normals[:, half:])
     normals[:, :half] *= radius
@@ -437,7 +438,7 @@ def _error_counts(
     ]
 
 
-def simulate_awgn(cb: GroupedCodebook, cfg: AwgnConfig, batch: int = 1 << 15) -> SimulationResult:
+def simulate_awgn(cb: GroupedCodebook, cfg: AwgnConfig, batch: int = 1 << 13) -> SimulationResult:
     """Monte Carlo over uniform codewords through BPSK + AWGN, decoded both ways.
 
     Trial t draws its randomness from a dedicated slice of the Philox counter
@@ -451,7 +452,7 @@ def simulate_awgn(cb: GroupedCodebook, cfg: AwgnConfig, batch: int = 1 << 15) ->
 
 
 def simulate_awgn_sweep(
-    cb: GroupedCodebook, es_n0s, trials: int, seed: int = 0, batch: int = 1 << 15
+    cb: GroupedCodebook, es_n0s, trials: int, seed: int = 0, batch: int = 1 << 13
 ) -> list[SimulationResult]:
     """`simulate_awgn` at every linear Es/N0 in `es_n0s`, in that order, from one noise draw.
 
@@ -460,6 +461,13 @@ def simulate_awgn_sweep(
     Each result equals the separate `simulate_awgn` call with the same seed,
     and the error-rate curve is paired across SNR.  Each batch's picks and
     normals are drawn once; memory does not grow with the number of points.
+
+    Trials come from `_kernels.trial_stream` in batches of `batch` trials:
+    one batch is drawn inline, more have the next batch's slices drawn on the
+    prefetch worker thread while the current one decodes.  A trial holds
+    several times its uniforms while it decodes (normals, clean signals, y and
+    the two correlation products), so the default 2^13 trials is smaller than
+    the stream's 2^18-draw default.  Raises ValueError when `batch` < 1.
     """
     configs = [AwgnConfig(es_n0, trials, seed) for es_n0 in es_n0s]
     if not configs:
@@ -469,12 +477,13 @@ def simulate_awgn_sweep(
     m, n = signals.shape
 
     counts = np.zeros((len(sigmas), 3), dtype=np.int64)
-    for start, b in trial_batches(trials, batch):
-        picks, normals = _trial_randoms(seed, start, b, n)
+    for _, u in trial_stream(seed, trials, 1 + 2 * ((n + 1) // 2), batch):
+        picks, normals = _trial_randoms(u, n)
+        del u  # decoding needs several times the uniforms' memory; do not hold both
         sent = np.minimum((picks * m).astype(int), m - 1)
         clean = signals[sent]
         true_group = cb.group_of[sent]
-        y = np.empty((b, n))
+        y = np.empty((len(sent), n))
         for k, sigma in enumerate(sigmas):
             np.multiply(normals, sigma, out=y)
             y += clean  # bit-identical to clean + sigma * normals

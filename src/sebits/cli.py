@@ -263,9 +263,9 @@ def _cmd_huffman(args) -> dict:
 
 def _load_code(path: str) -> srccode.SemanticPrefixCode:
     obj = {"arity": 2, **_load_json(path)}  # the file may leave out a binary arity
-    return srccode.SemanticPrefixCode(
-        _need(obj, "codewords", path, lambda v: _array_of(v, str, "strings")),
-        _need(obj, "arity", path, _integer),
+    arity = _need(obj, "arity", path, lambda v: srccode.code_arity(_integer(v)))
+    return _need(
+        obj, "codewords", path, lambda v: srccode.SemanticPrefixCode(_array_of(v, str, "strings"), arity)
     )
 
 
@@ -428,13 +428,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--joint")
     sp.add_argument("--u-partition")
     sp.add_argument("--v-partition")
-    sp.set_defaults(fn=_cmd_measures, fmt="json")
+    sp.set_defaults(fn=_cmd_measures)
 
     sp = add_parser("capacity", help="semantic channel capacity")
     sp.add_argument("--channel", required=True)
     sp.add_argument("--tol", type=float, default=1e-8)
     sp.add_argument("--identity-only", action="store_true")
-    sp.set_defaults(fn=_cmd_capacity, fmt="json")
+    sp.set_defaults(fn=_cmd_capacity)
 
     sp = add_parser("rate-distortion", help="semantic rate-distortion")
     sp.add_argument("--dist", required=True)
@@ -443,19 +443,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--budget", type=int, default=10_000)
     sp.add_argument("--tol", type=float, default=1e-7)
     sp.add_argument("--reconstruction-size", type=int, default=None)
-    sp.set_defaults(fn=_cmd_rate_distortion, fmt="json")
+    sp.set_defaults(fn=_cmd_rate_distortion)
 
     sp = add_parser("huffman", help="semantic Huffman codebook")
     sp.add_argument("--dist", required=True)
     sp.add_argument("--partition")
     sp.add_argument("--arity", type=int, default=2)
-    sp.set_defaults(fn=_cmd_huffman, fmt="json")
+    sp.set_defaults(fn=_cmd_huffman)
 
     sp = add_parser("encode", help="encode whitespace-separated symbol indices")
     sp.add_argument("--code", required=True, help="codebook JSON from `huffman`")
     sp.add_argument("--partition", required=True)
     sp.add_argument("--input", required=True)
-    sp.set_defaults(fn=_cmd_encode, fmt="text")
+    sp.set_defaults(fn=_cmd_encode)
 
     sp = add_parser("decode", help="decode a digit stream to representatives")
     sp.add_argument("--code", required=True)
@@ -463,19 +463,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--input", required=True)
     sp.add_argument("--policy", choices=["lowest", "random"], default="lowest")
     sp.add_argument("--seed", type=int, default=None)
-    sp.set_defaults(fn=_cmd_decode, fmt="text")
+    sp.set_defaults(fn=_cmd_decode)
 
     sp = add_parser("chancode", help="grouped-codebook distances and bounds")
     sp.add_argument("--codebook", required=True)
     sp.add_argument("--es-n0", type=float, default=None)
-    sp.set_defaults(fn=_cmd_chancode, fmt="json")
+    sp.set_defaults(fn=_cmd_chancode)
 
     sp = add_parser("simulate", help="AWGN Monte Carlo sweep (CSV)")
     sp.add_argument("--codebook", required=True)
     sp.add_argument("--es-n0-db", type=_float_list, required=True)
     sp.add_argument("--trials", type=int, default=100_000)
     sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(fn=_cmd_simulate, fmt="csv")
+    sp.set_defaults(fn=_cmd_simulate)
 
     sp = add_parser("typicality", help="typical-set enumeration and Monte Carlo probes")
     sp.add_argument("--dist", help="exact enumeration of a single source")
@@ -489,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--mc-mode", choices=["correlated", "independent"], default="correlated")
     sp.add_argument("--sweep", type=_int_list, default=None, help="comma-separated n values (CSV out)")
-    sp.set_defaults(fn=_cmd_typicality, fmt="auto")
+    sp.set_defaults(fn=_cmd_typicality)
 
     sp = add_parser("gaussian", help="closed-form calculators and figure CSVs")
     sp.add_argument("--curve", choices=list(gaussian.CURVE_KINDS), default=None)
@@ -502,12 +502,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s", type=float, default=1.0)
     sp.add_argument("--mu", type=float, default=1.0)
     sp.add_argument("--d-target", type=float, default=0.25)
-    sp.set_defaults(fn=_cmd_gaussian, fmt="auto")
+    sp.set_defaults(fn=_cmd_gaussian)
 
     sp = add_parser("schema-check", help="validate a JSON input file")
     sp.add_argument("--file", required=True)
     sp.add_argument("--kind", choices=list(LOADERS), required=True)
-    sp.set_defaults(fn=_cmd_schema_check, fmt="json")
+    sp.set_defaults(fn=_cmd_schema_check)
 
     return p
 

@@ -82,8 +82,8 @@ class SynonymousPartition:
     def __post_init__(self):
         blocks = tuple(tuple(_block_index(i, k) for i in b) for k, b in enumerate(self.blocks))
         n = int(self.alphabet_size)
-        if n < 1:
-            raise SizeMismatch("alphabet_size must be >= 1")
+        if not blocks:
+            raise SizeMismatch("a partition needs at least one block")
         block_of = [-1] * n
         for k, b in enumerate(blocks):
             if len(b) == 0:

@@ -14,18 +14,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Distribution, SynonymousPartition, induced_semantic_distribution
-from .errors import IndexOutOfRange, InvalidPrefix, SizeMismatch, TruncatedStream
+from .errors import IndexOutOfRange, InvalidPrefix, SizeMismatch, TruncatedStream, ValidationError
 
 KRAFT_TOL = 1e-12
 
 
+def code_arity(arity: int) -> int:
+    """`arity` if it can be a code alphabet size (at least 2); raises ValidationError otherwise."""
+    if arity < 2:
+        raise ValidationError("code alphabet size must be at least 2")
+    return arity
+
+
 def semantic_kraft_check(lengths, arity: int = 2) -> bool:
     """True iff sum of F^-l over the semantic codeword lengths is at most 1."""
-    if arity < 2:
-        raise ValueError("code alphabet size must be at least 2")
+    code_arity(arity)
     lengths = list(lengths)
     if not lengths or any(l < 1 for l in lengths):
-        raise ValueError("lengths must be a non-empty list of positive integers")
+        raise ValidationError("lengths must be a non-empty list of positive integers")
     return sum(float(arity) ** -l for l in lengths) <= 1.0 + KRAFT_TOL
 
 
@@ -37,20 +43,19 @@ class SemanticPrefixCode:
     arity: int = 2
 
     def __post_init__(self):
-        if self.arity < 2:
-            raise ValueError("code alphabet size must be at least 2")
+        code_arity(self.arity)
         if not self.codewords:
-            raise ValueError("code must have at least one codeword")
+            raise ValidationError("code must have at least one codeword")
         digits = set("0123456789")
         for w in self.codewords:
             if not w or any(c not in digits or int(c) >= self.arity for c in w):
-                raise ValueError(f"codeword {w!r} is not a base-{self.arity} digit string")
+                raise ValidationError(f"codeword {w!r} is not a base-{self.arity} digit string")
         words = sorted(self.codewords)
         for a, b in zip(words, words[1:]):
             if b.startswith(a):
-                raise ValueError(f"{a!r} is a prefix of {b!r}; code is not prefix-free")
+                raise ValidationError(f"{a!r} is a prefix of {b!r}; code is not prefix-free")
         if not semantic_kraft_check(self.lengths, self.arity):
-            raise ValueError("codeword lengths violate the Kraft inequality")
+            raise ValidationError("codeword lengths violate the Kraft inequality")
 
     @property
     def lengths(self) -> list[int]:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from sebits import chancode
+from sebits._kernels import trial_uniforms
 from sebits.chancode import (
     AwgnConfig,
     GroupedCodebook,
@@ -314,7 +315,7 @@ class TestSimulation:
         assert wilson_halfwidth(0.0, 100) > 0.0
 
 
-def broadcast_counts(cb: GroupedCodebook, cfg: AwgnConfig, batch: int) -> list[int]:
+def broadcast_counts(cb: GroupedCodebook, cfg: AwgnConfig, batch: int = 1 << 13) -> list[int]:
     """Group, codeword and ML-group error counts from the squared-distance decoder
     simulate_awgn used before the correlation rule: a (b, M, n) broadcast per batch."""
     signals = cb.signals(1.0)
@@ -323,7 +324,8 @@ def broadcast_counts(cb: GroupedCodebook, cfg: AwgnConfig, batch: int) -> list[i
     group_idx = np.array([list(g) for g in cb.groups])
     counts = [0, 0, 0]
     for done in range(0, cfg.trials, batch):
-        picks, normals = _trial_randoms(cfg.seed, done, min(batch, cfg.trials - done), n)
+        u = trial_uniforms(cfg.seed, done, min(batch, cfg.trials - done), 1 + 2 * ((n + 1) // 2))
+        picks, normals = _trial_randoms(u, n)
         sent = np.minimum((picks * m).astype(int), m - 1)
         y = signals[sent] + sigma * normals
         d2 = ((y[:, None, :] - signals[None, :, :]) ** 2).sum(axis=2)
@@ -358,14 +360,16 @@ def random_grouped_codebook(seed: int) -> GroupedCodebook:
 
 class TestCorrelationDecoder:
     @pytest.mark.parametrize("singleton", [False, True])
-    @pytest.mark.parametrize("batch", [1 << 15, 977, 4096])
+    @pytest.mark.parametrize("batch", [1 << 15, 977, 4096, 1, None])
     def test_counts_equal_broadcast_decoder(self, hamming_codebook, singleton, batch):
+        """batch None is the default (2^13 trials): 20 000 trials span three prefetched batches."""
         cb = singleton_codebook(hamming_codebook.codewords) if singleton else hamming_codebook
+        kw = {} if batch is None else {"batch": batch}
         for seed in (0, 7, 60):
             for db in (-2.0, 0.0, 2.0, 4.0, 6.0):
-                cfg = AwgnConfig(es_n0=10 ** (db / 10), trials=20_000, seed=seed)
-                res = simulate_awgn(cb, cfg, batch=batch)
-                group, cw, ml_group = broadcast_counts(cb, cfg, batch)
+                cfg = AwgnConfig(es_n0=10 ** (db / 10), trials=300 if batch == 1 else 20_000, seed=seed)
+                res = simulate_awgn(cb, cfg, **kw)
+                group, cw, ml_group = broadcast_counts(cb, cfg, **kw)
                 assert res.group_error_rate == group / cfg.trials
                 assert res.codeword_error_rate == cw / cfg.trials
                 assert res.ml_group_error_rate == ml_group / cfg.trials
@@ -400,18 +404,23 @@ SWEEP_DB = (4.0, -2.0, 6.0, 0.0, 1.5, 4.0, -1.0)  # unsorted, 4 dB twice
 
 class TestSweep:
     @pytest.mark.parametrize("singleton", [False, True])
-    @pytest.mark.parametrize("batch", [1 << 15, 977, 4096])
+    @pytest.mark.parametrize("batch", [1 << 15, 977, 4096, 1, None])
     def test_sweep_equals_per_point_simulation(self, hamming_codebook, singleton, batch):
+        """batch None is the default (2^13 trials), whose two prefetched batches must
+        give the one-batch run bit for bit."""
         cb = singleton_codebook(hamming_codebook.codewords) if singleton else hamming_codebook
         es_n0s = [10 ** (db / 10) for db in SWEEP_DB]
-        trials = 12_345  # not a multiple of any batch
+        trials = 300 if batch == 1 else 12_345  # 12 345 is not a multiple of any batch above 1
+        kw = {} if batch is None else {"batch": batch}
         for seed in (0, 7, 60):
-            swept = simulate_awgn_sweep(cb, es_n0s, trials, seed, batch)
+            swept = simulate_awgn_sweep(cb, es_n0s, trials, seed, **kw)
             assert len(swept) == len(es_n0s)
             for es_n0, got in zip(es_n0s, swept):
-                assert got == simulate_awgn(cb, AwgnConfig(es_n0, trials, seed), batch=batch)
+                assert got == simulate_awgn(cb, AwgnConfig(es_n0, trials, seed), **kw)
             assert swept[0] == swept[5]
             assert swept[0] != swept[1]
+            if batch is None:
+                assert swept == simulate_awgn_sweep(cb, es_n0s, trials, seed, batch=trials)
 
     @pytest.mark.parametrize("es_n0, trials, seed", [(0.5, 1, 0), (2.0, 40_000, 99), (10.0, 977, 3)])
     def test_one_point_sweep_equals_simulate_awgn(self, hamming_codebook, es_n0, trials, seed):
@@ -427,7 +436,7 @@ class TestSweep:
         def no_draw(*args):
             raise AssertionError("drew randoms for an invalid sweep")
 
-        monkeypatch.setattr(chancode, "_trial_randoms", no_draw)
+        monkeypatch.setattr(chancode, "trial_stream", no_draw)
         with pytest.raises(ValueError):
             simulate_awgn_sweep(hamming_codebook, es_n0s, trials)
 
@@ -442,3 +451,19 @@ class TestSweep:
             tracemalloc.stop()
         broadcast = np.dtype(float).itemsize * (1 << 15) * 16 * 7  # the one-point bound's base
         assert peak < broadcast / 2
+
+    @pytest.mark.parametrize("batch, bound", [(None, 6e6), (1 << 15, 12e6)])
+    def test_sweep_peak(self, hamming_codebook, batch, bound):
+        """The benchmark's 3-point 2^15-trial sweep.  The default is four 2^13-trial
+        batches (4.4 MB traced, against 11.0 MB for one 2^15 batch).  In one inline
+        batch the uniform block must be dropped before decoding: held, it reads 14.2 MB."""
+        es_n0s = [10 ** (db / 10) for db in (0.0, 1.5, 3.0)]
+        kw = {} if batch is None else {"batch": batch}
+        simulate_awgn_sweep(hamming_codebook, es_n0s, 1 << 15, 1, **kw)
+        tracemalloc.start()
+        try:
+            simulate_awgn_sweep(hamming_codebook, es_n0s, 1 << 15, 1, **kw)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound

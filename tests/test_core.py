@@ -87,6 +87,11 @@ class TestValidatePartition:
         with pytest.raises(IndexOutOfRange):
             validate_partition([[0], [5]], 2)
 
+    @pytest.mark.parametrize("alphabet_size", [0, 3])
+    def test_no_blocks(self, alphabet_size):
+        with pytest.raises(SizeMismatch, match="^a partition needs at least one block$"):
+            validate_partition([], alphabet_size)
+
     @pytest.mark.parametrize(
         "blocks, bad",
         [([[0, 1.7], [2.9]], "1.7"), ([[0, True], [2]], "True"), ([[0], [1, np.True_]], "np.True_"),

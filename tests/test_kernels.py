@@ -24,7 +24,7 @@ def test_trial_uniforms_pinned():
 
 
 def test_awgn_randoms_pinned():
-    picks, normals = _trial_randoms(60, 5, 2, 7)
+    picks, normals = _trial_randoms(trial_uniforms(60, 5, 2, 1 + 2 * ((7 + 1) // 2)), 7)
     assert picks.tolist() == [0.13293533483405817, 0.5762025677116801]
     assert normals.shape == (2, 7)
     want = [[1.04859132357323, -0.18007449927490535, 0.8903315393889379],

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sebits.core import Distribution, SynonymousPartition, induced_semantic_distribution
-from sebits.errors import IndexOutOfRange, InvalidPrefix, SizeMismatch, TruncatedStream
+from sebits.errors import IndexOutOfRange, InvalidPrefix, SizeMismatch, TruncatedStream, ValidationError
 from sebits.measures import semantic_entropy
 from sebits.srccode import (
     SemanticPrefixCode,
@@ -56,6 +56,13 @@ class TestPrefixCodeValidation:
     def test_bad_digits(self):
         with pytest.raises(ValueError):
             SemanticPrefixCode(("0", "2"))
+
+    @pytest.mark.parametrize(
+        "codewords, arity", [(("0", "01"), 2), (("0", "1", "00"), 2), (("0", "2"), 2), (("0",), 1), ((), 2)]
+    )
+    def test_errors_share_the_validation_contract(self, codewords, arity):
+        with pytest.raises(ValidationError):
+            SemanticPrefixCode(codewords, arity)
 
 
 class TestHuffmanGoldens:
