@@ -15,8 +15,10 @@ random decode policy; the joint Monte Carlo in both modes at n = 3,
 n = 1000 and one trial on Table II, and on a joint where the decoding probe
 counts hits; and R_s(D) beyond the binary case, with a Hamming cost on
 [0.5, 0.3, 0.2] at n^ = 4, D = 0.1 and on [0.4, 0.3, 0.2, 0.1] at n^ = 4,
-D = 0.2; and every malformed file of tests/malformed_inputs.json (read from
-this script's checkout), run through the subcommand of its kind and, for the
+D = 0.2; the AWGN simulation on Table VIII at 1 trial and at 12 345 trials
+(which ends on a partial batch), and on an n = 8 code, the Table VIII words
+with an even-parity bit appended; and every malformed file of
+tests/malformed_inputs.json (read from this script's checkout), run through the subcommand of its kind and, for the
 five schema kinds, through `schema-check`.  Inputs and outputs go to a
 temporary directory, written as <work> in the argv, so the lines of two
 checkouts compare with `diff`.
@@ -81,6 +83,13 @@ def extra_jobs(work: Path) -> list[tuple[list[str], Path]]:
                 "--distortion", _write_json(work / f"hamming{k}.json", {"values": (1.0 - np.eye(k)).tolist()}),
                 "--d-target", str(target), "--reconstruction-size", "4"]
         jobs.append((argv, work / f"rd_{k}x{k}.json"))
+    table8 = json.loads(Path("fixtures/tableVIII_codebook.json").read_text())
+    parity = {"n": 8, "codewords": [w + str(w.count("1") % 2) for w in table8["codewords"]],
+              "groups": table8["groups"]}
+    for codebook, trials in (("fixtures/tableVIII_codebook.json", 1), ("fixtures/tableVIII_codebook.json", 12_345),
+                             (_write_json(work / "parity8.json", parity), 12_345)):
+        argv = ["simulate", "--codebook", codebook, "--es-n0-db", "0,1.5,3", "--trials", str(trials), "--seed", "7"]
+        jobs.append((argv, work / f"awgn_{Path(codebook).stem}_{trials}.csv"))
     malformed = json.loads((Path(__file__).resolve().parent.parent / "tests" / "malformed_inputs.json").read_text())
     for i, (kind, _, doc) in enumerate(malformed["cases"]):
         file = _write_json(work / f"malformed_{i}.json", doc)

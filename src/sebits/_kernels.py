@@ -3,7 +3,8 @@
 - `trial_uniforms`: one Philox counter slice per trial.
 - `trial_stream`: the one batching loop over those slices, which both Monte
   Carlo loops (AWGN and joint typicality) draw through; the next batch is
-  drawn on one worker thread while the caller scores the current one.
+  drawn, and optionally transformed in place, on one worker thread while the
+  caller scores the current one.
 - `xlog2x`: p log2 p with the 0 log 0 = 0 convention.
 - `block_sums`: masses summed over the blocks of a synonymous partition, or a
   product of two, in one `np.bincount`.
@@ -53,18 +54,33 @@ def _prefetcher():
         return _prefetch_pool
 
 
-def trial_stream(seed: int, trials: int, per_trial: int, batch: int | None = None):
+def _draw(seed: int, start: int, width: int, out: np.ndarray, per_trial: int, transform) -> np.ndarray:
+    """Fill `out` with the slices of trials [start, start + len(out)), then apply
+    `transform` in place to its first `per_trial` columns; returns that view."""
+    u = _philox(seed, start, width).random(out=out)[:, :per_trial]
+    if transform is not None:
+        transform(u)
+    return u
+
+
+def trial_stream(seed: int, trials: int, per_trial: int, batch: int | None = None, transform=None):
     """Yield (start, u) for consecutive batches of trials covering [0, trials).
 
-    u is `trial_uniforms(seed, start, count, per_trial)`: the stream does not
-    depend on `batch`.  The default batch is max(1, BATCH_DRAWS // per_trial)
-    trials, so a batch holds at most about BATCH_DRAWS uniforms whatever n is.
-    A single-batch stream is drawn inline.  Otherwise two (batch, 4 k) buffers
-    are allocated once, and while the caller scores batch i, the process's one
-    prefetch worker thread draws batch i + 1 into the other buffer (numpy's
-    Philox fill releases the GIL), so the work runs on at most two threads.
-    The worker only fills: it allocates no array, which would come from its
-    own malloc arena and raise the process's peak RSS.
+    u is `trial_uniforms(seed, start, count, per_trial)`, passed through
+    `transform(u)` when one is given: the stream does not depend on `batch`.
+    `transform` works in place on the (count, per_trial) block and returns
+    nothing.  The default batch is max(1, BATCH_DRAWS // per_trial) trials, so
+    a batch holds at most about BATCH_DRAWS uniforms whatever n is.  A
+    single-batch stream is drawn and transformed inline.  Otherwise two
+    (batch, 4 k) buffers are allocated once, and while the caller scores batch
+    i, the process's one prefetch worker thread draws batch i + 1 into the
+    other buffer (numpy's Philox fill and ufuncs release the GIL), so the work
+    runs on at most two threads.  The worker fills, then runs the caller's
+    in-place transform, allocating nothing: an array it allocated would come
+    from its own malloc arena and raise the process's peak RSS.  A stream's
+    transforms run one at a time, so a transform may reuse one scratch array
+    of `batch` rows across its batches; a stream left suspended may still be
+    running one, so each stream needs its own scratch.
 
     A yielded u is a view of one of those buffers: it is valid only until the
     next iteration, which starts overwriting it.  Raises ValueError when
@@ -74,23 +90,23 @@ def trial_stream(seed: int, trials: int, per_trial: int, batch: int | None = Non
         batch = max(1, BATCH_DRAWS // per_trial)
     if batch < 1:
         raise ValueError("batch must be at least 1")
-    if trials <= batch:
-        yield 0, trial_uniforms(seed, 0, trials, per_trial)
-        return
     width = 4 * ((per_trial + 3) // 4)
+    if trials <= batch:
+        yield 0, _draw(seed, 0, width, np.empty((trials, width)), per_trial, transform)
+        return
     buffers = (np.empty((batch, width)), np.empty((batch, width)))
     pool = _prefetcher()
-    start, u = 0, _philox(seed, 0, width).random(out=buffers[0])
+    start, u = 0, _draw(seed, 0, width, buffers[0], per_trial, transform)
     pending = None
     try:
         for i, nxt in enumerate(range(batch, trials, batch), start=1):
             out = buffers[i % 2][: min(batch, trials - nxt)]
-            pending = pool.submit(_philox(seed, nxt, width).random, out=out)
-            yield start, u[:, :per_trial]
+            pending = pool.submit(_draw, seed, nxt, width, out, per_trial, transform)
+            yield start, u
             start, u, pending = nxt, pending.result(), None
-        yield start, u[:, :per_trial]
+        yield start, u
     finally:
-        if pending is not None:  # the caller stopped early: let the fill finish with its buffer
+        if pending is not None:  # the caller stopped early: let the draw finish with its buffer
             pending.result()
 
 

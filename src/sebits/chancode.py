@@ -19,14 +19,17 @@ Box-Muller noise once and decodes them at every Es/N0 point: common random
 numbers, so the error-rate curve is paired across SNR and every point equals
 the one-point simulation with the same seed.  The Philox slices come from
 `_kernels.trial_stream`, the driver the joint typicality Monte Carlo uses too,
-in batches of 2^13 trials by default.
+in batches of 2^12 trials by default.  The stream's prefetch worker also runs
+the Box-Muller transform in place, so the calling thread only decodes.  For a
+code the size of Table VIII's, batches that small keep the decode GEMMs off
+OpenBLAS's thread pool, so the simulation runs on those two threads alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -43,6 +46,9 @@ from .errors import (
 )
 
 _SPECTRUM_DECIMALS = 9  # rounding for spectrum dictionary keys
+# AWGN trials per batch: small enough that a batch's two decode GEMMs stay on one
+# OpenBLAS thread, whose pool would otherwise spin on the core the prefetch worker uses
+AWGN_BATCH = 1 << 12
 _CHAR_BITS = {"0": 0, "1": 1}
 
 
@@ -260,22 +266,34 @@ def min_group_hamming_distance(cb: GroupedCodebook) -> tuple[float, dict[tuple, 
 
 
 def _group_spectrum_of(cb: GroupedCodebook) -> tuple[float, dict[tuple, float]]:
+    """Every codeword-to-group distance in one integer array pass.
+
+    With C[g] the column sums of group g (s members), the cross distance of
+    codeword x to group b is sum(C[b]) + x.(s - 2 C[b]), the inner one is the
+    same sum at x's own group, and the denominator is ||C[b] - C[a]||^2, so
+    each distance is the one `codeword_to_group_distance` returns.  Group
+    pairs are visited in (a, b) order, as a loop over them would.
+    """
     if cb.num_groups < 2:
         raise SizeMismatch("need at least two groups")
-    d_min = math.inf
+    cw, members, own = cb.codewords, np.array(cb.groups), cb.group_of
+    col = cw[members].sum(axis=1)  # (G, n)
+    cross = col.sum(axis=1) + cw @ (cb.group_size - 2 * col).T  # (M, G)
+    gap2 = (cross - cross[np.arange(len(cw)), own][:, None]) ** 2
+    gram = col @ col.T
+    den = (np.diag(gram)[:, None] + np.diag(gram) - 2 * gram)[own]  # ||C[b] - C[own]||^2, (M, G)
+    dist = np.full(gap2.shape, math.inf)
+    np.divide(gap2, den, out=dist, where=den != 0)  # den is 0 at a codeword's own group
+    # (a, b, member) with each pair's member distances sorted
+    pairs = np.sort(dist[members].transpose(0, 2, 1), axis=2).tolist()
     counts: dict[tuple, float] = {}
-    for a in range(cb.num_groups):
-        for b in range(cb.num_groups):
-            if a == b:
-                continue
-            dists = sorted(
-                codeword_to_group_distance(cb, i, b) for i in cb.groups[a]
-            )
-            d_min = min(d_min, dists[0])
-            key = tuple(round(x, _SPECTRUM_DECIMALS) for x in dists)
-            counts[key] = counts.get(key, 0.0) + 1.0
+    for a, row in enumerate(pairs):
+        for b, dists in enumerate(row):
+            if a != b:
+                key = tuple(round(x, _SPECTRUM_DECIMALS) for x in dists)
+                counts[key] = counts.get(key, 0.0) + 1.0
     spectrum = {k: v / cb.num_groups for k, v in counts.items()}
-    return d_min, spectrum
+    return float(dist.min()), spectrum  # a codeword's own group reads inf
 
 
 def classic_distance_spectrum(cb: GroupedCodebook) -> dict[int, float]:
@@ -404,22 +422,42 @@ def wilson_halfwidth(p_hat: float, n: int, z: float = 1.959963984540054) -> floa
     return (z / denom) * math.sqrt(p_hat * (1.0 - p_hat) / n + z * z / (4.0 * n * n))
 
 
+def _box_muller(u: np.ndarray, n: int, cosines: np.ndarray | None = None) -> None:
+    """Turn a block of trial slices into n standard normals per trial, in place.
+
+    Each row of u is one trial's Philox slice: one uniform for the codeword
+    pick, then h = ceil(n/2) radius uniforms and h angle uniforms.  Radius and
+    angle are computed in their own columns; normal j < h is r_j cos(theta_j)
+    and lands in radius column j, normal h + j is r_j sin(theta_j) and lands
+    in angle column j, so the normals are u[:, 1:1+n] and sin runs only on the
+    n - h angles used.  `cosines` is scratch of at least len(u) rows and h
+    columns, with which nothing is allocated; without it, one (len(u), h)
+    array is.
+    """
+    half = (u.shape[1] - 1) // 2
+    radius, angle = u[:, 1 : 1 + half], u[:, 1 + half : 1 + 2 * half]
+    cos = np.empty((len(u), half)) if cosines is None else cosines[: len(u)]
+    np.negative(radius, out=radius)
+    np.log1p(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle *= 2.0 * math.pi
+    np.cos(angle, out=cos)
+    sines = angle[:, : n - half]
+    np.sin(sines, out=sines)
+    sines *= radius[:, : n - half]
+    radius *= cos
+
+
 def _trial_randoms(u: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Codeword-pick uniforms and n standard normals from a block of trial slices.
 
-    Each row of u is one trial's Philox slice: one uniform for the pick, then
-    an even number for Box-Muller noise.  Both outputs are new arrays, so the
-    caller can drop u before decoding.
+    `_box_muller` on a copy of u, so u is left as it was; both outputs are
+    new arrays.
     """
-    half = (u.shape[1] - 1) // 2
-    radius = np.sqrt(-2.0 * np.log1p(-u[:, 1 : 1 + half]))
-    angle = 2.0 * math.pi * u[:, 1 + half :]
-    normals = np.empty((len(u), 2 * half))
-    np.cos(angle, out=normals[:, :half])
-    np.sin(angle, out=normals[:, half:])
-    normals[:, :half] *= radius
-    normals[:, half:] *= radius
-    return u[:, 0].copy(), normals[:, :n]
+    v = u.copy()
+    _box_muller(v, n)
+    return v[:, 0].copy(), v[:, 1 : 1 + n]
 
 
 def _error_counts(
@@ -438,7 +476,7 @@ def _error_counts(
     ]
 
 
-def simulate_awgn(cb: GroupedCodebook, cfg: AwgnConfig, batch: int = 1 << 13) -> SimulationResult:
+def simulate_awgn(cb: GroupedCodebook, cfg: AwgnConfig, batch: int = AWGN_BATCH) -> SimulationResult:
     """Monte Carlo over uniform codewords through BPSK + AWGN, decoded both ways.
 
     Trial t draws its randomness from a dedicated slice of the Philox counter
@@ -452,7 +490,7 @@ def simulate_awgn(cb: GroupedCodebook, cfg: AwgnConfig, batch: int = 1 << 13) ->
 
 
 def simulate_awgn_sweep(
-    cb: GroupedCodebook, es_n0s, trials: int, seed: int = 0, batch: int = 1 << 13
+    cb: GroupedCodebook, es_n0s, trials: int, seed: int = 0, batch: int = AWGN_BATCH
 ) -> list[SimulationResult]:
     """`simulate_awgn` at every linear Es/N0 in `es_n0s`, in that order, from one noise draw.
 
@@ -462,12 +500,18 @@ def simulate_awgn_sweep(
     and the error-rate curve is paired across SNR.  Each batch's picks and
     normals are drawn once; memory does not grow with the number of points.
 
-    Trials come from `_kernels.trial_stream` in batches of `batch` trials:
-    one batch is drawn inline, more have the next batch's slices drawn on the
-    prefetch worker thread while the current one decodes.  A trial holds
-    several times its uniforms while it decodes (normals, clean signals, y and
-    the two correlation products), so the default 2^13 trials is smaller than
-    the stream's 2^18-draw default.  Raises ValueError when `batch` < 1.
+    Trials come from `_kernels.trial_stream` in batches of `batch` trials,
+    with `_box_muller` as the stream's in-place transform: one batch is drawn
+    and transformed inline; with more, the prefetch worker thread draws the
+    next batch's slices and turns them into normals while the current batch
+    decodes, so this thread only decodes.  A trial holds several times its
+    uniforms while it decodes (clean signals, y and the two correlation
+    products), so the default, 2^12 trials, is far below the stream's
+    2^18-draw default.  On the Table VIII code it also keeps each batch's two
+    decode GEMMs (b x M x n and b x G x n) under OpenBLAS's threading
+    threshold: larger ones wake its thread pool, which then spins on the
+    second core the worker needs.
+    Raises ValueError when `batch` < 1.
     """
     configs = [AwgnConfig(es_n0, trials, seed) for es_n0 in es_n0s]
     if not configs:
@@ -475,12 +519,15 @@ def simulate_awgn_sweep(
     sigmas = [math.sqrt(1.0 / (2.0 * c.es_n0)) for c in configs]
     signals = cb.signals(1.0)
     m, n = signals.shape
+    half = (n + 1) // 2
+    # the worker's scratch; one inline batch allocates its own and frees it before decoding
+    cosines = np.empty((batch, half)) if 0 < batch < trials else None
+    normals_in_place = partial(_box_muller, n=n, cosines=cosines)
 
     counts = np.zeros((len(sigmas), 3), dtype=np.int64)
-    for _, u in trial_stream(seed, trials, 1 + 2 * ((n + 1) // 2), batch):
-        picks, normals = _trial_randoms(u, n)
-        del u  # decoding needs several times the uniforms' memory; do not hold both
-        sent = np.minimum((picks * m).astype(int), m - 1)
+    for _, u in trial_stream(seed, trials, 1 + 2 * half, batch, normals_in_place):
+        sent = np.minimum((u[:, 0] * m).astype(int), m - 1)
+        normals = u[:, 1 : 1 + n]
         clean = signals[sent]
         true_group = cb.group_of[sent]
         y = np.empty((len(sent), n))

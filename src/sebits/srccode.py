@@ -159,35 +159,36 @@ def decode_sequence(
 ) -> list[int]:
     """Parse a codeword stream and emit one block representative per symbol.
 
-    Parsing is one linear scan.  A stream that does not parse raises at the
-    first position no codeword matches: TruncatedStream when the rest of the
-    stream is a proper prefix of a codeword, InvalidPrefix otherwise.
-    policy "lowest" picks the smallest index in the block; "random" draws
-    uniformly from the block (seeded, one draw per symbol).  Blockwise round
-    trip is exact: block(decode(encode(s))[k]) == block(s[k]) for every k.
+    Parsing runs in the regex engine, not in a Python loop over symbols: one
+    findall of w1|w2|... splits the stream into codewords, and one dict maps
+    each to its representative.  The code is prefix-free, so the stream
+    parses exactly when those codewords cover it.  When they do not, one
+    match of (w1|w2|...)* ends at the first position no codeword matches
+    (only then, since the match keeps a backtracking record per codeword),
+    and decoding raises there: TruncatedStream when the rest of the stream
+    is a proper prefix of a codeword, InvalidPrefix otherwise.  policy
+    "lowest" picks the smallest index in the block; "random" draws uniformly
+    from the block (seeded, one draw per symbol).  Blockwise round trip is
+    exact: block(decode(encode(s))[k]) == block(s[k]) for every k.
     """
     if len(code.codewords) != f.semantic_size:
         raise SizeMismatch("code does not match the partition's semantic alphabet")
     if policy not in ("lowest", "random"):
         raise ValueError(f"policy must be 'lowest' or 'random', got {policy!r}")
     rng = np.random.default_rng(seed) if policy == "random" else None
-    # group k + 1 matches codeword k; re.compile caches the pattern by its text
-    token = re.compile("|".join(f"({w})" for w in code.codewords))
-    blocks = []
-    pos = 0
-    for m in token.finditer(stream):
-        if m.start() != pos:
-            break
-        blocks.append(m.lastindex - 1)
-        pos = m.end()
-    if pos != len(stream):
+    # codewords are digit strings, so none needs escaping; re caches both patterns by their text
+    token = "|".join(code.codewords)
+    words = re.findall(token, stream)
+    if sum(map(len, words)) != len(stream):
+        pos = re.match(f"(?:{token})*", stream).end()
         tail = stream[pos:]
         if any(w.startswith(tail) for w in code.codewords):
             raise TruncatedStream(f"stream ends inside a codeword after position {pos}")
         raise InvalidPrefix(f"no codeword starts with {tail[:max(code.lengths)]!r} at position {pos}")
     if rng is None:
-        lowest = [min(b) for b in f.blocks]
-        return list(map(lowest.__getitem__, blocks))
+        lowest = {w: min(b) for w, b in zip(code.codewords, f.blocks)}
+        return list(map(lowest.__getitem__, words))
     # members[rng.integers(len(members))] draws what rng.choice(members) does,
     # without converting the block to an array for every symbol
-    return [members[rng.integers(len(members))] for members in map(f.blocks.__getitem__, blocks)]
+    members_of = dict(zip(code.codewords, f.blocks))
+    return [members[rng.integers(len(members))] for members in map(members_of.__getitem__, words)]

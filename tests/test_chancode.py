@@ -88,6 +88,20 @@ def oracle_codeword_to_group(cw: np.ndarray, groups, i: int, j: int) -> float:
     return math.inf if den == 0 else (cross - inner) ** 2 / den
 
 
+def loop_group_spectrum(cb: GroupedCodebook) -> tuple[float, dict[tuple, float]]:
+    """Oracle: the spectrum built from codeword_to_group_distance, group pair by group pair."""
+    d_min = math.inf
+    counts = {}
+    for a in range(cb.num_groups):
+        for b in range(cb.num_groups):
+            if a != b:
+                dists = sorted(codeword_to_group_distance(cb, i, b) for i in cb.groups[a])
+                d_min = min(d_min, dists[0])
+                key = tuple(round(x, 9) for x in dists)
+                counts[key] = counts.get(key, 0.0) + 1.0
+    return d_min, {k: v / cb.num_groups for k, v in counts.items()}
+
+
 class TestGroupDistance:
     def test_table8_oracle_agreement(self, hamming_codebook):
         cb = hamming_codebook
@@ -142,6 +156,41 @@ class TestGroupDistance:
             (7.0,): pytest.approx(1.0),
         }
 
+    def test_array_spectrum_equals_the_distance_loop(self):
+        """The one-pass spectrum against the per-codeword loop it replaced, on random
+        codebooks (short words, so many degenerate pairs at infinite distance):
+        values, key order and d_min are equal, so the MLG bound sums the same terms
+        in the same order and is bit-equal."""
+        rng = np.random.default_rng(17)
+        infinite = 0
+        for t in range(300):
+            n, groups, size = (int(x) for x in rng.integers([2, 2, 1], [7, 6, 5]))
+            if t % 4 == 0:  # groups {w, not w}: all column sums match, every distance is inf
+                size = 2
+                half = rng.choice(2 ** (n - 1), size=min(groups, 2 ** (n - 1)), replace=False)
+                words = np.column_stack([half, 2**n - 1 - half]).ravel()
+                grouping = np.arange(words.size).reshape(-1, 2)
+            elif groups * size <= 2**n:
+                words = rng.choice(2**n, size=groups * size, replace=False)
+                grouping = rng.permutation(groups * size).reshape(groups, size)
+            else:
+                continue
+            if len(grouping) < 2:
+                continue
+            cb = build_grouped_codebook([format(int(w), f"0{n}b") for w in words], grouping.tolist())
+            d_min, spectrum = min_group_hamming_distance(cb)
+            want_d_min, want = loop_group_spectrum(cb)
+            assert d_min == want_d_min
+            assert list(spectrum.items()) == list(want.items())
+            infinite += any(math.inf in key for key in spectrum)
+            for es_n0 in (0.25, 1.0, 3.7):
+                bound = 0.0
+                for profile, count in want.items():
+                    terms = [math.exp(-d * es_n0) if math.isfinite(d) else 0.0 for d in profile]
+                    bound += count * float(np.mean(terms))
+                assert gep_union_bound(cb, es_n0, "MLG") == bound
+        assert infinite > 60
+
     def test_classic_spectrum_table8(self, hamming_codebook):
         # the cyclic (7,4) code has 7 weight-3 and 7 weight-4 words; see the
         # acceptance notes for the 8/6 reference variant
@@ -156,20 +205,29 @@ class TestUnionBounds:
     def test_spectra_computed_once_per_codebook(self, hamming_codebook, monkeypatch):
         cb = build_grouped_codebook(hamming_codebook.codewords, hamming_codebook.groups)
         calls = []
-        distance = chancode.codeword_to_group_distance
-        monkeypatch.setattr(
-            chancode, "codeword_to_group_distance", lambda *a: calls.append(a) or distance(*a)
-        )
+
+        def counted(name):
+            spectrum_of = getattr(chancode, name)
+
+            def wrapper(codebook):
+                if codebook is cb:
+                    calls.append(name)
+                return spectrum_of(codebook)
+
+            return wrapper
+
+        for name in ("_group_spectrum_of", "_classic_spectrum_of"):
+            monkeypatch.setattr(chancode, name, counted(name))
         grid = [(x, mode) for x in (0.5, 1.0, 3.7) for mode in ("MLG", "ML")]
         first = [gep_union_bound(cb, x, mode) for x, mode in grid]
-        assert len(calls) == cb.num_codewords * (cb.num_groups - 1)
+        assert sorted(calls) == ["_classic_spectrum_of", "_group_spectrum_of"]
         # callers get copies: changing them does not reach the cached spectra
         min_group_hamming_distance(cb)[1].clear()
         classic_distance_spectrum(cb).clear()
         assert [gep_union_bound(cb, x, mode) for x, mode in grid] == first
         assert min_group_hamming_distance(cb) == min_group_hamming_distance(hamming_codebook)
         assert classic_distance_spectrum(cb) == classic_distance_spectrum(hamming_codebook)
-        assert len(calls) == cb.num_codewords * (cb.num_groups - 1)
+        assert sorted(calls) == ["_classic_spectrum_of", "_group_spectrum_of"]
 
     def test_mlg_at_unit_snr(self, hamming_codebook):
         want = 6 * math.exp(-2) + math.exp(-4)
@@ -362,7 +420,7 @@ class TestCorrelationDecoder:
     @pytest.mark.parametrize("singleton", [False, True])
     @pytest.mark.parametrize("batch", [1 << 15, 977, 4096, 1, None])
     def test_counts_equal_broadcast_decoder(self, hamming_codebook, singleton, batch):
-        """batch None is the default (2^13 trials): 20 000 trials span three prefetched batches."""
+        """batch None is the default (2^12 trials): 20 000 trials span five prefetched batches."""
         cb = singleton_codebook(hamming_codebook.codewords) if singleton else hamming_codebook
         kw = {} if batch is None else {"batch": batch}
         for seed in (0, 7, 60):
@@ -406,7 +464,7 @@ class TestSweep:
     @pytest.mark.parametrize("singleton", [False, True])
     @pytest.mark.parametrize("batch", [1 << 15, 977, 4096, 1, None])
     def test_sweep_equals_per_point_simulation(self, hamming_codebook, singleton, batch):
-        """batch None is the default (2^13 trials), whose two prefetched batches must
+        """batch None is the default (2^12 trials), whose four prefetched batches must
         give the one-batch run bit for bit."""
         cb = singleton_codebook(hamming_codebook.codewords) if singleton else hamming_codebook
         es_n0s = [10 ** (db / 10) for db in SWEEP_DB]
@@ -454,9 +512,10 @@ class TestSweep:
 
     @pytest.mark.parametrize("batch, bound", [(None, 6e6), (1 << 15, 12e6)])
     def test_sweep_peak(self, hamming_codebook, batch, bound):
-        """The benchmark's 3-point 2^15-trial sweep.  The default is four 2^13-trial
-        batches (4.4 MB traced, against 11.0 MB for one 2^15 batch).  In one inline
-        batch the uniform block must be dropped before decoding: held, it reads 14.2 MB."""
+        """The benchmark's 3-point 2^15-trial sweep.  The default is eight 2^12-trial
+        batches (2.2 MB traced, against 11.8 MB for one 2^15 batch).  One inline batch
+        holds its uniform block, which the transform turned into the normals, while it
+        decodes; the transform's cosine scratch must be freed first: held, it reads 12.9 MB."""
         es_n0s = [10 ** (db / 10) for db in (0.0, 1.5, 3.0)]
         kw = {} if batch is None else {"batch": batch}
         simulate_awgn_sweep(hamming_codebook, es_n0s, 1 << 15, 1, **kw)

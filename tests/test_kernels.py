@@ -1,16 +1,19 @@
 """The shared kernels: pinned draws of both streams built on the Philox per-trial
-slice, the prefetching trial_stream against those slices, the 0 log 0
-convention of xlog2x, and block_sums against a per-block loop."""
+slice, the prefetching trial_stream against those slices (with and without the
+AWGN loop's in-place Box-Muller transform), the 0 log 0 convention of xlog2x,
+and block_sums against a per-block loop."""
 
+import math
 import threading
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 
 from sebits._kernels import BATCH_DRAWS, block_sums, trial_stream, trial_uniforms, xlog2x
 from sebits.core import SynonymousPartition
-from sebits.chancode import _trial_randoms
+from sebits.chancode import AWGN_BATCH, _box_muller, _trial_randoms
 
 
 def test_trial_uniforms_pinned():
@@ -61,26 +64,86 @@ def test_stream_batch_must_be_positive():
         next(trial_stream(0, 10, 3, batch=0))
 
 
+def _separate_arrays_box_muller(u, n):
+    """Oracle: the Box-Muller of separate radius, angle and normals arrays that
+    the in-place transform replaced."""
+    half = (u.shape[1] - 1) // 2
+    radius = np.sqrt(-2.0 * np.log1p(-u[:, 1 : 1 + half]))
+    angle = 2.0 * math.pi * u[:, 1 + half :]
+    normals = np.empty((len(u), 2 * half))
+    np.cos(angle, out=normals[:, :half])
+    np.sin(angle, out=normals[:, half:])
+    normals[:, :half] *= radius
+    normals[:, half:] *= radius
+    return u[:, 0].copy(), normals[:, :n]
+
+
+def _normals_transform(n, batch):
+    """The transform simulate_awgn_sweep passes: Box-Muller with one scratch of `batch` rows."""
+    return partial(_box_muller, n=n, cosines=np.empty((batch, (n + 1) // 2)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 15])
+def test_box_muller_equals_the_separate_arrays_form(n):
+    u = trial_uniforms(8, 3, 5000, 1 + 2 * ((n + 1) // 2))
+    picks, normals = _trial_randoms(u, n)
+    want_picks, want_normals = _separate_arrays_box_muller(u, n)
+    assert np.array_equal(picks, want_picks) and np.array_equal(normals, want_normals)
+    assert np.array_equal(u, trial_uniforms(8, 3, 5000, 1 + 2 * ((n + 1) // 2)))  # u is left alone
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8])
+@pytest.mark.parametrize("batch", [1, 977, AWGN_BATCH, "inline"])
+def test_transformed_stream_is_box_muller_of_the_stream(n, batch):
+    """With the Box-Muller transform, pick and normals are those of
+    _trial_randoms(trial_uniforms(...)) bit for bit, whether the worker or the
+    calling thread applied it, on partial last batches too."""
+    per_trial = 1 + 2 * ((n + 1) // 2)
+    trials = 300 if batch == 1 else 10_000  # 10 000 is not a multiple of 977 or 2^12
+    size = trials if batch == "inline" else batch
+    transform = _normals_transform(n, size)
+    starts, picks, normals = [], [], []
+    for start, u in trial_stream(6, trials, per_trial, size, transform):
+        assert u.shape == (min(size, trials - start), per_trial)
+        starts.append(start)
+        picks.append(u[:, 0].copy())
+        normals.append(u[:, 1 : 1 + n].copy())
+    assert starts == list(range(0, trials, size))
+    want_picks, want_normals = _trial_randoms(trial_uniforms(6, 0, trials, per_trial), n)
+    assert np.array_equal(np.concatenate(picks), want_picks)
+    assert np.array_equal(np.vstack(normals), want_normals)
+
+
 def test_stream_runs_on_at_most_one_extra_thread():
+    """Also when the worker runs the Box-Muller transform after each fill."""
     before = threading.active_count()
     during = []
-    for _ in range(3):
-        for _, u in trial_stream(1, 60, 7, batch=4):
+    for transform in (None, _normals_transform(6, 4), None):
+        for _, u in trial_stream(1, 60, 7, 4, transform):
             during.append(threading.active_count())
     assert max(during) <= before + 1
     assert threading.active_count() <= before + 1
 
 
 def test_breaking_out_early_leaves_the_next_stream_intact():
-    for start, _ in trial_stream(2, 100, 9, batch=8):
-        if start >= 16:
-            break
-    abandoned = trial_stream(2, 100, 9, batch=8)
-    next(abandoned)
-    next(abandoned)  # left suspended with a fill in flight
-    got = np.vstack([u.copy() for _, u in trial_stream(2, 100, 9, batch=8)])
-    assert np.array_equal(got, trial_uniforms(2, 0, 100, 9))
-    abandoned.close()
+    """With and without the Box-Muller transform (n = 8 uses all 9 columns), each
+    stream with its own scratch, as each simulate_awgn_sweep call has."""
+    for boxed in (False, True):
+        def stream():
+            return trial_stream(2, 100, 9, 8, _normals_transform(8, 8) if boxed else None)
+
+        for start, _ in stream():
+            if start >= 16:
+                break
+        abandoned = stream()
+        next(abandoned)
+        next(abandoned)  # left suspended with a draw in flight
+        got = np.vstack([u.copy() for _, u in stream()])
+        want = trial_uniforms(2, 0, 100, 9)
+        if boxed:
+            want = np.column_stack(_trial_randoms(want, 8))
+        assert np.array_equal(got, want)
+        abandoned.close()
 
 
 def test_xlog2x_zero_convention_without_warning():

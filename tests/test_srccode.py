@@ -1,6 +1,7 @@
 """Source coding: Kraft checks, Huffman goldens, round trips, optimality."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -259,6 +260,41 @@ def _loop_decode(stream, code, f, policy="lowest", seed=None):
     return out
 
 
+def _finditer_decode(stream, code, f, policy="lowest", seed=None):
+    """Oracle: the decoder that walked a finditer over the codewords, one symbol a step."""
+    if len(code.codewords) != f.semantic_size:
+        raise SizeMismatch("code does not match the partition's semantic alphabet")
+    if policy not in ("lowest", "random"):
+        raise ValueError(f"policy must be 'lowest' or 'random', got {policy!r}")
+    rng = np.random.default_rng(seed) if policy == "random" else None
+    token = re.compile("|".join(f"({w})" for w in code.codewords))
+    blocks = []
+    pos = 0
+    for m in token.finditer(stream):
+        if m.start() != pos:
+            break
+        blocks.append(m.lastindex - 1)
+        pos = m.end()
+    if pos != len(stream):
+        tail = stream[pos:]
+        if any(w.startswith(tail) for w in code.codewords):
+            raise TruncatedStream(f"stream ends inside a codeword after position {pos}")
+        raise InvalidPrefix(f"no codeword starts with {tail[:max(code.lengths)]!r} at position {pos}")
+    if rng is None:
+        return [min(f.blocks[k]) for k in blocks]
+    return [f.blocks[k][rng.integers(len(f.blocks[k]))] for k in blocks]
+
+
+def random_prefix_code(rng: np.random.Generator, k: int, arity: int) -> SemanticPrefixCode:
+    """k codewords in random order, chosen among the leaves of a random F-ary tree,
+    so the code is often incomplete (its Kraft sum below 1)."""
+    leaves = [""]
+    while len(leaves) < k + int(rng.integers(0, 3)) or leaves == [""]:
+        leaf = leaves.pop(int(rng.integers(len(leaves))))
+        leaves += [leaf + str(digit) for digit in range(arity)]
+    return SemanticPrefixCode(tuple(rng.choice(leaves, size=k, replace=False).tolist()), arity)
+
+
 def _outcome(fn, *args, **kw):
     try:
         return "ok", fn(*args, **kw)
@@ -296,6 +332,24 @@ class TestCodecsMatchLoopOracles:
                     got = _outcome(decode_sequence, stream, code, f, policy=policy, seed=5)
                     want = _outcome(_loop_decode, stream, code, f, policy=policy, seed=5)
                     assert got == want, (code, stream, policy)
+
+    def test_decode_matches_the_finditer_loop_on_random_prefix_codes(self):
+        """The regex match and findall give the symbols of the finditer loop they
+        replaced, or its exception class and message, on random prefix codes."""
+        rng = np.random.default_rng(94)
+        outcomes = set()
+        for _ in range(300):
+            arity = int(rng.integers(2, 5))
+            n = int(rng.integers(1, 12))
+            f = random_partition(rng, n)
+            code = random_prefix_code(rng, f.semantic_size, arity)
+            for stream in self._streams(rng, code, f):
+                for policy in ("lowest", "random"):
+                    got = _outcome(decode_sequence, stream, code, f, policy=policy, seed=5)
+                    want = _outcome(_finditer_decode, stream, code, f, policy=policy, seed=5)
+                    assert got == want, (code, stream, policy)
+                    outcomes.add(got[0])
+        assert outcomes == {"ok", "TruncatedStream", "InvalidPrefix"}
 
     def test_random_policy_draws_the_choice_stream(self):
         """The random policy's picks equal one `rng.choice(members)` per symbol,
