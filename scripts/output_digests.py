@@ -10,8 +10,15 @@ typicality, cli_small), the script builds the jobs of one pass, runs each
 through `sebits.cli.main` in order, and prints the workload, the seed, the
 exit code, the sha256 of the output file ("-" when there is none; a
 `schema-check` report names its input, so the work directory is written as
-<work> before hashing) and the argv.  A fixed set of "extra" jobs outside the benchmark follows, once: the
-random decode policy; the joint Monte Carlo in both modes at n = 3,
+<work> before hashing), the sha256 of the captured stderr of a job that exits
+nonzero ("-" for one that exits 0; the work directory again written as <work>),
+so that error messages are compared and not only exit codes, and the argv.  A
+fixed set of "extra" jobs outside the benchmark follows, once: the random
+decode policy; encode of the same symbols spelled as int() also reads them
+(leading zeros, a sign, Arabic-Indic digits, tabs and CRLF) and of the
+symbols with one index outside the alphabet; decode of a stream of the
+Table VII code that ends inside a codeword and of one with an invalid digit
+in the middle; the joint Monte Carlo in both modes at n = 3,
 n = 1000 and one trial on Table II, and on a joint where the decoding probe
 counts hits; and R_s(D) beyond the binary case, with a Hamming cost on
 [0.5, 0.3, 0.2] at n^ = 4, D = 0.1 and on [0.4, 0.3, 0.2, 0.1] at n^ = 4,
@@ -54,8 +61,9 @@ def extra_jobs(work: Path) -> list[tuple[list[str], Path]]:
 
     rng = np.random.default_rng(9)
     probs = json.loads(Path("fixtures/tableVI_dist.json").read_text())["probs"]
+    drawn = rng.choice(len(probs), size=20_000, p=probs).tolist()
     symbols = work / "symbols.txt"
-    symbols.write_text(" ".join(map(str, rng.choice(len(probs), size=20_000, p=probs))))
+    symbols.write_text(" ".join(map(str, drawn)))
     part = ["--partition", "fixtures/tableVII_partition.json"]
     code, stream = work / "code.json", work / "stream.txt"
     jobs = [
@@ -64,6 +72,21 @@ def extra_jobs(work: Path) -> list[tuple[list[str], Path]]:
         (["decode", "--code", str(code), *part, "--input", str(stream), "--policy", "random", "--seed", "9"],
          work / "decoded.txt"),
     ]
+    # the same symbols spelled as int() also reads them, and with one symbol outside [0, 4)
+    spellings = (lambda u: f"00{u}", lambda u: f"+{u}", lambda u: chr(0x660 + u), str)
+    odd = "".join(spellings[i % 4](u) + ("\t", "\r\n", " ")[i % 3] for i, u in enumerate(drawn))
+    half = len(drawn) // 2
+    out_of_range = " ".join(map(str, drawn[:half] + [4] + drawn[half:]))
+    for name, text in (("symbols_spelled.txt", odd), ("symbols_range.txt", out_of_range)):
+        (work / name).write_bytes(text.encode())
+        jobs.append((["encode", "--code", str(code), *part, "--input", str(work / name)], work / f"{name}.out"))
+    # streams of the Table VII code written here, so that they do not depend on the code under test
+    words = ["0", "10", "11"]
+    fixed_code = _write_json(work / "code_fixed.json", {"codewords": words, "arity": 2})
+    body = "".join(words[k] for k in rng.integers(0, 3, size=20_000))
+    for name, text in (("stream_truncated.txt", body + "1"), ("stream_digit.txt", body[:half] + "2" + body[half:])):
+        (work / name).write_text(text)
+        jobs.append((["decode", "--code", fixed_code, *part, "--input", str(work / name)], work / f"{name}.out"))
     table2 = ["--joint", "fixtures/tableII_joint.json", "--u-partition", "fixtures/tableIII_u_partition.json",
               "--v-partition", "fixtures/tableIII_v_partition.json"]
     # a weakly dependent joint on which the decoding probe's probability is not 0
@@ -105,12 +128,15 @@ def run(name: str, seed, argv: list[str], out: Path, work: Path) -> None:
     import sebits.cli
 
     argv = [*argv, "-o", str(out)]
-    with contextlib.redirect_stderr(io.StringIO()):
+    with contextlib.redirect_stderr(io.StringIO()) as err:
         try:
             code = sebits.cli.main(argv)
         except Exception as e:  # a crash is an outcome to compare too
             code = f"raised:{type(e).__name__}"
-    print(name, seed, code, digest(out, work), " ".join(argv).replace(str(work), "<work>"), flush=True)
+    stderr = "-"
+    if code != 0:
+        stderr = hashlib.sha256(err.getvalue().replace(str(work), "<work>").encode()).hexdigest()
+    print(name, seed, code, digest(out, work), stderr, " ".join(argv).replace(str(work), "<work>"), flush=True)
 
 
 def main() -> None:

@@ -276,11 +276,18 @@ def _integer(value) -> int:
 
 
 def _read_symbols(path: str) -> list[int]:
-    text = _read_text(path)
+    """The whitespace-separated integers of a symbols file, in order.
+
+    int() runs once per distinct token, not once per symbol: a table from
+    each distinct token to its value maps the file.  Any token int() takes
+    (007, +1, a non-ASCII digit) reads as int() reads it.
+    """
+    tokens = _read_text(path).split()
     try:
-        return list(map(int, text.split()))
+        value_of = {t: int(t) for t in set(tokens)}
     except ValueError as e:
         raise ValidationError(f"{path}: symbols must be whitespace-separated integers") from e
+    return list(map(value_of.__getitem__, tokens))
 
 
 def _cmd_encode(args) -> str:
@@ -293,7 +300,8 @@ def _cmd_decode(args) -> str:
     f = load_partition(args.partition)
     stream = _read_text(args.input).strip()
     symbols = srccode.decode_sequence(stream, code, f, policy=args.policy, seed=args.seed)
-    return " ".join(map(str, symbols))
+    names = [str(u) for u in range(f.alphabet_size)]  # decoded symbols are indices in [0, N)
+    return " ".join(map(names.__getitem__, symbols))
 
 
 def _cmd_chancode(args) -> dict:

@@ -137,16 +137,26 @@ def optimal_length_bounds(
 
 
 def encode_sequence(symbols, code: SemanticPrefixCode, f: SynonymousPartition) -> str:
-    """Concatenate the codeword of each symbol's block: one range check, which
-    reports the first symbol outside [0, N), then one table lookup per symbol."""
+    """Concatenate the codeword of each symbol's block, one dict lookup per symbol.
+
+    The dict maps the N valid indices to codewords, so any symbol equal to a
+    valid index (an int, a bool, 2.0, a numpy integer) is coded by lookup.
+    Only a sequence holding some other symbol (2.5, "3", -1, N, an unhashable
+    value) takes the slow path: int() of every symbol and one range check,
+    which reports the first symbol outside [0, N) as IndexOutOfRange.
+    """
     if len(code.codewords) != f.semantic_size:
         raise SizeMismatch("code does not match the partition's semantic alphabet")
+    symbols = list(symbols)  # a one-shot iterable must survive for the slow path
+    word_of = dict(enumerate(code.codewords[k] for k in f.block_of.tolist()))
+    try:
+        return "".join(map(word_of.__getitem__, symbols))
+    except (KeyError, TypeError):
+        pass
     symbols = list(map(int, symbols))
-    n = f.alphabet_size
-    if symbols and (min(symbols) < 0 or max(symbols) >= n):
-        bad = next(u for u in symbols if not 0 <= u < n)
-        raise IndexOutOfRange(f"symbol index {bad} outside [0, {n})")
-    word_of = [code.codewords[k] for k in f.block_of.tolist()]
+    bad = next((u for u in symbols if u not in word_of), None)
+    if bad is not None:
+        raise IndexOutOfRange(f"symbol index {bad} outside [0, {f.alphabet_size})")
     return "".join(map(word_of.__getitem__, symbols))
 
 
@@ -162,25 +172,25 @@ def decode_sequence(
     Parsing runs in the regex engine, not in a Python loop over symbols: one
     findall of w1|w2|... splits the stream into codewords, and one dict maps
     each to its representative.  The code is prefix-free, so the stream
-    parses exactly when those codewords cover it.  When they do not, one
-    match of (w1|w2|...)* ends at the first position no codeword matches
-    (only then, since the match keeps a backtracking record per codeword),
-    and decoding raises there: TruncatedStream when the rest of the stream
-    is a proper prefix of a codeword, InvalidPrefix otherwise.  policy
-    "lowest" picks the smallest index in the block; "random" draws uniformly
-    from the block (seeded, one draw per symbol).  Blockwise round trip is
-    exact: block(decode(encode(s))[k]) == block(s[k]) for every k.
+    parses exactly when those codewords, joined, give the stream back.  When
+    they do not, the parse breaks where the run of codewords contiguous from
+    position 0 ends; a bisection over joined prefixes of the findall list
+    finds that position without a backtracking match.  Decoding raises there:
+    TruncatedStream when the rest of the stream is a proper prefix of a
+    codeword, InvalidPrefix otherwise.  policy "lowest" picks the smallest
+    index in the block; "random" draws uniformly from the block (seeded, one
+    draw per symbol).  Blockwise round trip is exact:
+    block(decode(encode(s))[k]) == block(s[k]) for every k.
     """
     if len(code.codewords) != f.semantic_size:
         raise SizeMismatch("code does not match the partition's semantic alphabet")
     if policy not in ("lowest", "random"):
         raise ValueError(f"policy must be 'lowest' or 'random', got {policy!r}")
     rng = np.random.default_rng(seed) if policy == "random" else None
-    # codewords are digit strings, so none needs escaping; re caches both patterns by their text
-    token = "|".join(code.codewords)
-    words = re.findall(token, stream)
-    if sum(map(len, words)) != len(stream):
-        pos = re.match(f"(?:{token})*", stream).end()
+    # codewords are digit strings, so none needs escaping; re caches the pattern by its text
+    words = re.findall("|".join(code.codewords), stream)
+    if "".join(words) != stream:
+        pos = _parsed_prefix_length(words, stream)
         tail = stream[pos:]
         if any(w.startswith(tail) for w in code.codewords):
             raise TruncatedStream(f"stream ends inside a codeword after position {pos}")
@@ -192,3 +202,21 @@ def decode_sequence(
     # without converting the block to an array for every symbol
     members_of = dict(zip(code.codewords, f.blocks))
     return [members[rng.integers(len(members))] for members in map(members_of.__getitem__, words)]
+
+
+def _parsed_prefix_length(words: list[str], stream: str) -> int:
+    """Length of the run of findall `words` that lies contiguous from position 0.
+
+    "The first k words, joined, start the stream" holds for every k up to
+    that run's length and for none beyond it: no codeword starts where the
+    run ends, or findall would have matched it there.  So the test is
+    monotone in k and a bisection finds the run in O(log len(words)) joins.
+    """
+    lo, hi = 0, len(words)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if stream.startswith("".join(words[:mid])):
+            lo = mid
+        else:
+            hi = mid - 1
+    return sum(map(len, words[:lo]))

@@ -150,6 +150,33 @@ class TestHuffman:
         assert dec_code == 0
         assert decoded.split() == ["0", "0", "2", "2", "1", "2", "1"]
 
+    def _encode(self, tmp_path, body):
+        """(exit code, stdout, stderr) of `encode` on a symbols file holding `body`."""
+        part = ["--partition", str(FIXTURES / "tableVII_partition.json")]
+        code_path = tmp_path / "code.json"
+        assert run_main("huffman", "--dist", str(FIXTURES / "tableVI_dist.json"), *part, "-o", str(code_path))[0] == 0
+        symbols = tmp_path / "symbols.txt"
+        symbols.write_bytes(body.encode())
+        return run_main("encode", "--code", str(code_path), *part, "--input", str(symbols))
+
+    def test_non_canonical_symbol_spellings_encode_as_canonical(self, tmp_path):
+        """Every spelling int() reads (leading zeros, a sign, a non-ASCII digit,
+        tabs and CRLF) encodes as the canonical file does."""
+        assert self._encode(tmp_path, "003\t+1\r\n\u0663 -0\r\n") == self._encode(tmp_path, "3 1 3 0") == (
+            0, "1110110\n", "")
+
+    # exit code and stderr of the int()-per-token reader, recorded before the table lookup replaced it
+    @pytest.mark.parametrize("bad, message", [
+        ("-1", "symbol index -1 outside [0, 4)"),
+        ("4", "symbol index 4 outside [0, 4)"),
+        ("1.5", "{path}: symbols must be whitespace-separated integers"),
+        ("x", "{path}: symbols must be whitespace-separated integers"),
+        ("1" * 31, f"symbol index {'1' * 31} outside [0, 4)"),
+    ])
+    def test_bad_symbol_exits_2_with_the_int_reader_message(self, tmp_path, bad, message):
+        message = message.format(path=tmp_path / "symbols.txt")
+        assert self._encode(tmp_path, f"0 {bad} 2\n") == (2, "", f"error: {message}\n")
+
 
 class TestCapacity:
     def test_identity_channel(self, tmp_path):

@@ -143,6 +143,29 @@ class TestStreamErrors:
         with pytest.raises(InvalidPrefix):
             decode_sequence("011", f=f, code=code)
 
+    def test_error_path_memory_stays_near_the_parse(self):
+        """A 200 000-codeword stream with one invalid digit appended peaks at
+        most 1.2x the traced memory of the same stream decoded whole: locating
+        the error keeps no backtracking record per codeword."""
+        import tracemalloc
+
+        code = SemanticPrefixCode(("0", "10", "11"))
+        f = SynonymousPartition.identity(3)
+        stream = encode_sequence(np.random.default_rng(0).integers(0, 3, 200_000).tolist(), code, f)
+
+        def peak(s):
+            tracemalloc.start()
+            try:
+                outcome = _outcome(decode_sequence, s, code, f)
+                return outcome[0], tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        ok, ok_peak = peak(stream)
+        bad, bad_peak = peak(stream + "2")
+        assert (ok, bad) == ("ok", "InvalidPrefix")
+        assert bad_peak <= 1.2 * ok_peak, (bad_peak, ok_peak)
+
     def test_empty_stream(self, huffman_dist, huffman_partition):
         code = build_semantic_huffman(huffman_dist, huffman_partition)
         assert decode_sequence("", code, huffman_partition) == []
@@ -383,8 +406,18 @@ class TestCodecsMatchLoopOracles:
             if seq:
                 k = int(rng.integers(0, len(seq)))
                 cases += [seq[:k] + [n] + seq[k:], seq[:k] + [-1] + seq[k:] + [n + 3]]
+                cases += [seq[:k] + [10**30] + seq[k:]]
+            # symbols equal to a valid index hit the lookup table; the rest (2.5, "3", 10**30,
+            # an unhashable list) take the int() path: either way the oracle's outcome
+            cases += [tuple(seq), [True, False], [2.0], [2.5], [float(u) for u in seq],
+                      [u + 0.5 for u in seq], ["3"], list(map(str, seq)), np.array(seq) % 2 == 1, [[0]]]
             for symbols in cases:
                 assert _outcome(encode_sequence, symbols, code, f) == _outcome(
+                    _loop_encode, symbols, code, f
+                )
+            # a one-shot iterable is read once, by the table lookup or by the int() path
+            for symbols in (seq, seq + [n]):
+                assert _outcome(encode_sequence, (u for u in symbols), code, f) == _outcome(
                     _loop_encode, symbols, code, f
                 )
 
