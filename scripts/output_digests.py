@@ -24,7 +24,11 @@ counts hits; and R_s(D) beyond the binary case, with a Hamming cost on
 [0.5, 0.3, 0.2] at n^ = 4, D = 0.1 and on [0.4, 0.3, 0.2, 0.1] at n^ = 4,
 D = 0.2; the AWGN simulation on Table VIII at 1 trial and at 12 345 trials
 (which ends on a partial batch), and on an n = 8 code, the Table VIII words
-with an even-parity bit appended; and every malformed file of
+with an even-parity bit appended; capacity, full and --identity-only, on a
+channel whose optimal input is on the boundary of the simplex, on one with an
+all-zero output column and on a seeded random 6x6 channel; chancode and
+simulate on a codebook whose two groups have equal sum signals, so that the
+MLG decoder always ties between them; and every malformed file of
 tests/malformed_inputs.json (read from this script's checkout), run through the subcommand of its kind and, for the
 five schema kinds, through `schema-check`.  Inputs and outputs go to a
 temporary directory, written as <work> in the argv, so the lines of two
@@ -113,6 +117,19 @@ def extra_jobs(work: Path) -> list[tuple[list[str], Path]]:
                              (_write_json(work / "parity8.json", parity), 12_345)):
         argv = ["simulate", "--codebook", codebook, "--es-n0-db", "0,1.5,3", "--trials", str(trials), "--seed", "7"]
         jobs.append((argv, work / f"awgn_{Path(codebook).stem}_{trials}.csv"))
+    boundary = [[0.6634490638607984, 0.17789920231940143, 0.15865173381980024],
+                [0.011519950965607977, 0.5930180594914135, 0.39546198954297845],
+                [0.7468046402560758, 0.25215560168911316, 0.0010397580548109561]]
+    zero_column = np.insert(np.random.default_rng(5).dirichlet(np.ones(4), size=5), 2, 0.0, axis=1)
+    random6 = np.random.default_rng(6).dirichlet(0.7 * np.ones(6), size=6)
+    for name, w in (("boundary", boundary), ("zero_column", zero_column.tolist()), ("random6", random6.tolist())):
+        channel = _write_json(work / f"channel_{name}.json", {"transition": w})
+        for flags in ([], ["--identity-only"]):
+            jobs.append((["capacity", "--channel", channel, *flags], work / f"capacity_{name}{len(flags)}.json"))
+    tied = _write_json(work / "tied.json", {"codewords": ["000", "111", "001", "110"], "groups": [[0, 1], [2, 3]]})
+    jobs.append((["chancode", "--codebook", tied, "--es-n0", "1.0"], work / "tied_chancode.json"))
+    jobs.append((["simulate", "--codebook", tied, "--es-n0-db", "0,10", "--trials", "20000", "--seed", "1"],
+                 work / "tied_awgn.csv"))
     malformed = json.loads((Path(__file__).resolve().parent.parent / "tests" / "malformed_inputs.json").read_text())
     for i, (kind, _, doc) in enumerate(malformed["cases"]):
         file = _write_json(work / f"malformed_{i}.json", doc)

@@ -224,8 +224,10 @@ def codeword_to_group_distance(cb: GroupedCodebook, codeword_index: int, target_
     """Squared distance-gap ratio governing the pairwise codeword-to-group error.
 
     [sum_l d_H(x, x(j_s,l)) - sum_{l != self} d_H(x, x(i_s,l))]^2
-    divided by || sum_l (x(j_s,l) - x(i_s,l)) ||^2 over integer vectors;
-    +inf when the denominator vanishes (degenerate decision hyperplane).
+    divided by || sum_l (x(j_s,l) - x(i_s,l)) ||^2 over integer vectors.
+    The denominator vanishes only when the two groups' sum signals are equal,
+    and then so does the gap: the MLG metrics tie for every received vector,
+    and the 0/0 reads as distance 0.
     """
     m = cb.num_codewords
     if not 0 <= codeword_index < m:
@@ -240,9 +242,7 @@ def codeword_to_group_distance(cb: GroupedCodebook, codeword_index: int, target_
     inner = int(np.abs(own_members - x).sum())  # the codeword itself adds 0
     delta = others.sum(axis=0) - own_members.sum(axis=0)
     den = float(delta @ delta)
-    if den == 0.0:
-        return math.inf
-    return (cross - inner) ** 2 / den
+    return (cross - inner) ** 2 / den if den else 0.0
 
 
 def group_hamming_distance(cb: GroupedCodebook, group_a: int, group_b: int) -> float:
@@ -271,8 +271,8 @@ def _group_spectrum_of(cb: GroupedCodebook) -> tuple[float, dict[tuple, float]]:
     With C[g] the column sums of group g (s members), the cross distance of
     codeword x to group b is sum(C[b]) + x.(s - 2 C[b]), the inner one is the
     same sum at x's own group, and the denominator is ||C[b] - C[a]||^2, so
-    each distance is the one `codeword_to_group_distance` returns.  Group
-    pairs are visited in (a, b) order, as a loop over them would.
+    each distance is the one `codeword_to_group_distance` returns, 0/0 read
+    as 0.  Group pairs are visited in (a, b) order, as a loop over them would.
     """
     if cb.num_groups < 2:
         raise SizeMismatch("need at least two groups")
@@ -282,8 +282,9 @@ def _group_spectrum_of(cb: GroupedCodebook) -> tuple[float, dict[tuple, float]]:
     gap2 = (cross - cross[np.arange(len(cw)), own][:, None]) ** 2
     gram = col @ col.T
     den = (np.diag(gram)[:, None] + np.diag(gram) - 2 * gram)[own]  # ||C[b] - C[own]||^2, (M, G)
-    dist = np.full(gap2.shape, math.inf)
-    np.divide(gap2, den, out=dist, where=den != 0)  # den is 0 at a codeword's own group
+    # den is 0 only where the group sums are equal, and the gap is 0 there too
+    dist = np.divide(gap2, den, out=np.zeros(gap2.shape), where=den != 0)
+    dist[np.arange(len(cw)), own] = math.inf
     # (a, b, member) with each pair's member distances sorted
     pairs = np.sort(dist[members].transpose(0, 2, 1), axis=2).tolist()
     counts: dict[tuple, float] = {}
@@ -363,7 +364,8 @@ def gep_union_bound(cb: GroupedCodebook, es_n0: float, mode: str = "MLG") -> flo
 
     mode "MLG": sum over group-distance-spectrum entries of the averaged
     exp(-d Es/N0) terms; mode "ML": classic bound from the average distance
-    spectrum.  Infinite distances (degenerate hyperplanes) contribute zero.
+    spectrum.  A group pair with equal sum signals, on which the MLG decoder
+    always ties, has distance 0 and contributes a term of 1.
     """
     if es_n0 <= 0:
         raise ValueError("Es/N0 must be positive")
@@ -371,9 +373,7 @@ def gep_union_bound(cb: GroupedCodebook, es_n0: float, mode: str = "MLG") -> flo
         _, spectrum = min_group_hamming_distance(cb)
         total = 0.0
         for profile, count in spectrum.items():
-            total += count * float(
-                np.mean([math.exp(-d * es_n0) if math.isfinite(d) else 0.0 for d in profile])
-            )
+            total += count * float(np.mean([math.exp(-d * es_n0) for d in profile]))
         return total
     if mode == "ML":
         spectrum = classic_distance_spectrum(cb)

@@ -14,7 +14,9 @@ Frank-Wolfe gap; the down companion is convex in the test channel and its
 descent, with the multiplier of the distortion constraint re-solved at every
 step, stops once the Lagrange-dual lower bound meets the best feasible value.
 Classic Blahut-Arimoto baselines are included for the C <= C_s and
-R_s(D) <= R(D) comparisons.
+R_s(D) <= R(D) comparisons; both run on the same SQUAREM driver and stop on
+their own certificates: Arimoto's upper and lower capacity bounds for C, the
+singleton case of the descent's duality bound for R(D).
 """
 
 from __future__ import annotations
@@ -106,28 +108,32 @@ def blahut_arimoto_capacity(
 ) -> tuple[float, Distribution]:
     """Classic channel capacity max_p I(X;Y) in bits, with the maximizing input.
 
-    Stops when the Arimoto upper/lower capacity bounds agree within `tol`, so
-    the returned value is within `tol` of the true maximum.
+    The step is Arimoto's update r <- r 2^d, normalised, where d_x is the
+    divergence of row x from the output law (Arimoto 1972), run on the
+    SQUAREM driver.  It stops on Arimoto's certificate: max d bounds the
+    capacity from above and r.d from below, so once they agree within `tol`
+    the returned value is within `tol` of the true maximum.  `max_iter`
+    counts the driver's rounds, each of up to three steps.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     w = ch.transition
     m = ch.input_size
-    if m == 1:
-        return 0.0, Distribution(np.ones(1))
-    r = np.full(m, 1.0 / m)
     logw = np.where(w > 0, np.log2(np.maximum(w, _LOG_FLOOR)), 0.0)
-    for _ in range(max_iter):
+
+    def step(r: np.ndarray) -> tuple[np.ndarray, float, float]:
         q = r @ w
         logq = np.where(q > 0, np.log2(np.maximum(q, _LOG_FLOOR)), 0.0)
         d = np.sum(w * (logw - logq), axis=1)  # per-input divergence to the output dist
-        lower = float(r @ d)
-        upper = float(d.max())
-        if upper - lower < tol:
-            return lower, Distribution(r)
-        r = r * np.exp2(d - d.max())
-        r /= r.sum()
-    raise NonConvergence(f"Blahut-Arimoto did not reach tol={tol} in {max_iter} iterations")
+        nxt = r * np.exp2(d - d.max())
+        return nxt / nxt.sum(), float(d.max() - r @ d), -float(r @ d)
+
+    r, f, stopped = _iterate_to_certificate(
+        step, np.full(m, 1.0 / m), lambda gap, f: gap < tol, max_iter
+    )
+    if not stopped:
+        raise NonConvergence(f"Blahut-Arimoto did not reach tol={tol} in {max_iter} rounds")
+    return -f, Distribution(r)
 
 
 # ---------------------------------------------------------------------------

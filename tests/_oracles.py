@@ -1,13 +1,14 @@
 """References that the library no longer runs: all set partitions, the
 capacity search over every (input, output) partition pair, the R_s(D) search
-over every labeled (source, reconstruction) partition pair, and the per-block
-loops that summed masses over the blocks before `_kernels.block_sums`."""
+over every labeled (source, reconstruction) partition pair, the per-block
+loops that summed masses over the blocks before `_kernels.block_sums`, and
+the plain Blahut-Arimoto capacity loop that ran before the SQUAREM driver."""
 
 import numpy as np
 
 from sebits._kernels import block_sums
-from sebits.core import ChannelModel, JointSynonymousPartition, SynonymousPartition
-from sebits.errors import Infeasible, SupportMismatch
+from sebits.core import ChannelModel, Distribution, JointSynonymousPartition, SynonymousPartition
+from sebits.errors import Infeasible, NonConvergence, SupportMismatch
 from sebits.measures import entropy, semantic_entropy
 from sebits.optimize import (
     RateDistortionResult,
@@ -46,6 +47,30 @@ def set_partitions(n: int):
 
     if n >= 1:
         yield from rec(1, 1)
+
+
+def plain_blahut_arimoto_capacity(
+    ch: ChannelModel, tol: float = 1e-10, max_iter: int = 100_000
+) -> tuple[float, Distribution, int]:
+    """(capacity, input, passes made) by the plain Arimoto loop, stopped when
+    the upper/lower capacity bounds agree within `tol`."""
+    w = ch.transition
+    m = ch.input_size
+    if m == 1:
+        return 0.0, Distribution(np.ones(1)), 0
+    r = np.full(m, 1.0 / m)
+    logw = np.where(w > 0, np.log2(np.maximum(w, 1e-300)), 0.0)
+    for it in range(max_iter):
+        q = r @ w
+        logq = np.where(q > 0, np.log2(np.maximum(q, 1e-300)), 0.0)
+        d = np.sum(w * (logw - logq), axis=1)  # per-input divergence to the output dist
+        lower = float(r @ d)
+        upper = float(d.max())
+        if upper - lower < tol:
+            return lower, Distribution(r), it + 1
+        r = r * np.exp2(d - d.max())
+        r /= r.sum()
+    raise NonConvergence(f"Blahut-Arimoto did not reach tol={tol} in {max_iter} iterations")
 
 
 def exhaustive_capacity(ch: ChannelModel) -> float:

@@ -85,7 +85,10 @@ def oracle_codeword_to_group(cw: np.ndarray, groups, i: int, j: int) -> float:
     for a, b in zip(groups[j], groups[own]):
         delta += cw[a] - cw[b]
     den = float(np.dot(delta, delta))
-    return math.inf if den == 0 else (cross - inner) ** 2 / den
+    if den == 0:  # equal group sums: the gap vanishes too, and the 0/0 reads as distance 0
+        assert cross == inner
+        return 0.0
+    return (cross - inner) ** 2 / den
 
 
 def loop_group_spectrum(cb: GroupedCodebook) -> tuple[float, dict[tuple, float]]:
@@ -128,10 +131,16 @@ class TestGroupDistance:
                 d_h = int(np.sum(np.abs(cw[i] - cw[j])))
                 assert codeword_to_group_distance(single, i, j) == pytest.approx(d_h)
 
-    def test_zero_denominator_is_infinite(self):
-        # the two groups have identical column sums, so the difference vanishes
+    def test_zero_denominator_reads_zero(self):
+        # the two groups have identical column sums, so the difference vanishes; so do
+        # the gaps, and the MLG metrics of the two groups tie on every received vector
         cb = build_grouped_codebook(["00", "11", "01", "10"], [[0, 1], [2, 3]])
-        assert codeword_to_group_distance(cb, 0, 1) == math.inf
+        for i in range(4):
+            assert codeword_to_group_distance(cb, i, 1 - int(cb.group_of[i])) == 0.0
+        assert min_group_hamming_distance(cb) == (0.0, {(0.0, 0.0): 1.0})
+        y = np.random.default_rng(3).normal(size=(50, 2))
+        group_signals = cb.signals()[np.array(cb.groups)].sum(axis=1)
+        np.testing.assert_array_equal(y @ group_signals[0], y @ group_signals[1])
 
     def test_own_group_rejected(self, hamming_codebook):
         with pytest.raises(GroupOutOfRange):
@@ -158,14 +167,14 @@ class TestGroupDistance:
 
     def test_array_spectrum_equals_the_distance_loop(self):
         """The one-pass spectrum against the per-codeword loop it replaced, on random
-        codebooks (short words, so many degenerate pairs at infinite distance):
+        codebooks (short words, so many degenerate pairs at distance 0/0 = 0):
         values, key order and d_min are equal, so the MLG bound sums the same terms
         in the same order and is bit-equal."""
         rng = np.random.default_rng(17)
-        infinite = 0
+        degenerate = 0
         for t in range(300):
             n, groups, size = (int(x) for x in rng.integers([2, 2, 1], [7, 6, 5]))
-            if t % 4 == 0:  # groups {w, not w}: all column sums match, every distance is inf
+            if t % 4 == 0:  # groups {w, not w}: all column sums match, every distance is 0/0
                 size = 2
                 half = rng.choice(2 ** (n - 1), size=min(groups, 2 ** (n - 1)), replace=False)
                 words = np.column_stack([half, 2**n - 1 - half]).ravel()
@@ -182,14 +191,15 @@ class TestGroupDistance:
             want_d_min, want = loop_group_spectrum(cb)
             assert d_min == want_d_min
             assert list(spectrum.items()) == list(want.items())
-            infinite += any(math.inf in key for key in spectrum)
+            col = cb.codewords[np.array(cb.groups)].sum(axis=1)
+            degenerate += len(np.unique(col, axis=0)) < len(col)  # two groups with equal sums
             for es_n0 in (0.25, 1.0, 3.7):
                 bound = 0.0
                 for profile, count in want.items():
-                    terms = [math.exp(-d * es_n0) if math.isfinite(d) else 0.0 for d in profile]
+                    terms = [math.exp(-d * es_n0) for d in profile]
                     bound += count * float(np.mean(terms))
                 assert gep_union_bound(cb, es_n0, "MLG") == bound
-        assert infinite > 60
+        assert degenerate > 60
 
     def test_classic_spectrum_table8(self, hamming_codebook):
         # the cyclic (7,4) code has 7 weight-3 and 7 weight-4 words; see the
@@ -244,9 +254,10 @@ class TestUnionBounds:
             vals = [gep_union_bound(hamming_codebook, x, mode) for x in grid]
             assert all(a > b for a, b in zip(vals, vals[1:]))
 
-    def test_infinite_distance_contributes_nothing(self):
+    def test_tied_groups_contribute_a_term_of_one(self):
+        # one group pair at distance 0/0 = 0, on which the MLG decoder always ties
         cb = build_grouped_codebook(["00", "11", "01", "10"], [[0, 1], [2, 3]])
-        assert gep_union_bound(cb, 1.0, "MLG") == 0.0
+        assert gep_union_bound(cb, 1.0, "MLG") == 1.0
 
 
 def oracle_group_loglik(y: np.ndarray, cb: GroupedCodebook, sigma2: float) -> int:

@@ -244,6 +244,31 @@ class TestChancodeAndSimulate:
         header = out_a.splitlines()[0].split(",")
         assert header == ["es_n0_db", "group_err", "cw_err", "mlg_bound", "ml_bound"]
 
+    def test_degenerate_groups_bound_the_simulated_error(self, tmp_path):
+        """Groups with equal sum signals tie on every received vector, so the MLG
+        decoder errs on about half of them: the bound counts the pair at distance 0
+        and still holds, and the report is strict JSON."""
+        codebook = tmp_path / "degenerate.json"
+        codebook.write_text(json.dumps({"codewords": ["000", "111", "001", "110"], "groups": [[0, 1], [2, 3]]}))
+        code, out, _ = run_cli("chancode", "--codebook", str(codebook), "--es-n0", "1.0")
+        assert code == 0
+
+        def no_constant(name):
+            raise ValueError(f"non-finite JSON number {name}")
+
+        got = json.loads(out, parse_constant=no_constant)
+        assert got["d_gh_min"] == 0.0 and got["mlg_bound"] == 1.0
+        trials = 20_000
+        code, out, _ = run_cli("simulate", "--codebook", str(codebook), "--es-n0-db", "0,10",
+                               "--trials", str(trials), "--seed", "1")
+        assert code == 0
+        rows = [dict(zip(out.splitlines()[0].split(","), map(float, line.split(","))))
+                for line in out.splitlines()[1:]]
+        assert len(rows) == 2
+        for row in rows:
+            p = row["group_err"]
+            assert p <= row["mlg_bound"] + 3 * math.sqrt(p * (1 - p) / trials)
+
 
 class TestTypicality:
     def test_exact_report(self):

@@ -16,7 +16,7 @@ from sebits.core import (
     JointSynonymousPartition,
     SynonymousPartition,
 )
-from sebits.errors import BudgetExceeded, Infeasible
+from sebits.errors import BudgetExceeded, Infeasible, NonConvergence
 from sebits.measures import mutual_information, up_smi
 from sebits.optimize import (
     SemanticDistortionMatrix,
@@ -37,6 +37,7 @@ from _oracles import (
     exhaustive_capacity,
     labeled_pair_solve,
     labeled_rate_distortion,
+    plain_blahut_arimoto_capacity,
     set_partitions,
 )
 
@@ -116,6 +117,11 @@ class TestBlahutArimotoCapacity:
         assert c == pytest.approx(1.0, abs=1e-9)
         np.testing.assert_allclose(r.probs, [0.5, 0.5], atol=1e-6)
 
+    def test_single_input_zero(self):
+        c, r = blahut_arimoto_capacity(ChannelModel(np.array([[0.2, 0.0, 0.8]])))
+        assert c == 0.0
+        np.testing.assert_array_equal(r.probs, [1.0])
+
     def test_identical_rows_zero(self):
         c, _ = blahut_arimoto_capacity(ChannelModel(np.array([[0.3, 0.7], [0.3, 0.7]])))
         assert c == pytest.approx(0.0, abs=1e-12)
@@ -125,6 +131,82 @@ class TestBlahutArimotoCapacity:
         ch = ChannelModel(np.array([[1 - e, e, 0.0], [0.0, e, 1 - e]]))
         c, _ = blahut_arimoto_capacity(ch, tol=1e-12)
         assert c == pytest.approx(1 - e, abs=1e-9)
+
+
+# a solvers-workload channel whose optimal input puts 1.5e-10 on symbol 0
+BOUNDARY_OPTIMUM = [
+    [0.6634490638607984, 0.17789920231940143, 0.15865173381980024],
+    [0.011519950965607977, 0.5930180594914135, 0.39546198954297845],
+    [0.7468046402560758, 0.25215560168911316, 0.0010397580548109561],
+]
+# a solvers-workload channel on which the plain loop makes 584 passes
+SLOW_PLAIN = [
+    [0.4748023120122528, 0.4422756832202773, 0.08292200476746989],
+    [0.10685641982749836, 0.620212239947851, 0.27293134022465054],
+    [0.27257657373623323, 0.3344589825863548, 0.39296444367741207],
+]
+
+
+def arimoto_gap(w: np.ndarray, r: np.ndarray) -> float:
+    """max_x d_x - r.d for d_x = D(w[x] || r w), from the raw sums."""
+    nx, ny = w.shape
+    q = [sum(r[x] * w[x, y] for x in range(nx)) for y in range(ny)]
+    d = [sum(w[x, y] * math.log2(w[x, y] / q[y]) for y in range(ny) if w[x, y] > 0) for x in range(nx)]
+    return max(d) - sum(r[x] * d[x] for x in range(nx))
+
+
+def oracle_channels():
+    rng = np.random.default_rng(17)
+    shapes = [(n, m) for n in range(3, 9) for m in (3, 5, 8)]
+    chans = [rng.dirichlet(0.7 * np.ones(m), size=n) for n, m in shapes]
+    zero_column = np.insert(rng.dirichlet(np.ones(4), size=5), 2, 0.0, axis=1)
+    return [np.array(BOUNDARY_OPTIMUM), np.array(SLOW_PLAIN), zero_column, *chans]
+
+
+class TestBlahutArimotoCapacityOracle:
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        """Counts the steps the SQUAREM driver takes."""
+        import sebits.optimize as opt
+
+        count = [0]
+        driver = opt._iterate_to_certificate
+
+        def counted(step, x, done, rounds):
+            def tally(v):
+                count[0] += 1
+                return step(v)
+
+            return driver(tally, x, done, rounds)
+
+        monkeypatch.setattr(opt, "_iterate_to_certificate", counted)
+        return count
+
+    @pytest.mark.parametrize("i", range(len(oracle_channels())))
+    def test_matches_the_plain_loop(self, i, steps):
+        w = oracle_channels()[i]
+        tol = 1e-10
+        c, r = blahut_arimoto_capacity(ChannelModel(w), tol)
+        c_plain, _, passes = plain_blahut_arimoto_capacity(ChannelModel(w), tol)
+        assert abs(c - c_plain) <= tol
+        assert arimoto_gap(w, r.probs) < tol
+        assert steps[0] <= passes
+
+    def test_boundary_optimum(self):
+        _, r = blahut_arimoto_capacity(ChannelModel(np.array(BOUNDARY_OPTIMUM)))
+        assert r.probs[0] < 1e-9
+
+    def test_certifies_within_a_third_of_the_plain_passes(self):
+        ch = ChannelModel(np.array(SLOW_PLAIN))
+        k = 12
+        with pytest.raises(NonConvergence):  # the plain loop needs 584 passes
+            plain_blahut_arimoto_capacity(ch, 1e-10, max_iter=3 * k)
+        _, r = blahut_arimoto_capacity(ch, 1e-10, max_iter=k)
+        assert arimoto_gap(ch.transition, r.probs) < 1e-10
+
+    def test_round_budget_exhausted(self):
+        with pytest.raises(NonConvergence, match="rounds"):
+            blahut_arimoto_capacity(ChannelModel(np.array(SLOW_PLAIN)), 1e-10, max_iter=1)
 
 
 def _xlog2x(a: np.ndarray) -> np.ndarray:
