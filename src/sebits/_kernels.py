@@ -1,10 +1,10 @@
 """Numerical primitives shared by the sebits modules.
 
 - `trial_uniforms`: one Philox counter slice per trial.
-- `trial_stream`: the one batching loop over those slices, which both Monte
-  Carlo loops (AWGN and joint typicality) draw through; the next batch is
-  drawn, and optionally transformed in place, on one worker thread while the
-  caller scores the current one.
+- `trial_map`: the one loop over those slices, which both Monte Carlo loops
+  (AWGN and joint typicality) run through; the calling thread and one worker
+  thread each draw and score chunks of trials and their integer counts are
+  summed.
 - `xlog2x`: p log2 p with the 0 log 0 = 0 convention.
 - `block_sums`: masses summed over the blocks of a synonymous partition, or a
   product of two, in one `np.bincount`.
@@ -17,7 +17,7 @@ import threading
 
 import numpy as np
 
-BATCH_DRAWS = 1 << 18  # uniforms per trial_stream batch by default: 2 MB of doubles
+CHUNK_DRAWS = 1 << 17  # uniforms per trial_map chunk by default: 1 MB of doubles
 
 
 def _philox(seed: int, start: int, width: int) -> np.random.Generator:
@@ -54,60 +54,63 @@ def _prefetcher():
         return _prefetch_pool
 
 
-def _draw(seed: int, start: int, width: int, out: np.ndarray, per_trial: int, transform) -> np.ndarray:
-    """Fill `out` with the slices of trials [start, start + len(out)), then apply
-    `transform` in place to its first `per_trial` columns; returns that view."""
-    u = _philox(seed, start, width).random(out=out)[:, :per_trial]
-    if transform is not None:
-        transform(u)
-    return u
+def trial_map(seed: int, trials: int, per_trial: int, score, batch: int | None = None):
+    """The sum of `score(u)` over chunks of `batch` trials covering [0, trials).
 
+    u is `trial_uniforms(seed, start, count, per_trial)` for one chunk, a view
+    into a buffer that the next chunk overwrites; `score` may change it in
+    place and returns an integer count array.  Integer sums are exact, so the
+    result does not depend on `batch` or on which thread scored which chunk.
+    The default batch is max(1, CHUNK_DRAWS // per_trial) trials, so a chunk
+    holds at most about CHUNK_DRAWS uniforms whatever n is.
 
-def trial_stream(seed: int, trials: int, per_trial: int, batch: int | None = None, transform=None):
-    """Yield (start, u) for consecutive batches of trials covering [0, trials).
-
-    u is `trial_uniforms(seed, start, count, per_trial)`, passed through
-    `transform(u)` when one is given: the stream does not depend on `batch`.
-    `transform` works in place on the (count, per_trial) block and returns
-    nothing.  The default batch is max(1, BATCH_DRAWS // per_trial) trials, so
-    a batch holds at most about BATCH_DRAWS uniforms whatever n is.  A
-    single-batch stream is drawn and transformed inline.  Otherwise two
-    (batch, 4 k) buffers are allocated once, and while the caller scores batch
-    i, the process's one prefetch worker thread draws batch i + 1 into the
-    other buffer (numpy's Philox fill and ufuncs release the GIL), so the work
-    runs on at most two threads.  The worker fills, then runs the caller's
-    in-place transform, allocating nothing: an array it allocated would come
-    from its own malloc arena and raise the process's peak RSS.  A stream's
-    transforms run one at a time, so a transform may reuse one scratch array
-    of `batch` rows across its batches; a stream left suspended may still be
-    running one, so each stream needs its own scratch.
-
-    A yielded u is a view of one of those buffers: it is valid only until the
-    next iteration, which starts overwriting it.  Raises ValueError when
-    `batch` < 1.
+    A one-chunk call draws and scores inline.  Otherwise the calling thread
+    and the process's one pool worker each claim the next chunk from one
+    shared counter, fill its Philox slices into their own (batch, 4 k)
+    buffer and score it, until the trials run out: two threads at most, and
+    numpy's Philox fill and ufuncs release the GIL.  Both buffers are
+    allocated here, on the calling thread: buffers the worker allocated
+    would come from its own malloc arena and raise the process's peak RSS.
+    When `score` raises on either thread, neither claims another chunk, and
+    the exception is raised here once the other thread's chunk is scored.
+    Raises ValueError when `batch` < 1.
     """
     if batch is None:
-        batch = max(1, BATCH_DRAWS // per_trial)
+        batch = max(1, CHUNK_DRAWS // per_trial)
     if batch < 1:
         raise ValueError("batch must be at least 1")
-    width = 4 * ((per_trial + 3) // 4)
     if trials <= batch:
-        yield 0, _draw(seed, 0, width, np.empty((trials, width)), per_trial, transform)
-        return
-    buffers = (np.empty((batch, width)), np.empty((batch, width)))
-    pool = _prefetcher()
-    start, u = 0, _draw(seed, 0, width, buffers[0], per_trial, transform)
-    pending = None
+        return score(trial_uniforms(seed, 0, trials, per_trial))
+    width = 4 * ((per_trial + 3) // 4)
+    chunks = iter(range(0, trials, batch))
+    claim = threading.Lock()
+
+    def run(buffer: np.ndarray):
+        nonlocal chunks
+        total = 0
+        while True:
+            with claim:
+                start = next(chunks, None)
+            if start is None:
+                return total
+            try:
+                u = _philox(seed, start, width).random(out=buffer[: min(batch, trials - start)])
+                total += score(u[:, :per_trial])
+            except BaseException:
+                with claim:
+                    chunks = iter(())  # neither thread claims a chunk after a failure
+                raise
+
+    buffers = np.empty((2, batch, width))
+    worker = _prefetcher().submit(run, buffers[1])
     try:
-        for i, nxt in enumerate(range(batch, trials, batch), start=1):
-            out = buffers[i % 2][: min(batch, trials - nxt)]
-            pending = pool.submit(_draw, seed, nxt, width, out, per_trial, transform)
-            yield start, u
-            start, u, pending = nxt, pending.result(), None
-        yield start, u
+        total = run(buffers[0])
     finally:
-        if pending is not None:  # the caller stopped early: let the draw finish with its buffer
-            pending.result()
+        # the worker's chunk is scored before its buffer goes, and a worker task still
+        # queued behind another call's would claim nothing, so it is dropped
+        if not worker.cancel():
+            worker.exception()
+    return total if worker.cancelled() else total + worker.result()
 
 
 def xlog2x(p: np.ndarray) -> np.ndarray:

@@ -14,26 +14,27 @@ group maximizes y.(sum of its members' signals).  A batch of b received words
 costs two matrix products and O(b (M + G)) memory for M codewords in G groups,
 not O(b M n).  The distance spectra are computed once per codebook.
 
-An SNR sweep (`simulate_awgn_sweep`) draws each batch's codeword picks and
+An SNR sweep (`simulate_awgn_sweep`) draws each chunk's codeword picks and
 Box-Muller noise once and decodes them at every Es/N0 point: common random
 numbers, so the error-rate curve is paired across SNR and every point equals
-the one-point simulation with the same seed.  The Philox slices come from
-`_kernels.trial_stream`, the driver the joint typicality Monte Carlo uses too,
-in batches of 2^12 trials by default.  The stream's prefetch worker also runs
-the Box-Muller transform in place, so the calling thread only decodes.  For a
-code the size of Table VIII's, batches that small keep the decode GEMMs off
-OpenBLAS's thread pool, so the simulation runs on those two threads alone.
+the one-point simulation with the same seed.  The trials run through
+`_kernels.trial_map`, the map the joint typicality Monte Carlo uses too: the
+calling thread and one worker thread each draw a chunk's Philox slices, turn
+them into normals in place, decode them and return integer error counts,
+which are summed, so the result does not depend on the chunking.  A chunk
+holds AWGN_WORK / (M n) trials, which keeps its decode GEMMs off OpenBLAS's
+thread pool, so the simulation runs on those two threads alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
-from ._kernels import trial_stream
+from ._kernels import trial_map
 from .core import _block_index
 from .errors import (
     DuplicateCodeword,
@@ -46,9 +47,11 @@ from .errors import (
 )
 
 _SPECTRUM_DECIMALS = 9  # rounding for spectrum dictionary keys
-# AWGN trials per batch: small enough that a batch's two decode GEMMs stay on one
-# OpenBLAS thread, whose pool would otherwise spin on the core the prefetch worker uses
-AWGN_BATCH = 1 << 12
+# b M n per AWGN chunk of b trials: under OpenBLAS's threading threshold (its pool
+# wakes from b M n = 524 288), so each chunk's decode GEMMs stay on one thread, and
+# small enough that the two trial_map threads' decode temporaries keep peak RSS at
+# the one-thread loop's (2925-trial chunks on Table VIII)
+AWGN_WORK = 327_680
 _CHAR_BITS = {"0": 0, "1": 1}
 
 
@@ -422,7 +425,7 @@ def wilson_halfwidth(p_hat: float, n: int, z: float = 1.959963984540054) -> floa
     return (z / denom) * math.sqrt(p_hat * (1.0 - p_hat) / n + z * z / (4.0 * n * n))
 
 
-def _box_muller(u: np.ndarray, n: int, cosines: np.ndarray | None = None) -> None:
+def _box_muller(u: np.ndarray, n: int) -> None:
     """Turn a block of trial slices into n standard normals per trial, in place.
 
     Each row of u is one trial's Philox slice: one uniform for the codeword
@@ -430,34 +433,21 @@ def _box_muller(u: np.ndarray, n: int, cosines: np.ndarray | None = None) -> Non
     angle are computed in their own columns; normal j < h is r_j cos(theta_j)
     and lands in radius column j, normal h + j is r_j sin(theta_j) and lands
     in angle column j, so the normals are u[:, 1:1+n] and sin runs only on the
-    n - h angles used.  `cosines` is scratch of at least len(u) rows and h
-    columns, with which nothing is allocated; without it, one (len(u), h)
-    array is.
+    n - h angles used.  One (len(u), h) array of cosines is allocated and
+    freed before returning.
     """
     half = (u.shape[1] - 1) // 2
     radius, angle = u[:, 1 : 1 + half], u[:, 1 + half : 1 + 2 * half]
-    cos = np.empty((len(u), half)) if cosines is None else cosines[: len(u)]
     np.negative(radius, out=radius)
     np.log1p(radius, out=radius)
     radius *= -2.0
     np.sqrt(radius, out=radius)
     angle *= 2.0 * math.pi
-    np.cos(angle, out=cos)
+    cos = np.cos(angle)
     sines = angle[:, : n - half]
     np.sin(sines, out=sines)
     sines *= radius[:, : n - half]
     radius *= cos
-
-
-def _trial_randoms(u: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Codeword-pick uniforms and n standard normals from a block of trial slices.
-
-    `_box_muller` on a copy of u, so u is left as it was; both outputs are
-    new arrays.
-    """
-    v = u.copy()
-    _box_muller(v, n)
-    return v[:, 0].copy(), v[:, 1 : 1 + n]
 
 
 def _error_counts(
@@ -476,7 +466,7 @@ def _error_counts(
     ]
 
 
-def simulate_awgn(cb: GroupedCodebook, cfg: AwgnConfig, batch: int = AWGN_BATCH) -> SimulationResult:
+def simulate_awgn(cb: GroupedCodebook, cfg: AwgnConfig, batch: int | None = None) -> SimulationResult:
     """Monte Carlo over uniform codewords through BPSK + AWGN, decoded both ways.
 
     Trial t draws its randomness from a dedicated slice of the Philox counter
@@ -490,28 +480,26 @@ def simulate_awgn(cb: GroupedCodebook, cfg: AwgnConfig, batch: int = AWGN_BATCH)
 
 
 def simulate_awgn_sweep(
-    cb: GroupedCodebook, es_n0s, trials: int, seed: int = 0, batch: int = AWGN_BATCH
+    cb: GroupedCodebook, es_n0s, trials: int, seed: int = 0, batch: int | None = None
 ) -> list[SimulationResult]:
     """`simulate_awgn` at every linear Es/N0 in `es_n0s`, in that order, from one noise draw.
 
     Every point decodes the same trials: the same codeword picks and the same
     standard normals, scaled by that point's sigma (common random numbers).
     Each result equals the separate `simulate_awgn` call with the same seed,
-    and the error-rate curve is paired across SNR.  Each batch's picks and
+    and the error-rate curve is paired across SNR.  Each chunk's picks and
     normals are drawn once; memory does not grow with the number of points.
 
-    Trials come from `_kernels.trial_stream` in batches of `batch` trials,
-    with `_box_muller` as the stream's in-place transform: one batch is drawn
-    and transformed inline; with more, the prefetch worker thread draws the
-    next batch's slices and turns them into normals while the current batch
-    decodes, so this thread only decodes.  A trial holds several times its
-    uniforms while it decodes (clean signals, y and the two correlation
-    products), so the default, 2^12 trials, is far below the stream's
-    2^18-draw default.  On the Table VIII code it also keeps each batch's two
-    decode GEMMs (b x M x n and b x G x n) under OpenBLAS's threading
+    Trials run through `_kernels.trial_map` in chunks of `batch` trials: the
+    calling thread and one worker thread each fill a chunk's Philox slices,
+    turn them into normals in place (`_box_muller`), decode the chunk at
+    every point and return its (points, 3) error counts, which are summed.
+    The default chunk is max(1, AWGN_WORK // (M n)) trials.  A trial holds
+    several times its uniforms while it decodes (clean signals, y and the two
+    correlation products), and with both threads decoding, each chunk's
+    larger decode GEMM (b x M x n) must stay under OpenBLAS's threading
     threshold: larger ones wake its thread pool, which then spins on the
-    second core the worker needs.
-    Raises ValueError when `batch` < 1.
+    cores the two threads use.  Raises ValueError when `batch` < 1.
     """
     configs = [AwgnConfig(es_n0, trials, seed) for es_n0 in es_n0s]
     if not configs:
@@ -519,22 +507,24 @@ def simulate_awgn_sweep(
     sigmas = [math.sqrt(1.0 / (2.0 * c.es_n0)) for c in configs]
     signals = cb.signals(1.0)
     m, n = signals.shape
-    half = (n + 1) // 2
-    # the worker's scratch; one inline batch allocates its own and frees it before decoding
-    cosines = np.empty((batch, half)) if 0 < batch < trials else None
-    normals_in_place = partial(_box_muller, n=n, cosines=cosines)
+    if batch is None:
+        batch = max(1, AWGN_WORK // (m * n))
 
-    counts = np.zeros((len(sigmas), 3), dtype=np.int64)
-    for _, u in trial_stream(seed, trials, 1 + 2 * half, batch, normals_in_place):
+    def score(u: np.ndarray) -> np.ndarray:
+        _box_muller(u, n)
         sent = np.minimum((u[:, 0] * m).astype(int), m - 1)
         normals = u[:, 1 : 1 + n]
         clean = signals[sent]
         true_group = cb.group_of[sent]
         y = np.empty((len(sent), n))
+        counts = np.zeros((len(sigmas), 3), dtype=np.int64)
         for k, sigma in enumerate(sigmas):
             np.multiply(normals, sigma, out=y)
             y += clean  # bit-identical to clean + sigma * normals
-            counts[k] += _error_counts(y, cb, sent, true_group)
+            counts[k] = _error_counts(y, cb, sent, true_group)
+        return counts
+
+    counts = trial_map(seed, trials, 1 + 2 * ((n + 1) // 2), score, batch)
     results = []
     for group_err, cw_err, ml_group_err in counts.tolist():
         ger = group_err / trials

@@ -442,11 +442,11 @@ def _min_down_smi_under_distortion(
     col_cost = p @ d
     j = int(np.argmin(col_cost))
     if col_cost[j] <= target_d:
-        # all to one reconstruction block: I(A;B) = 0 and offset <= 0, so the value is
-        # at most 0, where the caller's clamp makes it final
+        # all to one reconstruction block: I(A;B) = 0 and offset <= 0, so the value,
+        # taken exactly, is at most 0, where the caller's clamp makes it final
         qb = np.zeros_like(d)
         qb[:, j] = 1.0
-        return _down_smi_of_block_channel(p, qb, sizes, offset), float(col_cost[j]), qb
+        return offset - math.log2(sizes[j]), float(col_cost[j]), qb
     limit = target_d + 1e-12
     row_min = d.min(axis=1)
     shifted = d - row_min[:, None]
@@ -522,14 +522,15 @@ def semantic_rate_distortion(
     # each size vector's consecutive blocks: the least labeled partition with those sizes
     cuts = itertools.combinations(range(1, n_hat), n_sxh - 1)
     recon = [tuple(tuple(range(a, b)) for a, b in zip((0, *c), (*c, n_hat))) for c in cuts]
-    h_x = entropy(src)
+    pos = p > 0
     best: tuple | None = None
     for fx_blocks in ordered_set_partitions(n, n_sx):
         fx = SynonymousPartition(fx_blocks, n)
         pt = block_sums(p, 0, 1, fx.block_of, n_sx)[0]
         if target_d < float(pt @ ds.values.min(axis=1)) - 1e-12:
             continue  # no pair with this source partition can meet the distortion target
-        offset = entropy(pt) - h_x  # -H(X|X~)
+        # -H(X|X~) as a sum of p_x log2(p_x / p~_b) <= 0, each exactly 0 on a singleton block
+        offset = float(p[pos] @ np.log2(p[pos] / pt[fx.block_of[pos]]))
         for fxh_blocks in recon:
             sizes = np.array([len(b) for b in fxh_blocks], dtype=float)
             value, dist, qb = _min_down_smi_under_distortion(

@@ -10,9 +10,9 @@ comparison-count inverse CDF as cell indices, and each rate is a row sum of
 log-probabilities gathered from a table over the syntactic or semantic joint
 cells, built once per call.  The decoding probe computes rates only for
 trials whose every symbol is its block's representative, the only trials it
-can count.  Trials run in batches of about 2^18 uniforms, so memory does not
-grow with n, and one worker thread draws the next batch's Philox slices
-while the current one is scored: two threads at most.
+can count.  Trials run in chunks of about 2^17 uniforms, so memory does not
+grow with n, and the calling thread and one worker thread each draw and
+score chunks, whose integer hit counts are summed: two threads at most.
 
 The non-asymptotic upper bounds on set sizes hold at every n; the matching
 lower bounds only for "sufficiently large n", so violations below a caller
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import trial_stream
+from ._kernels import trial_map
 from .core import (
     Distribution,
     JointDistribution,
@@ -381,12 +381,14 @@ def estimate_joint_typicality(
     trials whose every x_i and y_i is its block's representative, the only
     trials it can count, and draws y only for trials whose every x_i is.
 
-    Trials come from `_kernels.trial_stream` in batches of `batch` trials,
-    by default as many as hold about BATCH_DRAWS (2^18) uniforms, so memory
-    stays at a few MB whatever n is; while one batch is scored, the one
-    prefetch worker thread draws the next, so a call runs on at most two
-    threads.  A trial's verdict depends on its own Philox slice alone, so
-    the result does not depend on `batch`.
+    Trials run through `_kernels.trial_map` in chunks of `batch` trials, by
+    default as many as hold about CHUNK_DRAWS (2^17) uniforms, so memory
+    stays at a few MB whatever n is.  The calling thread and the one pool
+    worker thread each draw a chunk's Philox slices into their own buffer,
+    both allocated on the calling thread, and score it to (hits, encoding
+    hits); a call runs on at most two threads.  A trial's verdict depends on
+    its own Philox slice alone and the counts are integers, so the result
+    does not depend on `batch` or on which thread scored which chunk.
 
     Raises ValueError when `batch` < 1 and, in independent mode, raises
     BudgetExceeded before drawing when a band edge overflows a double.
@@ -438,40 +440,41 @@ def estimate_joint_typicality(
                 required=math.ceil(exponent),
             ) from None
 
-    per_trial = n if mode == "correlated" else 4 * n
-    hits = 0
-    enc_hits = 0
-    for _, u in trial_stream(seed, trials, per_trial, batch):
-        if mode == "correlated":
-            cells = _inverse_cdf(u, j.probs.ravel()).astype(np.intp)
-            sem_rates = [_rate(t, cells, n) for t in sem_tables]
-            hits += int(_within(sem_rates, sem_targets, eps).sum())
-        else:
-            # decoding probe: the pair must be the representative of a jointly
-            # synonymous typical class, so only rows whose every x_i and y_i
-            # is its block's representative get rates; ys are drawn only on
-            # the rows whose xs all are
-            xs = _inverse_cdf(u[:, :n], pu.probs)
-            rep = np.flatnonzero(is_rep_u[xs].all(axis=1))
-            ys = _inverse_cdf(u[rep, n : 2 * n], pv.probs)
-            rep_y = is_rep_v[ys].all(axis=1)
-            cells = xs[rep[rep_y]].astype(np.intp) * nv + ys[rep_y]
-            rates = [_rate(t, cells, n) for t in syn_tables + sem_tables]
-            typical = _within(rates, (h_u, h_v, h_uv, *sem_targets), eps)
-            # the conditional rate is taken on typical rows only, where rate_xy
-            # and rate_sj are finite; a zero-probability pair never gets there
-            cond_rate = rates[2][typical] - rates[5][typical]
-            hits += int((np.abs(cond_rate - (h_uv - hs_uv)) < eps).sum())
-            # encoding probe: independent semantic sequences in the semantic
-            # joint typical set; the joint rate, on the semantic cells
-            # zx * |V~| + zy, fails most often, so it is tested first
-            zx = _inverse_cdf(u[:, 2 * n : 3 * n], sem_u.probs)
-            zy = _inverse_cdf(u[:, 3 * n :], sem_v.probs)
-            rate_zj = _rate(l2_js.ravel(), zx.astype(np.intp) * sem_v.alphabet_size + zy, n)
-            keep = np.abs(rate_zj - hs_uv) < eps
-            rates = [_rate(l2_ju, zx[keep], n), _rate(l2_jv, zy[keep], n)]
-            enc_hits += int(_within(rates, (hs_u, hs_v), eps).sum())
+    def correlated(u: np.ndarray) -> np.ndarray:
+        # gathered by the small-dtype cells as they are: an intp copy would add 8 bytes
+        # a draw to the heap of each thread that scores
+        cells = _inverse_cdf(u, j.probs.ravel())
+        sem_rates = [_rate(t, cells, n) for t in sem_tables]
+        return np.array([_within(sem_rates, sem_targets, eps).sum(), 0])
 
+    def independent(u: np.ndarray) -> np.ndarray:
+        # decoding probe: the pair must be the representative of a jointly
+        # synonymous typical class, so only rows whose every x_i and y_i is
+        # its block's representative get rates; ys are drawn only on the rows
+        # whose xs all are
+        xs = _inverse_cdf(u[:, :n], pu.probs)
+        rep = np.flatnonzero(is_rep_u[xs].all(axis=1))
+        ys = _inverse_cdf(u[rep, n : 2 * n], pv.probs)
+        rep_y = is_rep_v[ys].all(axis=1)
+        cells = xs[rep[rep_y]].astype(np.intp) * nv + ys[rep_y]
+        rates = [_rate(t, cells, n) for t in syn_tables + sem_tables]
+        typical = _within(rates, (h_u, h_v, h_uv, *sem_targets), eps)
+        # the conditional rate is taken on typical rows only, where rate_xy
+        # and rate_sj are finite; a zero-probability pair never gets there
+        cond_rate = rates[2][typical] - rates[5][typical]
+        hits = (np.abs(cond_rate - (h_uv - hs_uv)) < eps).sum()
+        # encoding probe: independent semantic sequences in the semantic joint
+        # typical set; the joint rate, on the semantic cells zx * |V~| + zy,
+        # fails most often, so it is tested first
+        zx = _inverse_cdf(u[:, 2 * n : 3 * n], sem_u.probs)
+        zy = _inverse_cdf(u[:, 3 * n :], sem_v.probs)
+        rate_zj = _rate(l2_js.ravel(), zx.astype(np.intp) * sem_v.alphabet_size + zy, n)
+        keep = np.abs(rate_zj - hs_uv) < eps
+        rates = [_rate(l2_ju, zx[keep], n), _rate(l2_jv, zy[keep], n)]
+        return np.array([hits, _within(rates, (hs_u, hs_v), eps).sum()])
+
+    score, per_trial = (correlated, n) if mode == "correlated" else (independent, 4 * n)
+    hits, enc_hits = trial_map(seed, trials, per_trial, score, batch).tolist()
     p_hat = hits / trials
     if mode == "correlated":
         satisfied = p_hat > lower

@@ -2,6 +2,8 @@
 likelihood-sum oracle, bounds, and the AWGN simulation."""
 
 import math
+import resource
+import time
 import tracemalloc
 
 import numpy as np
@@ -21,8 +23,8 @@ from sebits.chancode import (
     min_group_hamming_distance,
     ml_decode,
     mlg_decode,
+    _box_muller,
     _decide,
-    _trial_randoms,
     simulate_awgn,
     simulate_awgn_sweep,
     singleton_codebook,
@@ -394,8 +396,9 @@ def broadcast_counts(cb: GroupedCodebook, cfg: AwgnConfig, batch: int = 1 << 13)
     counts = [0, 0, 0]
     for done in range(0, cfg.trials, batch):
         u = trial_uniforms(cfg.seed, done, min(batch, cfg.trials - done), 1 + 2 * ((n + 1) // 2))
-        picks, normals = _trial_randoms(u, n)
-        sent = np.minimum((picks * m).astype(int), m - 1)
+        _box_muller(u, n)
+        sent = np.minimum((u[:, 0] * m).astype(int), m - 1)
+        normals = u[:, 1 : 1 + n]
         y = signals[sent] + sigma * normals
         d2 = ((y[:, None, :] - signals[None, :, :]) ** 2).sum(axis=2)
         ml = d2.argmin(axis=1)
@@ -431,7 +434,7 @@ class TestCorrelationDecoder:
     @pytest.mark.parametrize("singleton", [False, True])
     @pytest.mark.parametrize("batch", [1 << 15, 977, 4096, 1, None])
     def test_counts_equal_broadcast_decoder(self, hamming_codebook, singleton, batch):
-        """batch None is the default (2^12 trials): 20 000 trials span five prefetched batches."""
+        """batch None is the default (2925 trials on this code): 20 000 trials span seven chunks."""
         cb = singleton_codebook(hamming_codebook.codewords) if singleton else hamming_codebook
         kw = {} if batch is None else {"batch": batch}
         for seed in (0, 7, 60):
@@ -475,8 +478,8 @@ class TestSweep:
     @pytest.mark.parametrize("singleton", [False, True])
     @pytest.mark.parametrize("batch", [1 << 15, 977, 4096, 1, None])
     def test_sweep_equals_per_point_simulation(self, hamming_codebook, singleton, batch):
-        """batch None is the default (2^12 trials), whose four prefetched batches must
-        give the one-batch run bit for bit."""
+        """batch None is the default (2925 trials on this code), whose five chunks
+        must give the one-chunk run bit for bit."""
         cb = singleton_codebook(hamming_codebook.codewords) if singleton else hamming_codebook
         es_n0s = [10 ** (db / 10) for db in SWEEP_DB]
         trials = 300 if batch == 1 else 12_345  # 12 345 is not a multiple of any batch above 1
@@ -505,7 +508,7 @@ class TestSweep:
         def no_draw(*args):
             raise AssertionError("drew randoms for an invalid sweep")
 
-        monkeypatch.setattr(chancode, "trial_stream", no_draw)
+        monkeypatch.setattr(chancode, "trial_map", no_draw)
         with pytest.raises(ValueError):
             simulate_awgn_sweep(hamming_codebook, es_n0s, trials)
 
@@ -523,10 +526,11 @@ class TestSweep:
 
     @pytest.mark.parametrize("batch, bound", [(None, 6e6), (1 << 15, 12e6)])
     def test_sweep_peak(self, hamming_codebook, batch, bound):
-        """The benchmark's 3-point 2^15-trial sweep.  The default is eight 2^12-trial
-        batches (2.2 MB traced, against 11.8 MB for one 2^15 batch).  One inline batch
-        holds its uniform block, which the transform turned into the normals, while it
-        decodes; the transform's cosine scratch must be freed first: held, it reads 12.9 MB."""
+        """The benchmark's 3-point 2^15-trial sweep.  The default is twelve chunks of
+        up to 2925 trials, two decoding at a time (2.1 MB traced, against 11.8 MB for one
+        2^15-trial chunk).  One inline chunk holds its uniform block, which Box-Muller
+        turned into the normals, while it decodes; Box-Muller's cosine scratch must be
+        freed first: held, it reads 12.9 MB."""
         es_n0s = [10 ** (db / 10) for db in (0.0, 1.5, 3.0)]
         kw = {} if batch is None else {"batch": batch}
         simulate_awgn_sweep(hamming_codebook, es_n0s, 1 << 15, 1, **kw)
@@ -537,3 +541,26 @@ class TestSweep:
         finally:
             tracemalloc.stop()
         assert peak < bound
+
+    def test_default_chunks_leave_no_spinning_blas_thread(self, hamming_codebook):
+        """On the n = 8 parity extension of Table VIII (M n = 128), 2^12-trial chunks
+        reach b M n = 524 288, where OpenBLAS wakes its thread pool, whose threads
+        then spin for about 0.15 s after the job: 133 ms of CPU in the 0.3 s after
+        the sweep.  Chunks sized by AWGN_WORK keep the decode GEMMs on one thread."""
+        words = ["".join(map(str, w)) for w in hamming_codebook.codewords.tolist()]
+        cb = build_grouped_codebook([w + str(w.count("1") % 2) for w in words], hamming_codebook.groups)
+        es_n0s = [10 ** (db / 10) for db in (0.0, 1.5, 3.0)]
+
+        def cpu_s():
+            usage = resource.getrusage(resource.RUSAGE_SELF)
+            return usage.ru_utime + usage.ru_stime
+
+        simulate_awgn_sweep(cb, es_n0s, 1 << 15, 1)
+        time.sleep(0.3)  # a pool that earlier tests' larger GEMMs woke has stopped spinning
+        after = []
+        for _ in range(3):
+            simulate_awgn_sweep(cb, es_n0s, 1 << 15, 1)
+            start = cpu_s()
+            time.sleep(0.3)
+            after.append(cpu_s() - start)
+        assert max(after) < 0.010

@@ -5,6 +5,7 @@ import copy
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -215,6 +216,29 @@ class TestRateDistortion:
         got = json.loads(out)
         h25 = -(0.25 * math.log2(0.25) + 0.75 * math.log2(0.75))
         assert got["r_s"] == pytest.approx(1 - h25, abs=5e-3)
+
+    @pytest.mark.parametrize(
+        "weights, values, d_target",
+        [
+            # every test channel meeting D = 0.8 may send all to one block (I(A;B) = 0)
+            ([8, 9, 1, 9], [[0.2, 0.2], [0.3, 0.0], [0.6, 0.2], [0.6, 0.0]], 0.8),
+            # the descent reaches rate 0 on one labelling of the four singleton blocks
+            ([3, 8, 3, 8], [[0.2, 0.6], [0.5, 0.9], [0.5, 0.9], [0.9, 0.7]], 0.5),
+        ],
+    )
+    def test_zero_rate_prints_exact_zero(self, tmp_path, weights, values, d_target):
+        """Four source symbols on four semantic symbols make every source block a
+        singleton, where -H(X|X~) is exactly 0; taken as H(X~) - H(X) it printed
+        r_s 2.220446049250313e-16 and 4.440892098500626e-16 on these two."""
+        dist = tmp_path / "d.json"
+        dist.write_text(json.dumps({"probs": [w / sum(weights) for w in weights]}))
+        ds = tmp_path / "ds.json"
+        ds.write_text(json.dumps({"values": values}))
+        code, out, _ = run_cli(
+            "rate-distortion", "--dist", str(dist), "--distortion", str(ds), "--d-target", str(d_target)
+        )
+        assert code == 0
+        assert re.search(r'"r_s":0\.0[,}]', out)
 
 
 class TestChancodeAndSimulate:

@@ -1,19 +1,23 @@
-"""The shared kernels: pinned draws of both streams built on the Philox per-trial
-slice, the prefetching trial_stream against those slices (with and without the
-AWGN loop's in-place Box-Muller transform), the 0 log 0 convention of xlog2x,
-and block_sums against a per-block loop."""
+"""The shared kernels: pinned draws of both Monte Carlo loops built on the Philox
+per-trial slice, the two-thread trial_map against those slices (with and
+without the AWGN loop's in-place Box-Muller inside the score, and with a score
+that raises), the 0 log 0 convention of xlog2x, and block_sums against a
+per-block loop."""
 
 import math
+import random
+import sys
 import threading
+import time
 import warnings
-from functools import partial
 
 import numpy as np
 import pytest
 
-from sebits._kernels import BATCH_DRAWS, block_sums, trial_stream, trial_uniforms, xlog2x
+from sebits import _kernels
+from sebits._kernels import CHUNK_DRAWS, block_sums, trial_map, trial_uniforms, xlog2x
 from sebits.core import SynonymousPartition
-from sebits.chancode import AWGN_BATCH, _box_muller, _trial_randoms
+from sebits.chancode import _box_muller
 
 
 def test_trial_uniforms_pinned():
@@ -27,7 +31,9 @@ def test_trial_uniforms_pinned():
 
 
 def test_awgn_randoms_pinned():
-    picks, normals = _trial_randoms(trial_uniforms(60, 5, 2, 1 + 2 * ((7 + 1) // 2)), 7)
+    u = trial_uniforms(60, 5, 2, 1 + 2 * ((7 + 1) // 2)).copy()
+    _box_muller(u, 7)
+    picks, normals = u[:, 0], u[:, 1:8]
     assert picks.tolist() == [0.13293533483405817, 0.5762025677116801]
     assert normals.shape == (2, 7)
     want = [[1.04859132357323, -0.18007449927490535, 0.8903315393889379],
@@ -43,25 +49,62 @@ def test_slices_do_not_depend_on_batching(per_trial):
     assert np.array_equal(whole, parts)
 
 
+def _placing_score(want: np.ndarray, write, pause=None):
+    """A score that finds each row's trial by its first uniform (distinct in `want`),
+    passes the row and its trial to `write`, counts the trial and returns the row
+    count; `pause`, when given, sleeps for a while after each chunk."""
+    trial_of = {x: t for t, x in enumerate(want[:, 0].tolist())}
+    assert len(trial_of) == len(want)
+    seen = np.zeros(len(want), dtype=int)
+    lock = threading.Lock()
+
+    def score(u):
+        trials = [trial_of[x] for x in u[:, 0].tolist()]
+        with lock:
+            seen[trials] += 1
+            write(u, trials)
+        if pause is not None:
+            time.sleep(pause())
+        return np.array([len(u)])
+
+    return score, seen
+
+
+def _row_sums_of_map(seed, trials, per_trial, batch, pause=None):
+    want = trial_uniforms(seed, 0, trials, per_trial)
+    sums = np.full(trials, np.nan)
+
+    def write(u, rows):
+        sums[rows] = u.sum(axis=1)
+
+    score, seen = _placing_score(want, write, pause)
+    assert trial_map(seed, trials, per_trial, score, batch).tolist() == [trials]
+    assert seen.tolist() == [1] * trials  # every trial scored once
+    return sums, want.sum(axis=1)
+
+
 @pytest.mark.parametrize("per_trial", [1, 5, 800])
 @pytest.mark.parametrize("batch", [1, 977, None])
 def test_stream_is_the_trial_uniforms_stream(per_trial, batch):
-    """Batches start where the last ended, hold `batch` trials (by default as
-    many as fit in BATCH_DRAWS uniforms) and concatenate to trial_uniforms."""
-    trials = 2000
-    size = batch or max(1, BATCH_DRAWS // per_trial)
-    starts, parts = [], []
-    for start, u in trial_stream(4, trials, per_trial, batch):
-        starts.append(start)
-        parts.append(u.copy())  # u is only valid until the next iteration
-    assert starts == list(range(0, trials, size))
-    assert [len(u) for u in parts] == [min(size, trials - s) for s in starts]
-    assert np.array_equal(np.vstack(parts), trial_uniforms(4, 0, trials, per_trial))
+    """Each chunk's rows are those trials' slices: the row sums, written into
+    their trial positions, are trial_uniforms' row sums bit for bit, and the
+    count sums to the trials.  By default 2000 trials are one inline chunk at
+    1 and 5 uniforms a trial and 13 chunks at 800."""
+    got, want = _row_sums_of_map(4, 2000, per_trial, batch)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("batch", [1, 977, None])
+def test_map_does_not_depend_on_interleaving(batch):
+    """Scores that sleep at random shift which thread takes which chunk."""
+    rng = random.Random(batch or 0)
+    got, want = _row_sums_of_map(9, 3000, 60, batch, pause=lambda: rng.uniform(0, 2e-3))
+    assert np.array_equal(got, want)
 
 
 def test_stream_batch_must_be_positive():
     with pytest.raises(ValueError, match="batch must be at least 1"):
-        next(trial_stream(0, 10, 3, batch=0))
+        trial_map(0, 10, 3, lambda u: np.array([len(u)]), batch=0)
 
 
 def _separate_arrays_box_muller(u, n):
@@ -78,72 +121,148 @@ def _separate_arrays_box_muller(u, n):
     return u[:, 0].copy(), normals[:, :n]
 
 
-def _normals_transform(n, batch):
-    """The transform simulate_awgn_sweep passes: Box-Muller with one scratch of `batch` rows."""
-    return partial(_box_muller, n=n, cosines=np.empty((batch, (n + 1) // 2)))
-
-
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 15])
 def test_box_muller_equals_the_separate_arrays_form(n):
     u = trial_uniforms(8, 3, 5000, 1 + 2 * ((n + 1) // 2))
-    picks, normals = _trial_randoms(u, n)
+    v = u.copy()
+    _box_muller(v, n)
     want_picks, want_normals = _separate_arrays_box_muller(u, n)
-    assert np.array_equal(picks, want_picks) and np.array_equal(normals, want_normals)
-    assert np.array_equal(u, trial_uniforms(8, 3, 5000, 1 + 2 * ((n + 1) // 2)))  # u is left alone
+    assert np.array_equal(v[:, 0], want_picks) and np.array_equal(v[:, 1 : 1 + n], want_normals)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 8])
-@pytest.mark.parametrize("batch", [1, 977, AWGN_BATCH, "inline"])
+@pytest.mark.parametrize("batch", [1, 977, 4096, "inline"])
 def test_transformed_stream_is_box_muller_of_the_stream(n, batch):
-    """With the Box-Muller transform, pick and normals are those of
-    _trial_randoms(trial_uniforms(...)) bit for bit, whether the worker or the
-    calling thread applied it, on partial last batches too."""
+    """A score that runs Box-Muller in place, as the AWGN loop's does, sees picks
+    and normals equal to Box-Muller of trial_uniforms(...) bit for bit, on either
+    thread, on partial last chunks too."""
     per_trial = 1 + 2 * ((n + 1) // 2)
-    trials = 300 if batch == 1 else 10_000  # 10 000 is not a multiple of 977 or 2^12
+    trials = 300 if batch == 1 else 10_000  # 10 000 is not a multiple of 977 or 4096
+    want = trial_uniforms(6, 0, trials, per_trial)
+    got = np.full((trials, 1 + n), np.nan)
+
+    def write(u, rows):
+        got[rows] = u[:, : 1 + n]
+
+    place, seen = _placing_score(want, write)
+
+    def score(u):
+        _box_muller(u, n)  # leaves the pick column, by which place finds the trials
+        return place(u)
+
     size = trials if batch == "inline" else batch
-    transform = _normals_transform(n, size)
-    starts, picks, normals = [], [], []
-    for start, u in trial_stream(6, trials, per_trial, size, transform):
-        assert u.shape == (min(size, trials - start), per_trial)
-        starts.append(start)
-        picks.append(u[:, 0].copy())
-        normals.append(u[:, 1 : 1 + n].copy())
-    assert starts == list(range(0, trials, size))
-    want_picks, want_normals = _trial_randoms(trial_uniforms(6, 0, trials, per_trial), n)
-    assert np.array_equal(np.concatenate(picks), want_picks)
-    assert np.array_equal(np.vstack(normals), want_normals)
+    assert trial_map(6, trials, per_trial, score, size).tolist() == [trials]
+    assert seen.tolist() == [1] * trials
+    boxed = want.copy()
+    _box_muller(boxed, n)
+    assert np.array_equal(got, boxed[:, : 1 + n])
 
 
 def test_stream_runs_on_at_most_one_extra_thread():
-    """Also when the worker runs the Box-Muller transform after each fill."""
+    """Chunks are scored on the calling thread and on one other, and the map
+    leaves at most the one pool thread behind."""
     before = threading.active_count()
-    during = []
-    for transform in (None, _normals_transform(6, 4), None):
-        for _, u in trial_stream(1, 60, 7, 4, transform):
-            during.append(threading.active_count())
+    idents, during = set(), []
+
+    def score(u):
+        idents.add(threading.get_ident())
+        during.append(threading.active_count())
+        time.sleep(1e-4)
+        return np.array([len(u)])
+
+    for batch in (4, 1, 7):
+        assert trial_map(1, 60, 7, score, batch).tolist() == [60]
+    assert threading.get_ident() in idents and len(idents) <= 2
     assert max(during) <= before + 1
     assert threading.active_count() <= before + 1
 
 
-def test_breaking_out_early_leaves_the_next_stream_intact():
-    """With and without the Box-Muller transform (n = 8 uses all 9 columns), each
-    stream with its own scratch, as each simulate_awgn_sweep call has."""
-    for boxed in (False, True):
-        def stream():
-            return trial_stream(2, 100, 9, 8, _normals_transform(8, 8) if boxed else None)
+def test_concurrent_maps_each_score_every_trial_once():
+    """Four maps at once from four threads, more than the two cores, with a short
+    switch interval: the one pool worker serves one call at a time, a call whose
+    worker task is still queued when its own thread has claimed every chunk drops
+    it, and each call scores each of its trials exactly once."""
+    whole = {}
 
-        for start, _ in stream():
-            if start >= 16:
-                break
-        abandoned = stream()
-        next(abandoned)
-        next(abandoned)  # left suspended with a draw in flight
-        got = np.vstack([u.copy() for _, u in stream()])
-        want = trial_uniforms(2, 0, 100, 9)
-        if boxed:
-            want = np.column_stack(_trial_randoms(want, 8))
+    def one(seed):
+        got, want = _row_sums_of_map(seed, 3000, 5, 7)
+        whole[seed] = np.array_equal(got, want)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=one, args=(seed,)) for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert whole == {seed: True for seed in range(4)}
+
+
+def test_one_chunk_call_starts_no_thread(monkeypatch):
+    """With every trial in one chunk (given, or the default at small n) the caller
+    scores inline and the pool is never asked for its worker."""
+
+    def no_pool():
+        raise AssertionError("a one-chunk call asked for the pool")
+
+    monkeypatch.setattr(_kernels, "_prefetcher", no_pool)
+    callers = []
+
+    def score(u):
+        callers.append(threading.get_ident())
+        return np.array([len(u), u.shape[1]])
+
+    assert trial_map(5, 40, 3, score, batch=40).tolist() == [40, 3]
+    assert trial_map(5, CHUNK_DRAWS // 200, 200, score).tolist() == [CHUNK_DRAWS // 200, 200]
+    assert callers == [threading.get_ident()] * 2
+
+
+class _Boom(Exception):
+    pass
+
+
+def test_breaking_out_early_leaves_the_next_stream_intact():
+    """A score that raises on the calling thread, or on the worker, stops the
+    map: the exception comes out of trial_map once no score is running, at
+    most the one chunk the other thread had claimed is scored after it, and
+    the next map is whole.  The caller raises only once the worker is inside
+    a score, so returning without waiting for it would show."""
+    caller = threading.get_ident()
+    for where in ("caller", "worker"):
+        events, running = [], [0]
+        lock = threading.Lock()
+        worker_scoring = threading.Event()
+
+        def score(u):
+            on_caller = threading.get_ident() == caller
+            with lock:
+                events.append("score")
+                running[0] += 1
+                fail = on_caller == (where == "caller") and "raise" not in events
+                if fail:
+                    events.append("raise")
+            try:
+                if not on_caller:
+                    worker_scoring.set()
+                if fail:
+                    assert not on_caller or worker_scoring.wait(10)
+                    raise _Boom(where)
+                time.sleep(2e-3)
+                return np.array([len(u)])
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        with pytest.raises(_Boom, match=where):
+            trial_map(2, 20_000, 9, score, batch=10)
+        assert running == [0]
+        assert events[events.index("raise") + 1 :].count("score") <= 1
+        got, want = _row_sums_of_map(2, 100, 9, 8)
         assert np.array_equal(got, want)
-        abandoned.close()
 
 
 def test_xlog2x_zero_convention_without_warning():

@@ -613,7 +613,7 @@ class TestJointMonteCarlo:
                                           seed, trials, mode):
         """Every report field equals the per-symbol oracle's at batches 4096,
         1024 and 911 and at the default, draw-sized batch (inline when one
-        batch holds every trial, prefetched otherwise).  On the weak joint at n = 24 rows survive the
+        chunk holds every trial, split across two threads otherwise).  On the weak joint at n = 24 rows survive the
         representative test and decoding hits are nonzero; warnings are errors,
         so an empty surviving subset must pass silently."""
         j, fj = {
@@ -652,8 +652,8 @@ class TestJointMonteCarlo:
     )
     def test_one_trial_batches_match_per_symbol_estimator(self, table2_joint, table3_partitions, joint,
                                                           n, eps, seed, trials, mode):
-        """At one trial per batch, 2000 batches go through the prefetch
-        worker and every report field still equals the per-symbol oracle's."""
+        """At one trial per chunk, 2000 chunks are shared by the calling thread and
+        the worker, and every report field still equals the per-symbol oracle's."""
         j, fj = {"table2": (table2_joint, table3_partitions), "weak": (WEAK_JOINT, WEAK_FJ)}[joint]
         expected = _per_symbol_estimator(j, fj, n, eps, trials, seed, mode)
         if joint == "weak" and mode == "independent":
@@ -663,7 +663,7 @@ class TestJointMonteCarlo:
 
     def test_correlated_memory_does_not_grow_with_n(self, table2_joint, table3_partitions):
         """A correlated call at n = 10 000 peaks under 32 MB traced: the
-        default batch holds about 2^18 uniforms (26 trials here), where the
+        default chunk holds about 2^17 uniforms (13 trials here), where the
         old fixed 1024-trial batch peaked at 235 MB."""
         kw = dict(n=10_000, eps=0.1, trials=1100, seed=3, mode="correlated")
         estimate_joint_typicality(table2_joint, table3_partitions, n=10, eps=0.1, trials=10)
@@ -677,8 +677,8 @@ class TestJointMonteCarlo:
         assert peak < 32 * 2**20
 
     def test_forked_child_reports_after_the_parent_used_the_pool(self, table2_joint, table3_partitions):
-        """The prefetch worker thread does not survive a fork, so a child must
-        not hand its batches to the parent's pool; its call returns the
+        """The pool's worker thread does not survive a fork, so a child must
+        not hand its chunks to the parent's pool; its call returns the
         parent's report instead of hanging."""
         kw = dict(n=200, eps=0.1, trials=2000, seed=17, mode="independent")
         before = threading.active_count()
