@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from ._kernels import trial_map
-from .core import _block_index
+from .core import _index_blocks
 from .errors import (
     DuplicateCodeword,
     GroupOutOfRange,
@@ -52,6 +52,7 @@ _SPECTRUM_DECIMALS = 9  # rounding for spectrum dictionary keys
 # small enough that the two trial_map threads' decode temporaries keep peak RSS at
 # the one-thread loop's (2925-trial chunks on Table VIII)
 AWGN_WORK = 327_680
+WILSON_Z = 1.959963984540054  # the standard normal 0.975 quantile: 95% intervals
 _CHAR_BITS = {"0": 0, "1": 1}
 
 
@@ -109,7 +110,7 @@ class GroupedCodebook:
     def __post_init__(self):
         cw = codeword_matrix(self.codewords)
         m = cw.shape[0]
-        groups = tuple(tuple(_block_index(i, k) for i in g) for k, g in enumerate(self.groups))
+        groups = _index_blocks(self.groups)
         if not groups:
             raise SizeMismatch("codebook needs at least one group")
         sizes = {len(g) for g in groups}
@@ -417,10 +418,11 @@ class SimulationResult:
         }
 
 
-def wilson_halfwidth(p_hat: float, n: int, z: float = 1.959963984540054) -> float:
-    """Half-width of the Wilson score interval for a proportion."""
+def wilson_halfwidth(p_hat: float, n: int) -> float:
+    """Half-width of the 95% Wilson score interval (z = WILSON_Z) for a proportion."""
     if n < 1:
         raise ValueError("need at least one observation")
+    z = WILSON_Z
     denom = 1.0 + z * z / n
     return (z / denom) * math.sqrt(p_hat * (1.0 - p_hat) / n + z * z / (4.0 * n * n))
 

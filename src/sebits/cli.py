@@ -73,57 +73,28 @@ def _need(obj: dict, key: str, path: str, build):
         raise _at(f"/{key}", e)
 
 
-def _float_array(value, ndim: int) -> np.ndarray:
-    """A JSON vector (ndim 1) or matrix (ndim 2) of numbers as float64.
-
-    The constructors check the values.  numpy would read true as 1 and "0.5"
-    as 0.5, so every cell must be a JSON number (an int or a float); a bool,
-    string, null, ragged row or other nesting depth is refused.
-    """
-    if isinstance(value, list):
-        try:
-            cells = np.array(value, dtype=object)
-            if cells.ndim == ndim and all(type(x) in (int, float) for x in cells.flat):
-                return cells.astype(float)
-        except (ValueError, OverflowError):  # a nesting numpy cannot hold; an int beyond float range
-            pass
-    raise ValidationError(f"must be a {('vector', 'matrix')[ndim - 1]} of JSON numbers")
-
-
-def _array_of(value, cls: type, what: str) -> tuple:
-    if not isinstance(value, list) or not all(isinstance(v, cls) for v in value):
-        raise ValidationError(f"must be an array of {what}")
-    return tuple(value)
-
-
 def load_distribution(path: str) -> Distribution:
-    return _need(_load_json(path), "probs", path, lambda v: Distribution(_float_array(v, 1)))
+    return _need(_load_json(path), "probs", path, Distribution)
 
 
 def load_partition(path: str, alphabet_size: int | None = None) -> SynonymousPartition:
-    def build(value):
-        blocks = tuple(map(tuple, _array_of(value, list, "index arrays")))
-        # without a distribution to match, one syntactic symbol per block member
-        return SynonymousPartition(blocks, sum(map(len, blocks)) if alphabet_size is None else alphabet_size)
-
-    return _need(_load_json(path), "blocks", path, build)
+    # without a distribution to match (None), one syntactic symbol per block member
+    return _need(_load_json(path), "blocks", path, lambda v: SynonymousPartition(v, alphabet_size))
 
 
 def load_joint(path: str) -> JointDistribution:
-    return _need(_load_json(path), "matrix", path, lambda v: JointDistribution(_float_array(v, 2)))
+    return _need(_load_json(path), "matrix", path, JointDistribution)
 
 
 def load_channel(path: str) -> ChannelModel:
-    return _need(_load_json(path), "transition", path, lambda v: ChannelModel(_float_array(v, 2)))
+    return _need(_load_json(path), "transition", path, ChannelModel)
 
 
 def load_codebook(path: str) -> chancode.GroupedCodebook:
     """Codewords, then groups, then a declared length "n" if the file has one."""
     obj = _load_json(path)
     codewords = _need(obj, "codewords", path, chancode.codeword_matrix)
-    cb = _need(
-        obj, "groups", path, lambda v: chancode.GroupedCodebook(codewords, _array_of(v, list, "index arrays"))
-    )
+    cb = _need(obj, "groups", path, lambda v: chancode.GroupedCodebook(codewords, v))
     n = obj.get("n", cb.n)
     if isinstance(n, bool) or n != cb.n:
         raise _at("/n", LengthMismatch(f"declared length {n} but codewords have length {cb.n}"))
@@ -168,7 +139,8 @@ def _emit(text: str, output: str | None):
 
 
 def _json_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Compact sorted JSON; a NaN or infinity raises ValueError, since RFC 8259 has no such number."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _csv_text(header: list[str], rows) -> str:
@@ -231,10 +203,7 @@ def _cmd_capacity(args) -> dict:
 
 def _cmd_rate_distortion(args) -> dict:
     src = load_distribution(args.dist)
-    ds = _need(
-        _load_json(args.distortion), "values", args.distortion,
-        lambda v: optimize.SemanticDistortionMatrix(_float_array(v, 2)),
-    )
+    ds = _need(_load_json(args.distortion), "values", args.distortion, optimize.SemanticDistortionMatrix)
     res = optimize.semantic_rate_distortion(
         src,
         ds,
@@ -263,16 +232,8 @@ def _cmd_huffman(args) -> dict:
 
 def _load_code(path: str) -> srccode.SemanticPrefixCode:
     obj = {"arity": 2, **_load_json(path)}  # the file may leave out a binary arity
-    arity = _need(obj, "arity", path, lambda v: srccode.code_arity(_integer(v)))
-    return _need(
-        obj, "codewords", path, lambda v: srccode.SemanticPrefixCode(_array_of(v, str, "strings"), arity)
-    )
-
-
-def _integer(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{value!r} is not an integer")
-    return value
+    arity = _need(obj, "arity", path, srccode.code_arity)
+    return _need(obj, "codewords", path, lambda v: srccode.SemanticPrefixCode(v, arity))
 
 
 def _read_symbols(path: str) -> list[int]:

@@ -9,6 +9,7 @@ values can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -21,13 +22,35 @@ from .errors import (
     OverlappingBlocks,
     SizeMismatch,
     SumNotOne,
+    ValidationError,
 )
 
 PROB_TOL = 1e-9
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
+def _real_array(values, ndim: int, empty: str) -> np.ndarray:
+    """`values` as a new read-only float64 array; SizeMismatch(empty) unless it has `ndim` axes and a cell.
+
+    An int, uint or float ndarray is converted as it is.  Anything else must
+    nest real numbers `ndim` deep, as a JSON vector or matrix of numbers does:
+    numpy would read True as 1 and "0.5" as 0.5, so a bool, string, None,
+    ragged row or other depth is refused.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        a = np.array(values, dtype=float)
+    else:
+        try:
+            cells = np.array(values, dtype=object)
+            real = cells.ndim == ndim and all(
+                isinstance(x, Real) and not isinstance(x, bool) for x in cells.flat
+            )
+            a = cells.astype(float) if real else None
+        except (ValueError, OverflowError):  # a nesting numpy cannot hold; an int beyond float range
+            a = None
+        if a is None:
+            raise ValidationError(f"must be a {('vector', 'matrix')[ndim - 1]} of JSON numbers")
+    if a.ndim != ndim or a.size == 0:
+        raise SizeMismatch(empty)
     a.setflags(write=False)
     return a
 
@@ -39,14 +62,12 @@ class Distribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
-        if p.ndim != 1 or p.size == 0:
-            raise SizeMismatch("probability vector must be non-empty and 1-D")
+        p = _real_array(self.probs, 1, "probability vector must be non-empty and 1-D")
         if np.any(p < 0):
             raise NegativeProbability(f"negative entries at {np.flatnonzero(p < 0).tolist()}")
         if not abs(float(p.sum()) - 1.0) <= PROB_TOL:  # NaN fails this too
             raise SumNotOne(f"entries sum to {float(p.sum())!r}, expected 1 within {PROB_TOL}")
-        object.__setattr__(self, "probs", _frozen(p))
+        object.__setattr__(self, "probs", p)
 
     @property
     def alphabet_size(self) -> int:
@@ -58,7 +79,7 @@ class Distribution:
 
 def validate_distribution(probs) -> Distribution:
     """Check non-negativity and unit mass, returning a frozen Distribution."""
-    return Distribution(np.asarray(probs, dtype=float))
+    return Distribution(probs)
 
 
 def _block_index(i, k: int) -> int:
@@ -72,16 +93,29 @@ def _block_index(i, k: int) -> int:
     return index
 
 
+_ARRAYS = (list, tuple, np.ndarray)
+
+
+def _index_blocks(blocks) -> tuple[tuple[int, ...], ...]:
+    """Partition blocks or codebook groups as int tuples; ValidationError unless an array of index arrays."""
+    if not isinstance(blocks, _ARRAYS) or not all(isinstance(b, _ARRAYS) for b in blocks):
+        raise ValidationError("must be an array of index arrays")
+    return tuple(tuple(_block_index(i, k) for i in b) for k, b in enumerate(blocks))
+
+
 @dataclass(frozen=True, eq=False)
 class SynonymousPartition:
-    """Ordered disjoint blocks of {0..N-1}; one block per semantic symbol."""
+    """Ordered disjoint blocks of {0..N-1}; one block per semantic symbol.
+
+    An `alphabet_size` of None means one syntactic symbol per block member.
+    """
 
     blocks: tuple[tuple[int, ...], ...]
-    alphabet_size: int
+    alphabet_size: int | None
 
     def __post_init__(self):
-        blocks = tuple(tuple(_block_index(i, k) for i in b) for k, b in enumerate(self.blocks))
-        n = int(self.alphabet_size)
+        blocks = _index_blocks(self.blocks)
+        n = sum(map(len, blocks)) if self.alphabet_size is None else int(self.alphabet_size)
         if not blocks:
             raise SizeMismatch("a partition needs at least one block")
         block_of = [-1] * n
@@ -128,7 +162,7 @@ class SynonymousPartition:
 
 def validate_partition(blocks, alphabet_size: int) -> SynonymousPartition:
     """Check disjointness, coverage and index range; block order is preserved."""
-    return SynonymousPartition(tuple(tuple(b) for b in blocks), alphabet_size)
+    return SynonymousPartition(blocks, alphabet_size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,14 +172,12 @@ class JointDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
-        if p.ndim != 2 or p.size == 0:
-            raise SizeMismatch("joint distribution must be a non-empty 2-D matrix")
+        p = _real_array(self.probs, 2, "joint distribution must be a non-empty 2-D matrix")
         if np.any(p < 0):
             raise NegativeProbability("joint distribution has negative entries")
         if not abs(float(p.sum()) - 1.0) <= PROB_TOL:  # NaN fails this too
             raise SumNotOne(f"entries sum to {float(p.sum())!r}, expected 1 within {PROB_TOL}")
-        object.__setattr__(self, "probs", _frozen(p))
+        object.__setattr__(self, "probs", p)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -178,15 +210,13 @@ class ChannelModel:
     transition: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.transition, dtype=float)
-        if w.ndim != 2 or w.size == 0:
-            raise SizeMismatch("transition matrix must be a non-empty 2-D matrix")
+        w = _real_array(self.transition, 2, "transition matrix must be a non-empty 2-D matrix")
         if np.any(w < 0):
             raise NegativeProbability("transition matrix has negative entries")
         bad = np.flatnonzero(~(np.abs(w.sum(axis=1) - 1.0) <= PROB_TOL))
         if bad.size:
             raise SumNotOne(f"rows {bad.tolist()} do not sum to 1 within {PROB_TOL}")
-        object.__setattr__(self, "transition", _frozen(w))
+        object.__setattr__(self, "transition", w)
 
     @property
     def input_size(self) -> int:

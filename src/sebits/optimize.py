@@ -34,12 +34,14 @@ from .core import (
     JointDistribution,
     JointSynonymousPartition,
     SynonymousPartition,
+    _real_array,
     induced_semantic_joint,
 )
 from .errors import BudgetExceeded, Infeasible, NonConvergence, SizeMismatch, ValidationError
 from .measures import entropy, semantic_entropy
 
 _LOG_FLOOR = 1e-300
+JSCC_EDGE_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -264,13 +266,9 @@ class SemanticDistortionMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.size == 0:
-            raise SizeMismatch("distortion matrix must be a non-empty 2-D matrix")
+        v = _real_array(self.values, 2, "distortion matrix must be a non-empty 2-D matrix")
         if np.any(v < 0) or not np.all(np.isfinite(v)):
             raise ValidationError("distortion entries must be finite and non-negative")
-        v = v.copy()
-        v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     @property
@@ -571,14 +569,13 @@ def jscc_feasible(
     target_d: float | None = None,
     partition_budget: int = 10_000,
     tol: float = 1e-8,
-    edge_tol: float = 1e-6,
 ) -> str:
     """Classify a code rate against the semantic source-channel criterion.
 
     Lossless: feasible iff Hs(U~) <= rate <= C_s.  Lossy (needs ds and
     target_d): feasible iff R_s(D) <= rate <= C_s, with `partition_budget`
     gating the R_s(D) enumeration.  Returns "feasible", "infeasible", or
-    "boundary" when within `edge_tol` of either edge.
+    "boundary" when within JSCC_EDGE_TOL of either edge.
     """
     if mode == "lossless":
         lower = semantic_entropy(src, f)
@@ -591,7 +588,7 @@ def jscc_feasible(
     else:
         raise ValueError(f"mode must be 'lossless' or 'lossy', got {mode!r}")
     upper = semantic_capacity(ch, tol=tol).c_s
-    if abs(rate - lower) <= edge_tol or abs(rate - upper) <= edge_tol:
+    if abs(rate - lower) <= JSCC_EDGE_TOL or abs(rate - upper) <= JSCC_EDGE_TOL:
         return "boundary"
     if lower <= rate <= upper:
         return "feasible"

@@ -10,6 +10,7 @@ from __future__ import annotations
 import heapq
 import re
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -20,7 +21,9 @@ KRAFT_TOL = 1e-12
 
 
 def code_arity(arity: int) -> int:
-    """`arity` if it can be a code alphabet size (at least 2); raises ValidationError otherwise."""
+    """`arity` if it is an integer (not a bool) of at least 2; raises ValidationError otherwise."""
+    if isinstance(arity, bool) or not isinstance(arity, Integral):
+        raise ValidationError(f"{arity!r} is not an integer")
     if arity < 2:
         raise ValidationError("code alphabet size must be at least 2")
     return arity
@@ -44,6 +47,9 @@ class SemanticPrefixCode:
 
     def __post_init__(self):
         code_arity(self.arity)
+        if not (isinstance(self.codewords, (list, tuple)) and all(isinstance(w, str) for w in self.codewords)):
+            raise ValidationError("must be an array of strings")
+        object.__setattr__(self, "codewords", tuple(self.codewords))
         if not self.codewords:
             raise ValidationError("code must have at least one codeword")
         digits = set("0123456789")

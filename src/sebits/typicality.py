@@ -171,14 +171,13 @@ def enumerate_typical_sets(
     f: SynonymousPartition,
     n: int,
     eps: float,
-    small_n_threshold: int = SMALL_N_THRESHOLD,
 ) -> TypicalityReport:
     """Exact sizes of the semantic typical set and its synonymous classes.
 
     Reports |A~| (semantic typical set, with its 2^{n(Hs -/+ eps)} bracket),
     Pr{A~}, the syntactic typical-set size |A|, per-class synonymous set sizes
     |B|, whether the B classes exactly tile A, and whether every |B| obeys the
-    2^{n(H - Hs -/+ eps)} bracket.  Lower-bound violations below `small_n_threshold` are
+    2^{n(H - Hs -/+ eps)} bracket.  Lower-bound violations at n below SMALL_N_THRESHOLD are
     demoted to a caveat.
 
     Probabilities and rates depend only on a sequence's type (method of types),
@@ -282,8 +281,8 @@ def enumerate_typical_sets(
     upper_ok = a_sem_size <= upper * (1 + slack) and b_upper_ok
     lower_ok = a_sem_size >= lower * (1 - slack) and b_lower_ok
     caveat = None
-    if not lower_ok and n < small_n_threshold:
-        caveat = f"lower bounds hold only for sufficiently large n (n={n} < {small_n_threshold})"
+    if not lower_ok and n < SMALL_N_THRESHOLD:
+        caveat = f"lower bounds hold only for sufficiently large n (n={n} < {SMALL_N_THRESHOLD})"
     return TypicalityReport(
         n=n,
         epsilon=eps,

@@ -97,6 +97,14 @@ class TestMeasures:
         parsed = json.loads(err)
         assert parsed["exit_code"] == 2
 
+    def test_non_finite_result_raises_instead_of_printing(self, monkeypatch):
+        """RFC 8259 has no NaN or Infinity, so printing one would not be JSON."""
+        from sebits import gaussian
+
+        monkeypatch.setattr(gaussian, "gaussian_semantic_entropy", lambda noise, s: math.nan)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            run_main("gaussian", "--op", "entropy")
+
 
 class TestHuffman:
     def test_table7_codebook(self):

@@ -1,8 +1,12 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sebits.chancode import GroupedCodebook
 from sebits.core import (
     ChannelModel,
     Distribution,
@@ -23,7 +27,10 @@ from sebits.errors import (
     OverlappingBlocks,
     SizeMismatch,
     SumNotOne,
+    ValidationError,
 )
+from sebits.optimize import SemanticDistortionMatrix
+from sebits.srccode import SemanticPrefixCode
 
 from conftest import random_joint, random_partition
 
@@ -111,6 +118,56 @@ class TestValidatePartition:
     def test_block_order_preserved(self):
         f = validate_partition([[3], [0, 1, 2]], 4)
         assert f.blocks == ((3,), (0, 1, 2))
+
+
+# each input kind's constructor, applied to a document as its CLI loader would apply it
+CONSTRUCT = {
+    "distribution": lambda doc: Distribution(doc["probs"]),
+    "partition": lambda doc: SynonymousPartition(doc["blocks"], None),
+    "joint": lambda doc: JointDistribution(doc["matrix"]),
+    "channel": lambda doc: ChannelModel(doc["transition"]),
+    "codebook": lambda doc: GroupedCodebook(doc["codewords"], doc["groups"]),
+    "distortion": lambda doc: SemanticDistortionMatrix(doc["values"]),
+    "code": lambda doc: SemanticPrefixCode(doc["codewords"], doc.get("arity", 2)),
+}
+DATA_KEYS = {"/probs", "/matrix", "/transition", "/values", "/blocks", "/groups", "/codewords", "/arity"}
+MALFORMED_DATA = [
+    (kind, doc)
+    for kind, pointer, doc in json.loads((Path(__file__).parent / "malformed_inputs.json").read_text())["cases"]
+    if pointer in DATA_KEYS
+]
+LIBRARY_ONLY = [
+    ("distribution", {"probs": np.array(["0.5", "0.5"])}),
+    ("distribution", {"probs": np.array([True, False])}),
+    ("distribution", {"probs": [[0.5], [0.25, 0.25]]}),
+    ("joint", {"matrix": [[0.5, 0.25], [0.25]]}),
+    ("channel", {"transition": np.array([["1", "0"], ["0", "1"]])}),
+    ("distortion", {"values": np.array([[False, True], [True, False]])}),
+    ("partition", {"blocks": 5}),
+    ("codebook", {"codewords": ["00", "11"], "groups": 5}),
+    ("code", {"codewords": (5,)}),
+    ("code", {"codewords": 5}),
+    ("code", {"codewords": ["0", "1"], "arity": 2.9}),
+    ("code", {"codewords": ["0", "1"], "arity": np.float64(2.0)}),
+]
+
+
+class TestOneInputContract:
+    """The library constructors refuse what the CLI loaders refuse, with a ValidationError."""
+
+    @pytest.mark.parametrize(
+        "kind, doc", MALFORMED_DATA + LIBRARY_ONLY,
+        ids=[f"{k}-{i}" for i, (k, _) in enumerate(MALFORMED_DATA + LIBRARY_ONLY)],
+    )
+    def test_constructor_refuses(self, kind, doc):
+        with pytest.raises(ValidationError):
+            CONSTRUCT[kind](doc)
+
+    def test_numeric_arrays_and_real_scalars_accepted(self):
+        assert Distribution(np.array([1, 0], dtype=np.uint8)).probs.tolist() == [1.0, 0.0]
+        assert Distribution([np.float32(0.25), 0.75]).probs.tolist() == [0.25, 0.75]
+        w = ChannelModel([np.array([1.0, 0.0]), [0, 1]]).transition
+        assert w.dtype == np.float64 and not w.flags.writeable
 
 
 class TestInducedDistribution:
