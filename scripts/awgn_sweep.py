@@ -4,12 +4,14 @@
 One simulation covers the whole grid: every Es/N0 point decodes the same
 trials' codeword picks and noise (common random numbers), with both the group
 rule and the nearest-codeword rule, and the analytic union bounds are printed
-next to the measured rates.
+next to the measured rates.  The CSV goes to stdout (or --output); one progress
+line per point goes to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import sys
 from pathlib import Path
@@ -56,12 +58,15 @@ def main() -> None:
         )
         print(
             f"{db:5.1f} dB  group {res.group_error_rate:.3e}  cw {res.codeword_error_rate:.3e}"
-            f"  bound {rows[-1][4]:.3e}"
+            f"  bound {rows[-1][4]:.3e}",
+            file=sys.stderr,
         )
 
-    writer = csv.writer(open(args.output, "w", newline="") if args.output else sys.stdout)
-    writer.writerow(header)
-    writer.writerows(rows)
+    out = open(args.output, "w", newline="") if args.output else contextlib.nullcontext(sys.stdout)
+    with out as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 if __name__ == "__main__":

@@ -158,9 +158,9 @@ class GroupedCodebook:
     def group_of(self) -> np.ndarray:
         return self._group_of
 
-    def signals(self, es: float = 1.0) -> np.ndarray:
-        """BPSK map s = sqrt(Es) (1 - 2x) for every codeword."""
-        return math.sqrt(es) * (1.0 - 2.0 * self.codewords.astype(float))
+    def signals(self) -> np.ndarray:
+        """BPSK map s = 1 - 2x (Es = 1) for every codeword."""
+        return 1.0 - 2.0 * self.codewords.astype(float)
 
     @cached_property
     def _group_spectrum(self) -> tuple[float, dict[tuple, float]]:
@@ -169,13 +169,6 @@ class GroupedCodebook:
     @cached_property
     def _classic_spectrum(self) -> dict[int, float]:
         return _classic_spectrum_of(self)
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "codewords": ["".join(str(b) for b in row) for row in self.codewords],
-            "groups": [list(g) for g in self.groups],
-        }
 
 
 def build_grouped_codebook(codewords, groups) -> GroupedCodebook:
@@ -312,12 +305,10 @@ def classic_distance_spectrum(cb: GroupedCodebook) -> dict[int, float]:
 def _classic_spectrum_of(cb: GroupedCodebook) -> dict[int, float]:
     cw = cb.codewords
     m = cw.shape[0]
-    counts: dict[int, float] = {}
-    for i in range(m):
-        d = np.abs(cw - cw[i]).sum(axis=1)
-        for dist in d[np.arange(m) != i]:
-            counts[int(dist)] = counts.get(int(dist), 0.0) + 1.0
-    return {k: v / m for k, v in sorted(counts.items())}
+    weight = cw.sum(axis=1)
+    dist = weight[:, None] + weight - 2 * (cw @ cw.T)  # Hamming distances, (M, M)
+    counts = np.bincount(dist[~np.eye(m, dtype=bool)])  # over the M (M - 1) ordered pairs
+    return {d: c / m for d, c in enumerate(counts.tolist()) if c}
 
 
 # ---------------------------------------------------------------------------
@@ -334,29 +325,28 @@ def _decide(y: np.ndarray, cb: GroupedCodebook) -> tuple[np.ndarray, np.ndarray]
     return (y @ signals.T).argmax(axis=-1), (y @ group_signals.T).argmax(axis=-1)
 
 
-def _received(y, cb: GroupedCodebook, es: float) -> np.ndarray:
-    if es <= 0:
-        raise ValueError("Es must be positive")
+def _received(y, cb: GroupedCodebook) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.shape != (cb.n,):
         raise LengthMismatch(f"received vector has length {y.size}, code length is {cb.n}")
     return y
 
 
-def ml_decode(y, cb: GroupedCodebook, es: float = 1.0) -> int:
+def ml_decode(y, cb: GroupedCodebook) -> int:
     """Nearest-codeword rule: argmin ||y - s_i||^2, ties to the lowest index.
 
-    Any Es > 0 scales every signal alike and gives the same decision.
+    Any Es > 0 scales every signal alike and gives the same decision, so the
+    signals are taken at Es = 1.
     """
-    return int(_decide(_received(y, cb, es), cb)[0])
+    return int(_decide(_received(y, cb), cb)[0])
 
 
-def mlg_decode(y, cb: GroupedCodebook, es: float = 1.0) -> int:
+def mlg_decode(y, cb: GroupedCodebook) -> int:
     """Maximum-likelihood-group rule: argmin over groups of the summed squared distance.
 
     Ties go to the lowest group index; any Es > 0 gives the same decision.
     """
-    return int(_decide(_received(y, cb, es), cb)[1])
+    return int(_decide(_received(y, cb), cb)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -407,15 +397,6 @@ class SimulationResult:
     ci95: float
     ci95_codeword: float
     ml_group_error_rate: float  # wrong-group rate when groups are read off the ML decision
-
-    def to_json(self) -> dict:
-        return {
-            "group_error_rate": self.group_error_rate,
-            "codeword_error_rate": self.codeword_error_rate,
-            "ci95": self.ci95,
-            "ci95_codeword": self.ci95_codeword,
-            "ml_group_error_rate": self.ml_group_error_rate,
-        }
 
 
 def wilson_halfwidth(p_hat: float, n: int) -> float:
@@ -507,7 +488,7 @@ def simulate_awgn_sweep(
     if not configs:
         raise ValueError("need at least one Es/N0 point")
     sigmas = [math.sqrt(1.0 / (2.0 * c.es_n0)) for c in configs]
-    signals = cb.signals(1.0)
+    signals = cb.signals()
     m, n = signals.shape
     if batch is None:
         batch = max(1, AWGN_WORK // (m * n))

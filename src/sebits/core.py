@@ -73,9 +73,6 @@ class Distribution:
     def alphabet_size(self) -> int:
         return self.probs.size
 
-    def to_json(self) -> dict:
-        return {"probs": self.probs.tolist()}
-
 
 def validate_distribution(probs) -> Distribution:
     """Check non-negativity and unit mass, returning a frozen Distribution."""
@@ -156,9 +153,6 @@ class SynonymousPartition:
     def single_block(cls, n: int) -> "SynonymousPartition":
         return cls((tuple(range(n)),), n)
 
-    def to_json(self) -> dict:
-        return {"blocks": [list(b) for b in self.blocks]}
-
 
 def validate_partition(blocks, alphabet_size: int) -> SynonymousPartition:
     """Check disjointness, coverage and index range; block order is preserved."""
@@ -182,9 +176,6 @@ class JointDistribution:
     @property
     def shape(self) -> tuple[int, int]:
         return self.probs.shape  # type: ignore[return-value]
-
-    def to_json(self) -> dict:
-        return {"matrix": self.probs.tolist()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,9 +224,6 @@ class ChannelModel:
                 f"input distribution has {d.alphabet_size} symbols, channel expects {self.input_size}"
             )
         return JointDistribution(d.probs[:, None] * self.transition)
-
-    def to_json(self) -> dict:
-        return {"transition": self.transition.tolist()}
 
 
 def induced_semantic_distribution(d: Distribution, f: SynonymousPartition) -> Distribution:

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 
-LOG2E = math.log2(math.e)
-
 
 def uniform_semantic_entropy(a: float, b: float, n_tilde: int) -> float:
     """Uniform density on [a, b] under an even partition into n_tilde intervals: log2 n_tilde."""

@@ -67,9 +67,6 @@ class SemanticPrefixCode:
     def lengths(self) -> list[int]:
         return [len(w) for w in self.codewords]
 
-    def to_json(self) -> dict:
-        return {"codewords": list(self.codewords), "arity": self.arity}
-
 
 def build_semantic_huffman(
     d: Distribution, f: SynonymousPartition, arity: int = 2
@@ -80,10 +77,11 @@ def build_semantic_huffman(
     by the smallest original block index, and pop order fixes digit assignment.
     A single-block source gets the one-digit codeword "0".  For arity > 2 the
     symbol list is padded with zero-probability dummies so every merge is full.
-    Codeword digits are the characters 0-9, so the arity must lie in [2, 10].
+    Codeword digits are the characters 0-9, so the arity must be an integer
+    (not a bool) in [2, 10]; anything else raises ValidationError.
     """
-    if not 2 <= arity <= 10:
-        raise ValueError(f"arity must be in [2, 10] (one character per digit), got {arity}")
+    if isinstance(arity, bool) or not isinstance(arity, Integral) or not 2 <= arity <= 10:
+        raise ValidationError(f"arity must be in [2, 10] (one character per digit), got {arity}")
     sem = induced_semantic_distribution(d, f)
     n = sem.alphabet_size
     if n == 1:

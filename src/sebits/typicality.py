@@ -22,7 +22,7 @@ configurable threshold are reported as informational caveats, not failures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -110,17 +110,7 @@ class TypicalityReport:
     detail: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "epsilon": self.epsilon,
-            "prob_typical": self.prob_typical,
-            "set_size": self.set_size,
-            "lower_bound": self.lower_bound,
-            "upper_bound": self.upper_bound,
-            "bound_satisfied": self.bound_satisfied,
-            "lower_bound_caveat": self.lower_bound_caveat,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 def _type_grid(n: int, parts: int):

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import csv
 import io
 import json
 import math
@@ -300,6 +301,22 @@ class TestChancodeAndSimulate:
         for row in rows:
             p = row["group_err"]
             assert p <= row["mlg_bound"] + 3 * math.sqrt(p * (1 - p) / trials)
+
+    def test_awgn_sweep_script_stdout_is_csv(self, tmp_path):
+        """scripts/awgn_sweep.py prints its progress lines on stderr, so stdout is the
+        CSV alone, and --output holds the same bytes."""
+        script = Path(__file__).resolve().parent.parent / "scripts" / "awgn_sweep.py"
+        argv = [sys.executable, str(script), "--trials", "300", "--db-stop", "1", "--db-step", "1"]
+        proc = subprocess.run(argv, capture_output=True, text=True)
+        assert proc.returncode == 0
+        rows = list(csv.reader(io.StringIO(proc.stdout)))
+        assert rows[0] == ["es_n0_db", "group_err", "cw_err", "ml_group_err", "mlg_bound", "ml_bound"]
+        values = [[float(x) for x in row] for row in rows[1:]]  # every cell a number
+        assert [row[0] for row in values] == [0.0, 1.0] and all(len(row) == 6 for row in values)
+        assert len(proc.stderr.splitlines()) == 2
+        out = tmp_path / "sweep.csv"
+        assert subprocess.run([*argv, "--output", str(out)], capture_output=True).returncode == 0
+        assert out.read_text() == proc.stdout
 
 
 class TestTypicality:

@@ -17,7 +17,7 @@ from sebits.core import (
     SynonymousPartition,
 )
 from sebits.errors import BudgetExceeded, Infeasible, NonConvergence
-from sebits.measures import mutual_information, up_smi
+from sebits.measures import down_smi, mutual_information, up_smi
 from sebits.optimize import (
     SemanticDistortionMatrix,
     blahut_arimoto_capacity,
@@ -585,6 +585,33 @@ class TestSemanticRateDistortion:
             for cols in itertools.permutations(range(3))
         )
         assert res.r_s == pytest.approx(oracle, abs=1e-6)
+
+    def test_source_relabeling_keeps_the_rate(self):
+        """Under a symmetric Hamming cost the enumeration covers every labeled source
+        partition, so permuting the source symbols leaves R_s(D) in place up to
+        rounding (ties go whichever way rounding sends them, so only r_s is compared,
+        not the reported pair), and the reported pair's own down companion, clamped
+        at zero, is r_s."""
+        rng = np.random.default_rng(41)
+        positive = 0
+        for _ in range(6):
+            n = int(rng.integers(3, 5))
+            k = int(rng.integers(n - 1, n + 1))
+            n_hat = int(rng.integers(k, 6))
+            probs, target = rng.dirichlet(np.ones(n)), float(rng.uniform(0.02, 0.15))
+            res = semantic_rate_distortion(
+                Distribution(probs), hamming_distortion(k), target, reconstruction_size=n_hat
+            )
+            for perm in (rng.permutation(n), np.arange(n)[::-1]):
+                moved = semantic_rate_distortion(
+                    Distribution(probs[perm]), hamming_distortion(k), target, reconstruction_size=n_hat
+                )
+                assert moved.r_s == pytest.approx(res.r_s, abs=1e-12)
+            joint = res.best_test_channel.joint_with(Distribution(probs))
+            down = down_smi(joint, JointSynonymousPartition(*res.best_partitions), clamp=True)
+            assert down == pytest.approx(res.r_s, abs=1e-12)
+            positive += res.r_s > 0
+        assert positive >= 2
 
     def test_straight_segment_of_the_curve(self):
         """A reconstruction symbol of constant cost a (an erasure) puts a

@@ -115,10 +115,11 @@ class TestHuffmanGoldens:
 class TestHuffmanArity:
     """Digits are the characters 0-9: arities outside [2, 10] are refused up front."""
 
-    @pytest.mark.parametrize("arity", [1, 12])
+    @pytest.mark.parametrize("arity", [1, 12, 2.5, 3.0])
     def test_out_of_range_rejected(self, huffman_dist, huffman_partition, arity):
-        # arity 1 used to loop forever; 12 failed with a misleading prefix error
-        with pytest.raises(ValueError, match=r"\[2, 10\]"):
+        # arity 1 used to loop forever; 12 failed with a misleading prefix error;
+        # 2.5 and 3.0 passed the range check and failed with a TypeError in the merge loop
+        with pytest.raises(ValidationError, match=r"\[2, 10\]"):
             build_semantic_huffman(huffman_dist, huffman_partition, arity=arity)
 
     def test_arity_ten_builds(self):
