@@ -163,6 +163,15 @@ class GroupedCodebook:
         return 1.0 - 2.0 * self.codewords.astype(float)
 
     @cached_property
+    def _decode_signals(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only BPSK signals (M, n) and group sum signals (groups, n), built once."""
+        signals = self.signals()
+        group_signals = signals[np.array(self.groups)].sum(axis=1)
+        signals.setflags(write=False)
+        group_signals.setflags(write=False)
+        return signals, group_signals
+
+    @cached_property
     def _group_spectrum(self) -> tuple[float, dict[tuple, float]]:
         return _group_spectrum_of(self)
 
@@ -320,8 +329,7 @@ def _decide(y: np.ndarray, cb: GroupedCodebook) -> tuple[np.ndarray, np.ndarray]
 
     argmax keeps the first maximum, so ties go to the lowest index.
     """
-    signals = cb.signals()
-    group_signals = signals[np.array(cb.groups)].sum(axis=1)  # (num_groups, n)
+    signals, group_signals = cb._decode_signals
     return (y @ signals.T).argmax(axis=-1), (y @ group_signals.T).argmax(axis=-1)
 
 
@@ -488,7 +496,7 @@ def simulate_awgn_sweep(
     if not configs:
         raise ValueError("need at least one Es/N0 point")
     sigmas = [math.sqrt(1.0 / (2.0 * c.es_n0)) for c in configs]
-    signals = cb.signals()
+    signals = cb._decode_signals[0]  # built here, before the trial_map threads read it
     m, n = signals.shape
     if batch is None:
         batch = max(1, AWGN_WORK // (m * n))

@@ -42,6 +42,7 @@ from .measures import entropy, semantic_entropy
 
 _LOG_FLOOR = 1e-300
 JSCC_EDGE_TOL = 1e-6
+MAX_ROUNDS = 100_000  # `_iterate_to_certificate` rounds, each of up to three steps, before NonConvergence
 
 
 # ---------------------------------------------------------------------------
@@ -105,17 +106,15 @@ def _iterate_to_certificate(step, x: np.ndarray, done, rounds: int):
 # classic Blahut-Arimoto capacity
 # ---------------------------------------------------------------------------
 
-def blahut_arimoto_capacity(
-    ch: ChannelModel, tol: float = 1e-10, max_iter: int = 100_000
-) -> tuple[float, Distribution]:
+def blahut_arimoto_capacity(ch: ChannelModel, tol: float = 1e-10) -> tuple[float, Distribution]:
     """Classic channel capacity max_p I(X;Y) in bits, with the maximizing input.
 
     The step is Arimoto's update r <- r 2^d, normalised, where d_x is the
     divergence of row x from the output law (Arimoto 1972), run on the
     SQUAREM driver.  It stops on Arimoto's certificate: max d bounds the
     capacity from above and r.d from below, so once they agree within `tol`
-    the returned value is within `tol` of the true maximum.  `max_iter`
-    counts the driver's rounds, each of up to three steps.
+    the returned value is within `tol` of the true maximum, or raises
+    NonConvergence after `MAX_ROUNDS` rounds.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -131,10 +130,10 @@ def blahut_arimoto_capacity(
         return nxt / nxt.sum(), float(d.max() - r @ d), -float(r @ d)
 
     r, f, stopped = _iterate_to_certificate(
-        step, np.full(m, 1.0 / m), lambda gap, f: gap < tol, max_iter
+        step, np.full(m, 1.0 / m), lambda gap, f: gap < tol, MAX_ROUNDS
     )
     if not stopped:
-        raise NonConvergence(f"Blahut-Arimoto did not reach tol={tol} in {max_iter} rounds")
+        raise NonConvergence(f"Blahut-Arimoto did not reach tol={tol} in {MAX_ROUNDS} rounds")
     return -f, Distribution(r)
 
 
@@ -170,10 +169,7 @@ def _up_smi_value_grad(
 
 
 def maximize_up_smi(
-    ch: ChannelModel,
-    fj: JointSynonymousPartition,
-    tol: float = 1e-8,
-    max_iter: int = 100_000,
+    ch: ChannelModel, fj: JointSynonymousPartition, tol: float = 1e-8
 ) -> tuple[float, Distribution]:
     """max over p(x) of H(X)+H(Y)-Hs(X~,Y~) by block Blahut-Arimoto ascent.
 
@@ -185,7 +181,8 @@ def maximize_up_smi(
     identity partitions it is classic Blahut-Arimoto (Arimoto 1972).  The
     ascent starts from the uniform input.  The objective is concave in p(x),
     so the Frank-Wolfe gap max g - g.p bounds the distance to the global
-    maximum, and the ascent stops once it is below `tol`.
+    maximum, and the ascent stops once it is below `tol`, or raises
+    NonConvergence after `MAX_ROUNDS` rounds.
     """
     w, wv, x_block = _up_smi_pieces(ch, fj)
     x_onehot = np.eye(x_block.max() + 1)[x_block]
@@ -199,10 +196,10 @@ def maximize_up_smi(
         return nxt / nxt.sum(), float(g.max() - g @ p), -value
 
     p, f, stopped = _iterate_to_certificate(
-        step, np.full(w.shape[0], 1.0 / w.shape[0]), lambda gap, f: gap < tol, max_iter
+        step, np.full(w.shape[0], 1.0 / w.shape[0]), lambda gap, f: gap < tol, MAX_ROUNDS
     )
     if not stopped:
-        raise NonConvergence(f"up-SMI ascent did not reach tol={tol} in {max_iter} rounds")
+        raise NonConvergence(f"up-SMI ascent did not reach tol={tol} in {MAX_ROUNDS} rounds")
     return -f, Distribution(p)
 
 
@@ -240,17 +237,18 @@ def semantic_capacity(
     pair with every input in one block and every output in one block, so that
     pair attains the outer maximum at every p(x) and C_s = max_p H(X) + H(Y):
     one ascent on it, stopped on its Frank-Wolfe gap, gives C_s.
-    `identity_only` ascends on the identity pair instead, which reduces C_s to
-    the classic capacity.
+    `identity_only` takes the identity pair instead, where the up companion is
+    I(X;Y), so C_s is the classic capacity: the Blahut-Arimoto value and input
+    already computed for `c_classic` are returned, and c_s == c_classic.
     """
-    c_classic, _ = blahut_arimoto_capacity(ch, tol=min(tol, 1e-10))
+    c_classic, r = blahut_arimoto_capacity(ch, tol=min(tol, 1e-10))
     nx, ny = ch.input_size, ch.output_size
     if identity_only:
         fj = JointSynonymousPartition.identity(nx, ny)
-    else:
-        fj = JointSynonymousPartition(
-            SynonymousPartition.single_block(nx), SynonymousPartition.single_block(ny)
-        )
+        return CapacityResult(c_s=c_classic, best_input=r, best_partition=fj, c_classic=c_classic)
+    fj = JointSynonymousPartition(
+        SynonymousPartition.single_block(nx), SynonymousPartition.single_block(ny)
+    )
     c_s, p = maximize_up_smi(ch, fj, tol)
     return CapacityResult(c_s=c_s, best_input=p, best_partition=fj, c_classic=c_classic)
 
@@ -276,10 +274,9 @@ class SemanticDistortionMatrix:
         return self.values.shape  # type: ignore[return-value]
 
 
-def hamming_distortion(n_source: int, n_reconstruction: int | None = None) -> SemanticDistortionMatrix:
+def hamming_distortion(n_source: int) -> SemanticDistortionMatrix:
     """0 on the diagonal, 1 elsewhere."""
-    m = n_reconstruction if n_reconstruction is not None else n_source
-    return SemanticDistortionMatrix(1.0 - np.eye(n_source, m))
+    return SemanticDistortionMatrix(1.0 - np.eye(n_source))
 
 
 def expected_semantic_distortion(
@@ -303,7 +300,7 @@ def expected_semantic_distortion(
 # ---------------------------------------------------------------------------
 
 def blahut_arimoto_rd(
-    src: Distribution, d, target_d: float, tol: float = 1e-8, max_iter: int = 100_000
+    src: Distribution, d, target_d: float, tol: float = 1e-8
 ) -> tuple[float, ChannelModel]:
     """Classic R(D) in bits with the achieving test channel.
 
@@ -321,9 +318,7 @@ def blahut_arimoto_rd(
     d_floor = float(p @ d.min(axis=1))
     if target_d < d_floor - 1e-12:
         raise Infeasible(f"no test channel reaches distortion {target_d} (minimum {d_floor})")
-    rate, _, q = _min_down_smi_under_distortion(
-        p, d, np.ones(d.shape[1]), 0.0, target_d, tol, max_iter
-    )
+    rate, _, q = _min_down_smi_under_distortion(p, d, np.ones(d.shape[1]), 0.0, target_d, tol)
     return max(rate, 0.0), ChannelModel(q)
 
 
@@ -411,7 +406,6 @@ def _min_down_smi_under_distortion(
     offset: float,
     target_d: float,
     tol: float,
-    max_iter: int,
 ) -> tuple[float, float, np.ndarray]:
     """min of offset + I(A;B) - sum_b r_b log2 sizes_b subject to E d(A, B) <= target,
     by constrained Blahut-Arimoto.
@@ -435,7 +429,8 @@ def _min_down_smi_under_distortion(
     (c = A t, gap = log2 max_b sum_a p_a A_ab / c_a, the Blahut-Arimoto
     duality gap), and its channel is feasible; the descent stops when the best
     feasible value is within `tol` of the bound, or reaches 0, where the
-    caller's clamp makes it final.  Returns the best feasible (value, dist, qb).
+    caller's clamp makes it final; after `MAX_ROUNDS` rounds it raises
+    NonConvergence.  Returns the best feasible (value, dist, qb).
     """
     col_cost = p @ d
     j = int(np.argmin(col_cost))
@@ -472,8 +467,8 @@ def _min_down_smi_under_distortion(
         return best is not None and (best[0] <= 0.0 or best[0] - lower <= tol)
 
     t0 = np.full(sizes.size, 1.0 / sizes.size)
-    if not _iterate_to_certificate(step, t0, done, max_iter)[2]:
-        raise NonConvergence(f"down-SMI descent did not certify tol={tol} in {max_iter} rounds")
+    if not _iterate_to_certificate(step, t0, done, MAX_ROUNDS)[2]:
+        raise NonConvergence(f"down-SMI descent did not certify tol={tol} in {MAX_ROUNDS} rounds")
     return best
 
 
@@ -484,7 +479,6 @@ def semantic_rate_distortion(
     partition_budget: int = 10_000,
     tol: float = 1e-7,
     reconstruction_size: int | None = None,
-    max_iter: int = 100_000,
 ) -> RateDistortionResult:
     """min over partition pairs and distortion-feasible test channels of the down companion.
 
@@ -532,7 +526,7 @@ def semantic_rate_distortion(
         for fxh_blocks in recon:
             sizes = np.array([len(b) for b in fxh_blocks], dtype=float)
             value, dist, qb = _min_down_smi_under_distortion(
-                pt, ds.values, sizes, offset, target_d, tol, max_iter
+                pt, ds.values, sizes, offset, target_d, tol
             )
             key = (max(value, 0.0), fx_blocks, fxh_blocks)
             if best is None or key < best[0]:

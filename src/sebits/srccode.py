@@ -17,8 +17,6 @@ import numpy as np
 from .core import Distribution, SynonymousPartition, induced_semantic_distribution
 from .errors import IndexOutOfRange, InvalidPrefix, SizeMismatch, TruncatedStream, ValidationError
 
-KRAFT_TOL = 1e-12
-
 
 def code_arity(arity: int) -> int:
     """`arity` if it is an integer (not a bool) of at least 2; raises ValidationError otherwise."""
@@ -30,17 +28,23 @@ def code_arity(arity: int) -> int:
 
 
 def semantic_kraft_check(lengths, arity: int = 2) -> bool:
-    """True iff sum of F^-l over the semantic codeword lengths is at most 1."""
-    code_arity(arity)
+    """True iff sum of F^-l over the semantic codeword lengths is at most 1.
+
+    Decided exactly in integers, as sum of F^(L-l) <= F^L for the longest
+    length L: in floats a complete code's sum can round above 1.
+    """
+    arity = int(code_arity(arity))
     lengths = list(lengths)
-    if not lengths or any(l < 1 for l in lengths):
+    if not lengths or any(isinstance(l, bool) or not isinstance(l, Integral) or l < 1 for l in lengths):
         raise ValidationError("lengths must be a non-empty list of positive integers")
-    return sum(float(arity) ** -l for l in lengths) <= 1.0 + KRAFT_TOL
+    lengths = [int(l) for l in lengths]  # numpy integers would overflow arity**top
+    top = max(lengths)
+    return sum(arity ** (top - l) for l in lengths) <= arity**top
 
 
 @dataclass(frozen=True)
 class SemanticPrefixCode:
-    """One F-ary codeword per semantic symbol; prefix-free with Kraft sum <= 1."""
+    """One F-ary codeword per semantic symbol, prefix-free (so its Kraft sum is <= 1)."""
 
     codewords: tuple[str, ...]
     arity: int = 2
@@ -60,8 +64,6 @@ class SemanticPrefixCode:
         for a, b in zip(words, words[1:]):
             if b.startswith(a):
                 raise ValidationError(f"{a!r} is a prefix of {b!r}; code is not prefix-free")
-        if not semantic_kraft_check(self.lengths, self.arity):
-            raise ValidationError("codeword lengths violate the Kraft inequality")
 
     @property
     def lengths(self) -> list[int]:

@@ -106,7 +106,7 @@ def labeled_pair_solve(src, ds, target_d, fx_blocks, fxh_blocks, reduced=False, 
     if target_d < float(a @ d.min(axis=1)) - 1e-12:
         return None
     sizes = np.array([len(b) for b in fxh_blocks], dtype=float)
-    return _min_down_smi_under_distortion(a, d, sizes, offset, target_d, tol, 100_000)
+    return _min_down_smi_under_distortion(a, d, sizes, offset, target_d, tol)
 
 
 def labeled_rate_distortion(src, ds, target_d, n_hat, reduced=False, tol=1e-7):

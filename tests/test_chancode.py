@@ -264,6 +264,27 @@ class TestUnionBounds:
         assert classic_distance_spectrum(cb) == classic_distance_spectrum(hamming_codebook)
         assert sorted(calls) == ["_classic_spectrum_of", "_group_spectrum_of"]
 
+    def test_decode_signals_built_once_per_codebook(self, hamming_codebook, monkeypatch):
+        cb = build_grouped_codebook(hamming_codebook.codewords, hamming_codebook.groups)
+        calls = []
+        signals_of = GroupedCodebook.signals
+
+        def counted(codebook):
+            if codebook is cb:
+                calls.append(1)
+            return signals_of(codebook)
+
+        monkeypatch.setattr(GroupedCodebook, "signals", counted)
+        simulate_awgn_sweep(cb, [0.5, 1.0, 2.0], trials=500, seed=4, batch=64)  # 8 chunks
+        assert len(calls) == 1
+        mlg_decode(np.ones(cb.n), cb)
+        assert len(calls) == 1
+        # callers of signals() still get a fresh, writable array
+        fresh = cb.signals()
+        fresh[0, 0] = 7.0
+        assert not cb._decode_signals[0].flags.writeable
+        assert cb._decode_signals[0][0, 0] != 7.0
+
     def test_mlg_at_unit_snr(self, hamming_codebook):
         want = 6 * math.exp(-2) + math.exp(-4)
         assert gep_union_bound(hamming_codebook, 1.0, "MLG") == pytest.approx(want, abs=1e-12)

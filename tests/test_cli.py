@@ -483,6 +483,38 @@ def _argv(template, file, symbols=""):
 MALFORMED = json.loads((Path(__file__).resolve().parent / "malformed_inputs.json").read_text())
 
 
+class TestNonConvergenceExit:
+    """Exit code 3 when a solver runs out of rounds, with `optimize.MAX_ROUNDS`
+    cut to one (in this process, so `run_main` rather than `run_cli`)."""
+
+    @pytest.fixture
+    def argv(self, tmp_path, monkeypatch):
+        import sebits.optimize as opt
+        from test_optimize import SLOW_PLAIN
+
+        monkeypatch.setattr(opt, "MAX_ROUNDS", 1)
+        ch, dist, ds = tmp_path / "ch.json", tmp_path / "d.json", tmp_path / "ds.json"
+        ch.write_text(json.dumps({"transition": SLOW_PLAIN}))
+        dist.write_text(json.dumps({"probs": [0.5, 0.3, 0.2]}))
+        ds.write_text(json.dumps({"values": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}))
+        return {
+            "capacity": ["capacity", "--channel", str(ch)],
+            "rate-distortion": [
+                "rate-distortion", "--dist", str(dist), "--distortion", str(ds),
+                "--reconstruction-size", "4", "--d-target", "0.1",
+            ],
+        }
+
+    @pytest.mark.parametrize("command", ["capacity", "rate-distortion"])
+    def test_exit_3(self, argv, command):
+        code, out, err = run_main(*argv[command])
+        assert (code, out) == (3, "")
+        assert "rounds" in err and "Traceback" not in err
+        code, _, err = run_main(*argv[command], "--error-json")
+        assert code == 3
+        assert '"error":"NonConvergence"' in err and "rounds" in err
+
+
 class TestOneLoaderPerKind:
     """The subcommand that reads a file and `schema-check` run the same loader."""
 

@@ -196,17 +196,23 @@ class TestBlahutArimotoCapacityOracle:
         _, r = blahut_arimoto_capacity(ChannelModel(np.array(BOUNDARY_OPTIMUM)))
         assert r.probs[0] < 1e-9
 
-    def test_certifies_within_a_third_of_the_plain_passes(self):
+    def test_certifies_within_a_third_of_the_plain_passes(self, monkeypatch):
+        import sebits.optimize as opt
+
         ch = ChannelModel(np.array(SLOW_PLAIN))
         k = 12
         with pytest.raises(NonConvergence):  # the plain loop needs 584 passes
             plain_blahut_arimoto_capacity(ch, 1e-10, max_iter=3 * k)
-        _, r = blahut_arimoto_capacity(ch, 1e-10, max_iter=k)
+        monkeypatch.setattr(opt, "MAX_ROUNDS", k)
+        _, r = blahut_arimoto_capacity(ch, 1e-10)
         assert arimoto_gap(ch.transition, r.probs) < 1e-10
 
-    def test_round_budget_exhausted(self):
+    def test_round_budget_exhausted(self, monkeypatch):
+        import sebits.optimize as opt
+
+        monkeypatch.setattr(opt, "MAX_ROUNDS", 1)
         with pytest.raises(NonConvergence, match="rounds"):
-            blahut_arimoto_capacity(ChannelModel(np.array(SLOW_PLAIN)), 1e-10, max_iter=1)
+            blahut_arimoto_capacity(ChannelModel(np.array(SLOW_PLAIN)), 1e-10)
 
 
 def _xlog2x(a: np.ndarray) -> np.ndarray:
@@ -312,6 +318,19 @@ class TestSemanticCapacity:
             ch = ChannelModel(rng.dirichlet(np.ones(3), size=2))
             res = semantic_capacity(ch, identity_only=True)
             assert res.c_s == pytest.approx(res.c_classic, abs=1e-4)
+
+    def test_identity_only_is_the_blahut_arimoto_solve(self):
+        """On the identity pair the up companion is I(X;Y): one solve gives
+        both numbers, so they agree bit for bit."""
+        rng = np.random.default_rng(23)
+        shapes = [(2, 3), (3, 3), (4, 2), (5, 6)]
+        chans = [np.array(BOUNDARY_OPTIMUM)] + [rng.dirichlet(np.ones(m), size=n) for n, m in shapes]
+        for w in chans:
+            ch = ChannelModel(w)
+            res = semantic_capacity(ch, identity_only=True)
+            c, r = blahut_arimoto_capacity(ch)
+            assert res.c_s == res.c_classic == c
+            assert np.array_equal(res.best_input.probs, r.probs)
 
     def test_cs_dominates_classic_on_small_channels(self):
         rng = np.random.default_rng(11)

@@ -44,6 +44,31 @@ class TestKraft:
         with pytest.raises(ValueError):
             semantic_kraft_check([1], arity=1)
 
+    def test_integer_lengths_decided_exactly(self):
+        # numpy integers are summed as Python ints, where F^40 does not overflow
+        assert semantic_kraft_check(np.array([40, 40]), np.int64(5))
+        assert not semantic_kraft_check(np.array([1, 1, 1, 1, 1, 40]), np.int64(5))
+        with pytest.raises(ValidationError):
+            semantic_kraft_check([1, 1.5])
+
+    @pytest.mark.parametrize("arity, length", [(5, 7), (6, 7), (10, 6)])
+    def test_complete_code_whose_float_sum_rounds_above_one(self, arity, length):
+        """F^L words of length L sum to exactly 1; in floats these three sums
+        come to 1 + 1.0e-12, 1 + 3.8e-12 and 1 + 7.9e-12."""
+        assert semantic_kraft_check([length] * arity**length, arity)
+        assert not semantic_kraft_check([length] * (arity**length + 1), arity)
+
+    def test_complete_five_ary_code_of_length_seven(self):
+        words = ["".join(w) for w in itertools.product("01234", repeat=7)]
+        assert SemanticPrefixCode(words, 5).lengths == [7] * 5**7
+
+    def test_huffman_on_a_uniform_five_ary_source(self):
+        n = 5**7
+        code = build_semantic_huffman(
+            Distribution(np.full(n, 1.0 / n)), SynonymousPartition.identity(n), arity=5
+        )
+        assert code.lengths == [7] * n
+
 
 class TestPrefixCodeValidation:
     def test_prefix_violation(self):
