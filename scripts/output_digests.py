@@ -30,7 +30,10 @@ all-zero output column and on a seeded random 6x6 channel; chancode and
 simulate on a codebook whose two groups have equal sum signals, so that the
 MLG decoder always ties between them; and every malformed file of
 tests/malformed_inputs.json (read from this script's checkout), run through the subcommand of its kind and, for the
-five schema kinds, through `schema-check`.  Inputs and outputs go to a
+five schema kinds, through `schema-check`; huffman on uniform sources whose
+complete codes' Kraft sums round off 1 in floats (9 symbols at arity 3, 6 at
+arity 6); and the capacity_vs_ebn0 curve at S = 1, 1.5 and 3 on a grid from
+-24 to 4 dB that crosses each ln2/S^4 limit.  Inputs and outputs go to a
 temporary directory, written as <work> in the argv, so the lines of two
 checkouts compare with `diff`.
 --root names the checkout whose src/, perfbench/ and fixtures/ are used; it
@@ -137,6 +140,13 @@ def extra_jobs(work: Path) -> list[tuple[list[str], Path]]:
         jobs.append((argv, work / f"malformed_{i}.out"))
         if kind in malformed["schema_kinds"]:
             jobs.append((["schema-check", "--file", file, "--kind", kind], work / f"malformed_{i}_schema.json"))
+    # complete codes whose Kraft sum rounds off 1 in floats
+    for size, arity in ((9, 3), (6, 6)):
+        uniform = _write_json(work / f"uniform{size}.json", {"probs": [1 / size] * size})
+        jobs.append((["huffman", "--dist", uniform, "--arity", str(arity)], work / f"huffman_uniform{size}.json"))
+    # the ln2/S^4 limits lie at -1.59, -8.64 and -20.68 dB
+    jobs.append((["gaussian", "--curve", "capacity_vs_ebn0", "--s-values", "1,1.5,3", "--grid=-24,4,113"],
+                 work / "gaussian_limits.csv"))
     return jobs
 
 

@@ -20,10 +20,12 @@ numbers, so the error-rate curve is paired across SNR and every point equals
 the one-point simulation with the same seed.  The trials run through
 `_kernels.trial_map`, the map the joint typicality Monte Carlo uses too: the
 calling thread and one worker thread each draw a chunk's Philox slices, turn
-them into normals in place, decode them and return integer error counts,
-which are summed, so the result does not depend on the chunking.  A chunk
-holds AWGN_WORK / (M n) trials, which keeps its decode GEMMs off OpenBLAS's
-thread pool, so the simulation runs on those two threads alone.
+them into normals in place (Box-Muller on a transposed contiguous copy,
+written back with a second transposing copy), decode them and return integer
+error counts, which are summed, so the result does not depend on the
+chunking.  A chunk holds AWGN_WORK / (M n) trials, which keeps its decode
+GEMMs off OpenBLAS's thread pool, so the simulation runs on those two threads
+alone.
 """
 
 from __future__ import annotations
@@ -420,25 +422,29 @@ def _box_muller(u: np.ndarray, n: int) -> None:
     """Turn a block of trial slices into n standard normals per trial, in place.
 
     Each row of u is one trial's Philox slice: one uniform for the codeword
-    pick, then h = ceil(n/2) radius uniforms and h angle uniforms.  Radius and
-    angle are computed in their own columns; normal j < h is r_j cos(theta_j)
-    and lands in radius column j, normal h + j is r_j sin(theta_j) and lands
-    in angle column j, so the normals are u[:, 1:1+n] and sin runs only on the
-    n - h angles used.  One (len(u), h) array of cosines is allocated and
+    pick, then h = ceil(n/2) radius uniforms and h angle uniforms.  One
+    transposing copy puts the 2h columns in a (2h, len(u)) scratch array, so
+    every pass runs on contiguous rows, not on column views whose elements lie
+    a trial apart.  Normal j < h is r_j cos(theta_j) and lands in radius row j,
+    normal h + j is r_j sin(theta_j) and lands in angle row j, so sin runs only
+    on the n - h angles used; a second transposing copy writes the first n rows
+    back as u[:, 1:1+n].  The scratch and one (h, len(u)) array of cosines are
     freed before returning.
     """
     half = (u.shape[1] - 1) // 2
-    radius, angle = u[:, 1 : 1 + half], u[:, 1 + half : 1 + 2 * half]
+    rows = u[:, 1 : 1 + 2 * half].T.copy()
+    radius, angle = rows[:half], rows[half:]
     np.negative(radius, out=radius)
     np.log1p(radius, out=radius)
     radius *= -2.0
     np.sqrt(radius, out=radius)
     angle *= 2.0 * math.pi
     cos = np.cos(angle)
-    sines = angle[:, : n - half]
+    sines = angle[: n - half]
     np.sin(sines, out=sines)
-    sines *= radius[:, : n - half]
+    sines *= radius[: n - half]
     radius *= cos
+    u[:, 1 : 1 + n] = rows[:n].T
 
 
 def _error_counts(

@@ -220,12 +220,13 @@ def _cmd_huffman(args) -> dict:
     f = load_partition(args.partition, d.alphabet_size) if args.partition else SynonymousPartition.identity(d.alphabet_size)
     code = srccode.build_semantic_huffman(d, f, arity=args.arity)
     lower, upper = srccode.optimal_length_bounds(d, f, arity=args.arity)
+    top = max(code.lengths)  # sum F^(L-l) in integers, divide by F^L once: a complete code prints 1.0
     return {
         "codewords": list(code.codewords),
         "arity": code.arity,
         "lengths": code.lengths,
         "avg_length": srccode.average_length(code, d, f),
-        "kraft_sum": sum(args.arity ** -l for l in code.lengths),
+        "kraft_sum": sum(args.arity ** (top - l) for l in code.lengths) / args.arity**top,
         "length_bounds": [lower, upper],
     }
 

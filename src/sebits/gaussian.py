@@ -91,10 +91,13 @@ def spectral_efficiency(eb_n0_linear: float, s: float, lower_bound: bool = False
     if s < 1:
         raise ValueError("average synonymous length must be at least 1")
 
-    def g(eta: float) -> float:
-        if lower_bound:
-            return math.log2(1.0 + s**4 * eta * eb_n0_linear) - eta
-        return math.log2(s**4 * (1.0 + eta * eb_n0_linear)) - eta
+    s4 = s**4
+    if lower_bound:
+        def g(eta: float) -> float:
+            return math.log2(1.0 + s4 * eta * eb_n0_linear) - eta
+    else:
+        def g(eta: float) -> float:
+            return math.log2(s4 * (1.0 + eta * eb_n0_linear)) - eta
 
     hi = 1.0
     while g(hi) > 0:

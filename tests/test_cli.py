@@ -119,6 +119,15 @@ class TestHuffman:
         assert got["codewords"] == ["0", "10", "11"]
         assert got["avg_length"] == 1.5
 
+    @pytest.mark.parametrize("size, arity", [(9, 3), (6, 6)])
+    def test_complete_code_kraft_sum_is_exactly_one(self, tmp_path, size, arity):
+        # summed in floats, these read 1.0000000000000002 and 0.9999999999999999
+        dist = tmp_path / "uniform.json"
+        dist.write_text(json.dumps({"probs": [1 / size] * size}))
+        code, out, _ = run_cli("huffman", "--dist", str(dist), "--arity", str(arity))
+        assert code == 0
+        assert json.loads(out)["kraft_sum"] == 1.0
+
     @pytest.mark.parametrize("arity", ["1", "12"])
     def test_arity_out_of_range_exits_2(self, arity):
         code, _, err = run_cli(

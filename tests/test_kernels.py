@@ -121,9 +121,15 @@ def _separate_arrays_box_muller(u, n):
     return u[:, 0].copy(), normals[:, :n]
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 8, 15])
-def test_box_muller_equals_the_separate_arrays_form(n):
-    u = trial_uniforms(8, 3, 5000, 1 + 2 * ((n + 1) // 2))
+@pytest.mark.parametrize(
+    "n, trials",
+    [pytest.param(n, 5000, id=str(n)) for n in (1, 2, 7, 8, 15)]
+    + [pytest.param(n, 1 << 16, id=f"{n}-65536") for n in (7, 8)],
+)
+def test_box_muller_equals_the_separate_arrays_form(n, trials):
+    """Box-Muller runs on a transposed copy, the oracle on column views of u:
+    a ufunc whose result depends on the memory layout shows here, on long rows too."""
+    u = trial_uniforms(8, 3, trials, 1 + 2 * ((n + 1) // 2))
     v = u.copy()
     _box_muller(v, n)
     want_picks, want_normals = _separate_arrays_box_muller(u, n)
