@@ -2,9 +2,9 @@
 
 - `trial_uniforms`: one Philox counter slice per trial.
 - `trial_map`: the one loop over those slices, which both Monte Carlo loops
-  (AWGN and joint typicality) run through; the calling thread and one worker
-  thread each draw and score chunks of trials and their integer counts are
-  summed.
+  (AWGN and joint typicality) run through; the calling thread and one helper
+  thread of the call's own each draw and score chunks of trials and their
+  integer counts are summed.
 - `xlog2x`: p log2 p with the 0 log 0 = 0 convention.
 - `block_sums`: masses summed over the blocks of a synonymous partition, or a
   product of two, in one `np.bincount`.
@@ -12,7 +12,6 @@
 
 from __future__ import annotations
 
-import os
 import threading
 
 import numpy as np
@@ -36,24 +35,6 @@ def trial_uniforms(seed: int, start: int, count: int, per_trial: int) -> np.ndar
     return _philox(seed, start, width).random((count, width))[:, :per_trial]
 
 
-_prefetch_lock = threading.Lock()
-_prefetch_pool = None
-_prefetch_pid = None
-
-
-def _prefetcher():
-    """The process's one-worker pool, created on first use and again in a forked child,
-    where the worker thread of the parent's pool does not exist."""
-    global _prefetch_pool, _prefetch_pid
-    with _prefetch_lock:
-        if _prefetch_pid != os.getpid():
-            from concurrent.futures import ThreadPoolExecutor
-
-            _prefetch_pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="sebits-philox")
-            _prefetch_pid = os.getpid()
-        return _prefetch_pool
-
-
 def trial_map(seed: int, trials: int, per_trial: int, score, batch: int | None = None):
     """The sum of `score(u)` over chunks of `batch` trials covering [0, trials).
 
@@ -65,15 +46,16 @@ def trial_map(seed: int, trials: int, per_trial: int, score, batch: int | None =
     holds at most about CHUNK_DRAWS uniforms whatever n is.
 
     A one-chunk call draws and scores inline.  Otherwise the calling thread
-    and the process's one pool worker each claim the next chunk from one
-    shared counter, fill its Philox slices into their own (batch, 4 k)
-    buffer and score it, until the trials run out: two threads at most, and
-    numpy's Philox fill and ufuncs release the GIL.  Both buffers are
-    allocated here, on the calling thread: buffers the worker allocated
-    would come from its own malloc arena and raise the process's peak RSS.
-    When `score` raises on either thread, neither claims another chunk, and
-    the exception is raised here once the other thread's chunk is scored.
-    Raises ValueError when `batch` < 1.
+    and one helper thread, started for this call and joined before it
+    returns, each claim the next chunk from one shared counter, fill its
+    Philox slices into their own (batch, 4 k) buffer and score it, until the
+    trials run out: two threads at most, and numpy's Philox fill and ufuncs
+    release the GIL.  Both buffers are allocated here, on the calling
+    thread: buffers the helper allocated would come from its own malloc
+    arena and raise the process's peak RSS.  When `score` raises on either
+    thread, neither claims another chunk, and the exception is raised here
+    once the other thread's chunk is scored.  Raises ValueError when
+    `batch` < 1.
     """
     if batch is None:
         batch = max(1, CHUNK_DRAWS // per_trial)
@@ -101,16 +83,14 @@ def trial_map(seed: int, trials: int, per_trial: int, score, batch: int | None =
                     chunks = iter(())  # neither thread claims a chunk after a failure
                 raise
 
+    from concurrent.futures import ThreadPoolExecutor  # at module level it slows `import sebits`
+
     buffers = np.empty((2, batch, width))
-    worker = _prefetcher().submit(run, buffers[1])
-    try:
+    # leaving the block waits for the helper's chunk, whether or not `run` raised
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="sebits-philox") as pool:
+        worker = pool.submit(run, buffers[1])
         total = run(buffers[0])
-    finally:
-        # the worker's chunk is scored before its buffer goes, and a worker task still
-        # queued behind another call's would claim nothing, so it is dropped
-        if not worker.cancel():
-            worker.exception()
-    return total if worker.cancelled() else total + worker.result()
+    return total + worker.result()
 
 
 def xlog2x(p: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ Box-Muller noise once and decodes them at every Es/N0 point: common random
 numbers, so the error-rate curve is paired across SNR and every point equals
 the one-point simulation with the same seed.  The trials run through
 `_kernels.trial_map`, the map the joint typicality Monte Carlo uses too: the
-calling thread and one worker thread each draw a chunk's Philox slices, turn
+calling thread and one helper thread each draw a chunk's Philox slices, turn
 them into normals in place (Box-Muller on a transposed contiguous copy,
 written back with a second transposing copy), decode them and return integer
 error counts, which are summed, so the result does not depend on the
@@ -463,22 +463,20 @@ def _error_counts(
     ]
 
 
-def simulate_awgn(cb: GroupedCodebook, cfg: AwgnConfig, batch: int | None = None) -> SimulationResult:
+def simulate_awgn(cb: GroupedCodebook, cfg: AwgnConfig) -> SimulationResult:
     """Monte Carlo over uniform codewords through BPSK + AWGN, decoded both ways.
 
     Trial t draws its randomness from a dedicated slice of the Philox counter
     space keyed by the seed, so results are reproducible and independent of
-    batch size or execution order.  Both decoders see the same noise, which
+    chunk size or execution order.  Both decoders see the same noise, which
     makes the MLG-vs-ML group-error comparison a paired one.  Equal to the
     one-point `simulate_awgn_sweep`; calls with the same seed and trial count
     at other Es/N0 reuse the same picks and noise.
     """
-    return simulate_awgn_sweep(cb, [cfg.es_n0], cfg.trials, cfg.seed, batch)[0]
+    return simulate_awgn_sweep(cb, [cfg.es_n0], cfg.trials, cfg.seed)[0]
 
 
-def simulate_awgn_sweep(
-    cb: GroupedCodebook, es_n0s, trials: int, seed: int = 0, batch: int | None = None
-) -> list[SimulationResult]:
+def simulate_awgn_sweep(cb: GroupedCodebook, es_n0s, trials: int, seed: int = 0) -> list[SimulationResult]:
     """`simulate_awgn` at every linear Es/N0 in `es_n0s`, in that order, from one noise draw.
 
     Every point decodes the same trials: the same codeword picks and the same
@@ -487,16 +485,15 @@ def simulate_awgn_sweep(
     and the error-rate curve is paired across SNR.  Each chunk's picks and
     normals are drawn once; memory does not grow with the number of points.
 
-    Trials run through `_kernels.trial_map` in chunks of `batch` trials: the
-    calling thread and one worker thread each fill a chunk's Philox slices,
-    turn them into normals in place (`_box_muller`), decode the chunk at
-    every point and return its (points, 3) error counts, which are summed.
-    The default chunk is max(1, AWGN_WORK // (M n)) trials.  A trial holds
-    several times its uniforms while it decodes (clean signals, y and the two
-    correlation products), and with both threads decoding, each chunk's
-    larger decode GEMM (b x M x n) must stay under OpenBLAS's threading
-    threshold: larger ones wake its thread pool, which then spins on the
-    cores the two threads use.  Raises ValueError when `batch` < 1.
+    Trials run through `_kernels.trial_map` in chunks of max(1, AWGN_WORK //
+    (M n)) trials: the calling thread and one helper thread each fill a
+    chunk's Philox slices, turn them into normals in place (`_box_muller`),
+    decode the chunk at every point and return its (points, 3) error counts,
+    which are summed.  A trial holds several times its uniforms while it
+    decodes (clean signals, y and the two correlation products), and with
+    both threads decoding, each chunk's larger decode GEMM (b x M x n) must
+    stay under OpenBLAS's threading threshold: larger ones wake its thread
+    pool, which then spins on the cores the two threads use.
     """
     configs = [AwgnConfig(es_n0, trials, seed) for es_n0 in es_n0s]
     if not configs:
@@ -504,8 +501,6 @@ def simulate_awgn_sweep(
     sigmas = [math.sqrt(1.0 / (2.0 * c.es_n0)) for c in configs]
     signals = cb._decode_signals[0]  # built here, before the trial_map threads read it
     m, n = signals.shape
-    if batch is None:
-        batch = max(1, AWGN_WORK // (m * n))
 
     def score(u: np.ndarray) -> np.ndarray:
         _box_muller(u, n)
@@ -521,7 +516,7 @@ def simulate_awgn_sweep(
             counts[k] = _error_counts(y, cb, sent, true_group)
         return counts
 
-    counts = trial_map(seed, trials, 1 + 2 * ((n + 1) // 2), score, batch)
+    counts = trial_map(seed, trials, 1 + 2 * ((n + 1) // 2), score, max(1, AWGN_WORK // (m * n)))
     results = []
     for group_err, cw_err, ml_group_err in counts.tolist():
         ger = group_err / trials

@@ -14,6 +14,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -77,9 +78,20 @@ def load_distribution(path: str) -> Distribution:
     return _need(_load_json(path), "probs", path, Distribution)
 
 
-def load_partition(path: str, alphabet_size: int | None = None) -> SynonymousPartition:
-    # without a distribution to match (None), one syntactic symbol per block member
+def load_partition(path: str | None, alphabet_size: int | None = None) -> SynonymousPartition:
+    """The partition in `path`; no path means the identity partition of `alphabet_size` symbols.
+
+    Without a distribution to match (`alphabet_size` None), one syntactic symbol per block member.
+    """
+    if path is None:
+        return SynonymousPartition.identity(alphabet_size)
     return _need(_load_json(path), "blocks", path, lambda v: SynonymousPartition(v, alphabet_size))
+
+
+def _load_joint_partition(args, j: JointDistribution) -> JointSynonymousPartition:
+    """The --u-partition/--v-partition pair on the axes of `j`."""
+    nu, nv = j.shape
+    return JointSynonymousPartition(load_partition(args.u_partition, nu), load_partition(args.v_partition, nv))
 
 
 def load_joint(path: str) -> JointDistribution:
@@ -166,10 +178,8 @@ def _cmd_measures(args) -> dict:
             out["Hs"] = measures.semantic_entropy(d, f)
     if args.joint:
         j = load_joint(args.joint)
-        nu, nv = j.shape
-        fu = load_partition(args.u_partition, nu) if args.u_partition else SynonymousPartition.identity(nu)
-        fv = load_partition(args.v_partition, nv) if args.v_partition else SynonymousPartition.identity(nv)
-        fj = JointSynonymousPartition(fu, fv)
+        fj = _load_joint_partition(args, j)
+        fu, fv = fj.u_partition, fj.v_partition
         pu, pv = marginals(j)
         out.update(
             {
@@ -217,7 +227,7 @@ def _cmd_rate_distortion(args) -> dict:
 
 def _cmd_huffman(args) -> dict:
     d = load_distribution(args.dist)
-    f = load_partition(args.partition, d.alphabet_size) if args.partition else SynonymousPartition.identity(d.alphabet_size)
+    f = load_partition(args.partition, d.alphabet_size)
     code = srccode.build_semantic_huffman(d, f, arity=args.arity)
     lower, upper = srccode.optimal_length_bounds(d, f, arity=args.arity)
     top = max(code.lengths)  # sum F^(L-l) in integers, divide by F^L once: a complete code prints 1.0
@@ -312,12 +322,9 @@ def _cmd_simulate(args) -> tuple[list[str], list[list[float]]]:
 def _cmd_typicality(args):
     if args.joint:
         j = load_joint(args.joint)
-        nu, nv = j.shape
-        fu = load_partition(args.u_partition, nu) if args.u_partition else SynonymousPartition.identity(nu)
-        fv = load_partition(args.v_partition, nv) if args.v_partition else SynonymousPartition.identity(nv)
         rep = typicality.estimate_joint_typicality(
             j,
-            JointSynonymousPartition(fu, fv),
+            _load_joint_partition(args, j),
             n=args.n,
             eps=args.eps,
             trials=args.trials,
@@ -328,7 +335,7 @@ def _cmd_typicality(args):
     if not args.dist:
         raise ValidationError("typicality needs --dist (exact enumeration) or --joint (Monte Carlo)")
     d = load_distribution(args.dist)
-    f = load_partition(args.partition, d.alphabet_size) if args.partition else SynonymousPartition.identity(d.alphabet_size)
+    f = load_partition(args.partition, d.alphabet_size)
     ns = args.sweep if args.sweep else [args.n]
     reports = [typicality.enumerate_typical_sets(d, f, n, args.eps) for n in ns]
     if args.sweep:
@@ -371,8 +378,16 @@ def _cmd_schema_check(args) -> dict:
 # parser
 # ---------------------------------------------------------------------------
 
+def _finite_float(text: str) -> float:
+    """float(text), refused (exit 2) when it is NaN or infinite, which no flag takes."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok]
+    return [_finite_float(tok) for tok in text.split(",") if tok]
 
 
 def _int_list(text: str) -> list[int]:
@@ -402,16 +417,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add_parser("capacity", help="semantic channel capacity")
     sp.add_argument("--channel", required=True)
-    sp.add_argument("--tol", type=float, default=1e-8)
+    sp.add_argument("--tol", type=_finite_float, default=1e-8)
     sp.add_argument("--identity-only", action="store_true")
     sp.set_defaults(fn=_cmd_capacity)
 
     sp = add_parser("rate-distortion", help="semantic rate-distortion")
     sp.add_argument("--dist", required=True)
     sp.add_argument("--distortion", required=True, help='JSON {"values": [[...]]}')
-    sp.add_argument("--d-target", type=float, required=True)
+    sp.add_argument("--d-target", type=_finite_float, required=True)
     sp.add_argument("--budget", type=int, default=10_000)
-    sp.add_argument("--tol", type=float, default=1e-7)
+    sp.add_argument("--tol", type=_finite_float, default=1e-7)
     sp.add_argument("--reconstruction-size", type=int, default=None)
     sp.set_defaults(fn=_cmd_rate_distortion)
 
@@ -437,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add_parser("chancode", help="grouped-codebook distances and bounds")
     sp.add_argument("--codebook", required=True)
-    sp.add_argument("--es-n0", type=float, default=None)
+    sp.add_argument("--es-n0", type=_finite_float, default=None)
     sp.set_defaults(fn=_cmd_chancode)
 
     sp = add_parser("simulate", help="AWGN Monte Carlo sweep (CSV)")
@@ -454,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--u-partition")
     sp.add_argument("--v-partition")
     sp.add_argument("--n", type=int, default=8)
-    sp.add_argument("--eps", type=float, default=0.1)
+    sp.add_argument("--eps", type=_finite_float, default=0.1)
     sp.add_argument("--trials", type=int, default=100_000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--mc-mode", choices=["correlated", "independent"], default="correlated")
@@ -466,12 +481,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--op", choices=["capacity", "bandlimited", "entropy", "min-energy", "rd"], default=None)
     sp.add_argument("--s-values", type=_float_list, default=[2.0])
     sp.add_argument("--grid", type=_float_list, default=[-2.0, 20.0, 45.0], help="start,stop,points")
-    sp.add_argument("--p", type=float, default=1.0)
-    sp.add_argument("--noise", type=float, default=1.0)
-    sp.add_argument("--bandwidth", type=float, default=1.0)
-    sp.add_argument("--s", type=float, default=1.0)
-    sp.add_argument("--mu", type=float, default=1.0)
-    sp.add_argument("--d-target", type=float, default=0.25)
+    sp.add_argument("--p", type=_finite_float, default=1.0)
+    sp.add_argument("--noise", type=_finite_float, default=1.0)
+    sp.add_argument("--bandwidth", type=_finite_float, default=1.0)
+    sp.add_argument("--s", type=_finite_float, default=1.0)
+    sp.add_argument("--mu", type=_finite_float, default=1.0)
+    sp.add_argument("--d-target", type=_finite_float, default=0.25)
     sp.set_defaults(fn=_cmd_gaussian)
 
     sp = add_parser("schema-check", help="validate a JSON input file")

@@ -313,7 +313,7 @@ def blahut_arimoto_rd(
     d = np.asarray(d, dtype=float)
     if d.ndim != 2 or d.shape[0] != p.size:
         raise SizeMismatch("distortion matrix rows must match the source alphabet")
-    if target_d < 0:
+    if not target_d >= 0:  # a NaN target is refused too
         raise Infeasible("distortion target must be non-negative")
     d_floor = float(p @ d.min(axis=1))
     if target_d < d_floor - 1e-12:
@@ -496,7 +496,7 @@ def semantic_rate_distortion(
     syntactic alphabet defaults to one symbol per semantic symbol.  The result
     is clamped at zero.
     """
-    if target_d < 0:
+    if not target_d >= 0:  # a NaN target is refused too
         raise Infeasible("distortion target must be non-negative")
     p = src.probs
     n = src.alphabet_size

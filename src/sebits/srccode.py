@@ -8,6 +8,7 @@ block representative; the round-trip guarantee is blockwise, not symbolwise.
 from __future__ import annotations
 
 import heapq
+import math
 import re
 from dataclasses import dataclass
 from numbers import Integral
@@ -125,7 +126,9 @@ def average_length(code: SemanticPrefixCode, d: Distribution, f: SynonymousParti
     sem = induced_semantic_distribution(d, f)
     if sem.alphabet_size != len(code.codewords):
         raise SizeMismatch("code has a different number of codewords than semantic symbols")
-    return float(np.dot(sem.probs, [len(w) for w in code.codewords]))
+    # rounded once (fsum): a complete code on a uniform source averages exactly its length,
+    # not an ulp below its own lower bound
+    return math.fsum(p * len(w) for p, w in zip(sem.probs.tolist(), code.codewords))
 
 
 def optimal_length_bounds(

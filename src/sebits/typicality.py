@@ -11,7 +11,7 @@ log-probabilities gathered from a table over the syntactic or semantic joint
 cells, built once per call.  The decoding probe computes rates only for
 trials whose every symbol is its block's representative, the only trials it
 can count.  Trials run in chunks of about 2^17 uniforms, so memory does not
-grow with n, and the calling thread and one worker thread each draw and
+grow with n, and the calling thread and one helper thread each draw and
 score chunks, whose integer hit counts are summed: two threads at most.
 
 The non-asymptotic upper bounds on set sizes hold at every n; the matching
@@ -21,7 +21,9 @@ configurable threshold are reported as informational caveats, not failures.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -182,9 +184,10 @@ def enumerate_typical_sets(
     eps = 0.2 and n = 10, 640 of the 3003 types have a conditional rate within
     1e-12 of the edge).
 
-    Raises BudgetExceeded when n_sem**n or the syntactic composition count
-    C(n+N-1, N-1) exceeds EXHAUSTIVE_STATE_CAP, or, before the sweep, when a
-    bracket exponent n(H - Hs + eps) or n(Hs + eps) overflows a double.
+    Raises BudgetExceeded when n_sem**n, the syntactic composition count
+    C(n+N-1, N-1) or the factorial table's size in 64-bit words exceeds
+    EXHAUSTIVE_STATE_CAP, or, before the sweep, when a bracket exponent
+    n(H - Hs + eps) or n(Hs + eps) overflows a double.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -203,6 +206,14 @@ def enumerate_typical_sets(
             f"exhaustive mode needs {n_types} compositions, cap is {EXHAUSTIVE_STATE_CAP}",
             required=n_types,
         )
+    # log2 k! is convex in k and 0 at k = 0, so the table of k! for k <= n holds at
+    # most (n + 1) log2(n!) / 2 bits
+    table_words = math.ceil((n + 1) * math.lgamma(n + 1) / (128 * math.log(2)))
+    if table_words > EXHAUSTIVE_STATE_CAP:
+        raise BudgetExceeded(
+            f"exhaustive mode needs a {table_words}-word factorial table, cap is {EXHAUSTIVE_STATE_CAP}",
+            required=table_words,
+        )
     h, hs = entropy(d), entropy(sem)
     try:
         b_lower = 2.0 ** (n * (h - hs - eps))
@@ -217,7 +228,7 @@ def enumerate_typical_sets(
         ) from None
     log2_syn = _log2_probs(d.probs)
     log2_sem = _log2_probs(sem.probs)
-    fact = np.array([math.factorial(k) for k in range(n + 1)], dtype=object)
+    fact = np.array(list(itertools.accumulate(range(1, n + 1), operator.mul, initial=1)), dtype=object)
 
     # semantic typical set, grouped by semantic type
     a_sem_size = 0
@@ -344,7 +355,6 @@ def estimate_joint_typicality(
     trials: int,
     seed: int = 0,
     mode: str = "correlated",
-    batch: int | None = None,
 ) -> TypicalityReport:
     """Monte Carlo probes of the joint typicality statements.
 
@@ -370,17 +380,17 @@ def estimate_joint_typicality(
     trials whose every x_i and y_i is its block's representative, the only
     trials it can count, and draws y only for trials whose every x_i is.
 
-    Trials run through `_kernels.trial_map` in chunks of `batch` trials, by
-    default as many as hold about CHUNK_DRAWS (2^17) uniforms, so memory
-    stays at a few MB whatever n is.  The calling thread and the one pool
-    worker thread each draw a chunk's Philox slices into their own buffer,
-    both allocated on the calling thread, and score it to (hits, encoding
-    hits); a call runs on at most two threads.  A trial's verdict depends on
-    its own Philox slice alone and the counts are integers, so the result
-    does not depend on `batch` or on which thread scored which chunk.
+    Trials run through `_kernels.trial_map` in chunks of as many trials as
+    hold about CHUNK_DRAWS (2^17) uniforms, so memory stays at a few MB
+    whatever n is.  The calling thread and one helper thread of this call's
+    own each draw a chunk's Philox slices into their own buffer, both
+    allocated on the calling thread, and score it to (hits, encoding hits);
+    a call runs on at most two threads.  A trial's verdict depends on its
+    own Philox slice alone and the counts are integers, so the result does
+    not depend on the chunk size or on which thread scored which chunk.
 
-    Raises ValueError when `batch` < 1 and, in independent mode, raises
-    BudgetExceeded before drawing when a band edge overflows a double.
+    In independent mode, raises BudgetExceeded before drawing when a band
+    edge overflows a double.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -463,7 +473,7 @@ def estimate_joint_typicality(
         return np.array([hits, _within(rates, (hs_u, hs_v), eps).sum()])
 
     score, per_trial = (correlated, n) if mode == "correlated" else (independent, 4 * n)
-    hits, enc_hits = trial_map(seed, trials, per_trial, score, batch).tolist()
+    hits, enc_hits = trial_map(seed, trials, per_trial, score).tolist()
     p_hat = hits / trials
     if mode == "correlated":
         satisfied = p_hat > lower

@@ -266,6 +266,7 @@ class TestUnionBounds:
 
     def test_decode_signals_built_once_per_codebook(self, hamming_codebook, monkeypatch):
         cb = build_grouped_codebook(hamming_codebook.codewords, hamming_codebook.groups)
+        awgn_chunk(monkeypatch, cb, 64)
         calls = []
         signals_of = GroupedCodebook.signals
 
@@ -275,7 +276,7 @@ class TestUnionBounds:
             return signals_of(codebook)
 
         monkeypatch.setattr(GroupedCodebook, "signals", counted)
-        simulate_awgn_sweep(cb, [0.5, 1.0, 2.0], trials=500, seed=4, batch=64)  # 8 chunks
+        simulate_awgn_sweep(cb, [0.5, 1.0, 2.0], trials=500, seed=4)  # 8 chunks
         assert len(calls) == 1
         mlg_decode(np.ones(cb.n), cb)
         assert len(calls) == 1
@@ -381,15 +382,13 @@ class TestSimulation:
         b = simulate_awgn(hamming_codebook, cfg)
         assert a == b
 
-    def test_batching_does_not_change_results(self, hamming_codebook):
+    def test_batching_does_not_change_results(self, hamming_codebook, monkeypatch):
         cfg = AwgnConfig(es_n0=2.0, trials=30_000, seed=5)
-        a = simulate_awgn(hamming_codebook, cfg, batch=1 << 15)
-        b = simulate_awgn(hamming_codebook, cfg, batch=977)
+        awgn_chunk(monkeypatch, hamming_codebook, 1 << 15)
+        a = simulate_awgn(hamming_codebook, cfg)
+        awgn_chunk(monkeypatch, hamming_codebook, 977)
+        b = simulate_awgn(hamming_codebook, cfg)
         assert a.group_error_rate == b.group_error_rate
-
-    def test_batch_must_be_positive(self, hamming_codebook):
-        with pytest.raises(ValueError, match="batch must be at least 1"):
-            simulate_awgn_sweep(hamming_codebook, [1.0, 2.0], trials=10, seed=5, batch=0)
 
     def test_high_snr_is_error_free(self, hamming_codebook):
         res = simulate_awgn(hamming_codebook, AwgnConfig(es_n0=100.0, trials=20_000, seed=1))
@@ -426,6 +425,11 @@ class TestSimulation:
     def test_wilson_halfwidth(self):
         assert wilson_halfwidth(0.5, 10_000) == pytest.approx(0.0098, abs=2e-4)
         assert wilson_halfwidth(0.0, 100) > 0.0
+
+
+def awgn_chunk(monkeypatch, cb: GroupedCodebook, trials: int) -> None:
+    """Set AWGN_WORK so that simulate_awgn_sweep runs cb in chunks of `trials` trials."""
+    monkeypatch.setattr(chancode, "AWGN_WORK", trials * cb.num_codewords * cb.n)
 
 
 def broadcast_counts(cb: GroupedCodebook, cfg: AwgnConfig, batch: int = 1 << 13) -> list[int]:
@@ -475,14 +479,16 @@ def random_grouped_codebook(seed: int) -> GroupedCodebook:
 class TestCorrelationDecoder:
     @pytest.mark.parametrize("singleton", [False, True])
     @pytest.mark.parametrize("batch", [1 << 15, 977, 4096, 1, None])
-    def test_counts_equal_broadcast_decoder(self, hamming_codebook, singleton, batch):
+    def test_counts_equal_broadcast_decoder(self, hamming_codebook, singleton, batch, monkeypatch):
         """batch None is the default (2925 trials on this code): 20 000 trials span seven chunks."""
         cb = singleton_codebook(hamming_codebook.codewords) if singleton else hamming_codebook
         kw = {} if batch is None else {"batch": batch}
+        if batch is not None:
+            awgn_chunk(monkeypatch, cb, batch)
         for seed in (0, 7, 60):
             for db in (-2.0, 0.0, 2.0, 4.0, 6.0):
                 cfg = AwgnConfig(es_n0=10 ** (db / 10), trials=300 if batch == 1 else 20_000, seed=seed)
-                res = simulate_awgn(cb, cfg, **kw)
+                res = simulate_awgn(cb, cfg)
                 group, cw, ml_group = broadcast_counts(cb, cfg, **kw)
                 assert res.group_error_rate == group / cfg.trials
                 assert res.codeword_error_rate == cw / cfg.trials
@@ -513,22 +519,25 @@ SWEEP_DB = (4.0, -2.0, 6.0, 0.0, 1.5, 4.0, -1.0)  # unsorted, 4 dB twice
 class TestSweep:
     @pytest.mark.parametrize("singleton", [False, True])
     @pytest.mark.parametrize("batch", [1 << 15, 977, 4096, 1, None])
-    def test_sweep_equals_per_point_simulation(self, hamming_codebook, singleton, batch):
+    def test_sweep_equals_per_point_simulation(self, hamming_codebook, singleton, batch, monkeypatch):
         """batch None is the default (2925 trials on this code), whose five chunks
         must give the one-chunk run bit for bit."""
         cb = singleton_codebook(hamming_codebook.codewords) if singleton else hamming_codebook
         es_n0s = [10 ** (db / 10) for db in SWEEP_DB]
         trials = 300 if batch == 1 else 12_345  # 12 345 is not a multiple of any batch above 1
-        kw = {} if batch is None else {"batch": batch}
+        if batch is not None:
+            awgn_chunk(monkeypatch, cb, batch)
         for seed in (0, 7, 60):
-            swept = simulate_awgn_sweep(cb, es_n0s, trials, seed, **kw)
+            swept = simulate_awgn_sweep(cb, es_n0s, trials, seed)
             assert len(swept) == len(es_n0s)
             for es_n0, got in zip(es_n0s, swept):
-                assert got == simulate_awgn(cb, AwgnConfig(es_n0, trials, seed), **kw)
+                assert got == simulate_awgn(cb, AwgnConfig(es_n0, trials, seed))
             assert swept[0] == swept[5]
             assert swept[0] != swept[1]
             if batch is None:
-                assert swept == simulate_awgn_sweep(cb, es_n0s, trials, seed, batch=trials)
+                with monkeypatch.context() as one_chunk:
+                    awgn_chunk(one_chunk, cb, trials)
+                    assert swept == simulate_awgn_sweep(cb, es_n0s, trials, seed)
 
     @pytest.mark.parametrize("es_n0, trials, seed", [(0.5, 1, 0), (2.0, 40_000, 99), (10.0, 977, 3)])
     def test_one_point_sweep_equals_simulate_awgn(self, hamming_codebook, es_n0, trials, seed):
@@ -561,18 +570,19 @@ class TestSweep:
         assert peak < broadcast / 2
 
     @pytest.mark.parametrize("batch, bound", [(None, 6e6), (1 << 15, 12e6)])
-    def test_sweep_peak(self, hamming_codebook, batch, bound):
+    def test_sweep_peak(self, hamming_codebook, batch, bound, monkeypatch):
         """The benchmark's 3-point 2^15-trial sweep.  The default is twelve chunks of
         up to 2925 trials, two decoding at a time (2.1 MB traced, against 11.8 MB for one
         2^15-trial chunk).  One inline chunk holds its uniform block, which Box-Muller
         turned into the normals, while it decodes; Box-Muller's cosine scratch must be
         freed first: held, it reads 12.9 MB."""
         es_n0s = [10 ** (db / 10) for db in (0.0, 1.5, 3.0)]
-        kw = {} if batch is None else {"batch": batch}
-        simulate_awgn_sweep(hamming_codebook, es_n0s, 1 << 15, 1, **kw)
+        if batch is not None:
+            awgn_chunk(monkeypatch, hamming_codebook, batch)
+        simulate_awgn_sweep(hamming_codebook, es_n0s, 1 << 15, 1)
         tracemalloc.start()
         try:
-            simulate_awgn_sweep(hamming_codebook, es_n0s, 1 << 15, 1, **kw)
+            simulate_awgn_sweep(hamming_codebook, es_n0s, 1 << 15, 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

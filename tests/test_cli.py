@@ -382,6 +382,19 @@ class TestTypicality:
         assert out == ""
         assert "Traceback" not in err and "overflows" in err
 
+    def test_factorial_table_over_the_cap_exits_4(self, tmp_path):
+        """One block over [1 - 1e-9, 1e-9] passes the n_sem**n and composition
+        gates at n = 16 000; the call refuses before building its table of k!."""
+        dist, part = tmp_path / "dist.json", tmp_path / "part.json"
+        dist.write_text(json.dumps({"probs": [1 - 1e-9, 1e-9]}))
+        part.write_text(json.dumps({"blocks": [[0, 1]]}))
+        code, out, err = run_cli(
+            "typicality", "--dist", str(dist), "--partition", str(part), "--n", "16000", "--eps", "1e-4"
+        )
+        assert code == 4
+        assert out == ""
+        assert "Traceback" not in err and "factorial table" in err
+
     @pytest.mark.parametrize("n", ["0", "-3"])
     def test_joint_n_below_one_exits_2(self, n):
         code, out, err = run_cli(
@@ -428,6 +441,47 @@ class TestGaussian:
         assert first == last
         assert first.splitlines()[0] == b"eb_n0_db,classic,cs_S2,lower_S2"
         assert other.splitlines()[0] == b"eb_n0_db,classic,cs_S2,lower_S2,cs_S4,lower_S4"
+
+
+NON_FINITE_ARGV = {
+    "capacity-tol": ["capacity", "--channel", "ch.json", "--tol", "nan"],
+    "rd-d-target": ["rate-distortion", "--dist", "d.json", "--distortion", "ds.json", "--d-target", "nan"],
+    "rd-tol": ["rate-distortion", "--dist", "d.json", "--distortion", "ds.json", "--d-target", "0.1",
+               "--tol", "inf"],
+    "chancode-es-n0": ["chancode", "--codebook", "cb.json", "--es-n0", "nan"],
+    "simulate-es-n0-db": ["simulate", "--codebook", "cb.json", "--es-n0-db", "0,nan"],
+    "typicality-eps-nan": ["typicality", "--dist", "d.json", "--eps", "nan"],
+    "typicality-eps-inf": ["typicality", "--joint", "j.json", "--eps", "inf"],
+    "gaussian-p": ["gaussian", "--op", "capacity", "--p", "nan"],
+    "gaussian-noise": ["gaussian", "--op", "entropy", "--noise", "inf"],
+    "gaussian-bandwidth": ["gaussian", "--op", "bandlimited", "--bandwidth=-inf"],
+    "gaussian-s": ["gaussian", "--op", "capacity", "--s", "NaN"],
+    "gaussian-mu": ["gaussian", "--op", "min-energy", "--mu", "inf"],
+    "gaussian-d-target": ["gaussian", "--op", "rd", "--d-target", "nan"],
+    "gaussian-s-values": ["gaussian", "--curve", "capacity_vs_ebn0", "--s-values", "2,Infinity"],
+    "gaussian-grid": ["gaussian", "--curve", "capacity_vs_ebn0", "--grid=-2,nan,4"],
+}
+
+
+@pytest.mark.parametrize("argv", NON_FINITE_ARGV.values(), ids=NON_FINITE_ARGV)
+def test_non_finite_float_flag_exits_2(argv, capsys):
+    """argparse's float takes nan and inf; every float flag refuses them
+    before any file is read (so the paths need not exist).  Let through,
+    --d-target nan spun for minutes and --es-n0-db nan printed nan rows."""
+    from sebits.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "is not a finite number" in err and "Traceback" not in err
+
+
+def test_no_partition_file_is_the_identity_partition():
+    from sebits.cli import load_partition
+    from sebits.core import SynonymousPartition
+
+    assert load_partition(None, 5).blocks == SynonymousPartition.identity(5).blocks
 
 
 class TestSchemaCheck:

@@ -4,6 +4,7 @@ without the AWGN loop's in-place Box-Muller inside the score, and with a score
 that raises), the 0 log 0 convention of xlog2x, and block_sums against a
 per-block loop."""
 
+import concurrent.futures
 import math
 import random
 import sys
@@ -14,7 +15,6 @@ import warnings
 import numpy as np
 import pytest
 
-from sebits import _kernels
 from sebits._kernels import CHUNK_DRAWS, block_sums, trial_map, trial_uniforms, xlog2x
 from sebits.core import SynonymousPartition
 from sebits.chancode import _box_muller
@@ -165,29 +165,30 @@ def test_transformed_stream_is_box_muller_of_the_stream(n, batch):
 
 
 def test_stream_runs_on_at_most_one_extra_thread():
-    """Chunks are scored on the calling thread and on one other, and the map
-    leaves at most the one pool thread behind."""
+    """Chunks are scored on the calling thread and on one other, and no
+    thread the map started is alive once it returns."""
     before = threading.active_count()
-    idents, during = set(), []
+    during = []
 
     def score(u):
-        idents.add(threading.get_ident())
+        scorers.add(threading.current_thread())
         during.append(threading.active_count())
         time.sleep(1e-4)
         return np.array([len(u)])
 
     for batch in (4, 1, 7):
+        scorers = set()
         assert trial_map(1, 60, 7, score, batch).tolist() == [60]
-    assert threading.get_ident() in idents and len(idents) <= 2
+        assert threading.current_thread() in scorers and len(scorers) <= 2
+        assert not any(t.is_alive() for t in scorers - {threading.current_thread()})
     assert max(during) <= before + 1
-    assert threading.active_count() <= before + 1
+    assert threading.active_count() == before
 
 
 def test_concurrent_maps_each_score_every_trial_once():
     """Four maps at once from four threads, more than the two cores, with a short
-    switch interval: the one pool worker serves one call at a time, a call whose
-    worker task is still queued when its own thread has claimed every chunk drops
-    it, and each call scores each of its trials exactly once."""
+    switch interval: each call has a helper thread of its own, and each call
+    scores each of its trials exactly once."""
     whole = {}
 
     def one(seed):
@@ -210,12 +211,12 @@ def test_concurrent_maps_each_score_every_trial_once():
 
 def test_one_chunk_call_starts_no_thread(monkeypatch):
     """With every trial in one chunk (given, or the default at small n) the caller
-    scores inline and the pool is never asked for its worker."""
+    scores inline and no executor is made for a helper thread."""
 
-    def no_pool():
-        raise AssertionError("a one-chunk call asked for the pool")
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-chunk call made an executor")
 
-    monkeypatch.setattr(_kernels, "_prefetcher", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     callers = []
 
     def score(u):

@@ -670,6 +670,14 @@ class TestSemanticRateDistortion:
         with pytest.raises(Infeasible):
             semantic_rate_distortion(src, ds, 0.5)
 
+    @pytest.mark.parametrize("target", [-0.1, math.nan])
+    def test_target_must_be_non_negative(self, target):
+        """A NaN target fails the check too, before any partition is enumerated."""
+        src = Distribution(np.array([0.5, 0.5]))
+        ds = SemanticDistortionMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(Infeasible, match="non-negative"):
+            semantic_rate_distortion(src, ds, target)
+
     @staticmethod
     def random_instances(seed: int, count: int, max_n: int, max_n_hat: int):
         """(source, cost, D, n^) with D between the least distortion any source

@@ -107,6 +107,15 @@ class TestHuffmanGoldens:
         assert code.codewords == ("0",)
         assert average_length(code, huffman_dist, SynonymousPartition.single_block(4)) == 1.0
 
+    @pytest.mark.parametrize("size, arity, want", [(6, 6, 1.0), (9, 3, 2.0)])
+    def test_complete_uniform_code_average_length_is_exact(self, size, arity, want):
+        """Summed by np.dot these read 0.9999999999999999, below the lower length
+        bound 1.0, and 2.0000000000000004."""
+        d = Distribution(np.full(size, 1 / size))
+        f = SynonymousPartition.identity(size)
+        code = build_semantic_huffman(d, f, arity=arity)
+        assert average_length(code, d, f) == want == optimal_length_bounds(d, f, arity=arity)[0]
+
     def test_encoding_lengths(self, huffman_dist, huffman_partition):
         classic = build_semantic_huffman(huffman_dist, SynonymousPartition.identity(4))
         semantic = build_semantic_huffman(huffman_dist, huffman_partition)

@@ -32,7 +32,7 @@ from sebits.measures import (
     semantic_joint_entropy,
     up_smi,
 )
-from sebits import typicality
+from sebits import _kernels, typicality
 from sebits.typicality import (
     _inverse_cdf,
     _log2_probs,
@@ -239,6 +239,15 @@ class TestEnumeration:
             enumerate_typical_sets(d, SynonymousPartition.single_block(8), 200, 0.1)
         assert err.value.required == math.comb(207, 7)
 
+    def test_budget_gate_counts_factorial_table_words(self):
+        """One block over a binary source admits n far beyond both other gates;
+        at n = 16 000 the table of k! for k <= n would hold about 2.4e7 64-bit
+        words, so the call refuses before building it."""
+        d = Distribution(np.array([1 - 1e-9, 1e-9]))
+        with pytest.raises(BudgetExceeded, match="factorial table") as err:
+            enumerate_typical_sets(d, SynonymousPartition.single_block(2), 16_000, 1e-4)
+        assert err.value.required > typicality.EXHAUSTIVE_STATE_CAP
+
     @pytest.mark.parametrize(
         "probs, blocks, n, eps, field, expected",
         [
@@ -371,6 +380,12 @@ STRONG_FJ = JointSynonymousPartition(
 
 def _report_in_child(results, j, fj, kw):
     results.put(estimate_joint_typicality(j, fj, **kw).to_json())
+
+
+def joint_chunk(monkeypatch, n: int, mode: str, trials: int) -> None:
+    """Set CHUNK_DRAWS so that estimate_joint_typicality at block length n runs in
+    chunks of `trials` trials."""
+    monkeypatch.setattr(_kernels, "CHUNK_DRAWS", trials * (n if mode == "correlated" else 4 * n))
 
 
 def _per_symbol_estimator(j, fj, n, eps, trials, seed, mode, batch=4096):
@@ -588,11 +603,13 @@ class TestJointMonteCarlo:
                 **detail,
             }
 
-    def test_batch_split_invariance(self):
+    def test_batch_split_invariance(self, monkeypatch):
         """Per-trial counter slices make results independent of chunking."""
         kw = dict(n=24, eps=0.1, trials=30_000, seed=29, mode="independent")
-        a = estimate_joint_typicality(WEAK_JOINT, WEAK_FJ, batch=4096, **kw)
-        b = estimate_joint_typicality(WEAK_JOINT, WEAK_FJ, batch=911, **kw)
+        joint_chunk(monkeypatch, 24, "independent", 4096)
+        a = estimate_joint_typicality(WEAK_JOINT, WEAK_FJ, **kw)
+        joint_chunk(monkeypatch, 24, "independent", 911)
+        b = estimate_joint_typicality(WEAK_JOINT, WEAK_FJ, **kw)
         assert a.prob_typical == b.prob_typical
         assert a.detail["encoding_prob"] == b.detail["encoding_prob"]
 
@@ -610,7 +627,7 @@ class TestJointMonteCarlo:
         ],
     )
     def test_matches_per_symbol_estimator(self, table2_joint, table3_partitions, joint, n, eps,
-                                          seed, trials, mode):
+                                          seed, trials, mode, monkeypatch):
         """Every report field equals the per-symbol oracle's at batches 4096,
         1024 and 911 and at the default, draw-sized batch (inline when one
         chunk holds every trial, split across two threads otherwise).  On the weak joint at n = 24 rows survive the
@@ -627,9 +644,10 @@ class TestJointMonteCarlo:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for batch in (4096, 1024, 911, None):
-                rep = estimate_joint_typicality(
-                    j, fj, n=n, eps=eps, trials=trials, seed=seed, mode=mode, batch=batch
-                )
+                with monkeypatch.context() as chunk:
+                    if batch is not None:
+                        joint_chunk(chunk, n, mode, batch)
+                    rep = estimate_joint_typicality(j, fj, n=n, eps=eps, trials=trials, seed=seed, mode=mode)
                 assert rep.to_json() == expected
 
     @pytest.mark.parametrize("mode", ["correlated", "independent"])
@@ -640,25 +658,20 @@ class TestJointMonteCarlo:
                                       mode=mode)
 
     @pytest.mark.parametrize("mode", ["correlated", "independent"])
-    def test_batch_must_be_positive(self, table2_joint, table3_partitions, mode):
-        with pytest.raises(ValueError, match="batch must be at least 1"):
-            estimate_joint_typicality(table2_joint, table3_partitions, n=10, eps=0.1, trials=10,
-                                      mode=mode, batch=0)
-
-    @pytest.mark.parametrize("mode", ["correlated", "independent"])
     @pytest.mark.parametrize(
         "joint, n, eps, seed, trials",
         [("table2", 200, 0.1, 41, 2000), ("weak", 24, 0.1, 1, 2000), ("table2", 3, 0.5, 5, 2000)],
     )
     def test_one_trial_batches_match_per_symbol_estimator(self, table2_joint, table3_partitions, joint,
-                                                          n, eps, seed, trials, mode):
+                                                          n, eps, seed, trials, mode, monkeypatch):
         """At one trial per chunk, 2000 chunks are shared by the calling thread and
-        the worker, and every report field still equals the per-symbol oracle's."""
+        the helper, and every report field still equals the per-symbol oracle's."""
         j, fj = {"table2": (table2_joint, table3_partitions), "weak": (WEAK_JOINT, WEAK_FJ)}[joint]
         expected = _per_symbol_estimator(j, fj, n, eps, trials, seed, mode)
         if joint == "weak" and mode == "independent":
             assert expected["prob_typical"] > 0
-        rep = estimate_joint_typicality(j, fj, n=n, eps=eps, trials=trials, seed=seed, mode=mode, batch=1)
+        joint_chunk(monkeypatch, n, mode, 1)
+        rep = estimate_joint_typicality(j, fj, n=n, eps=eps, trials=trials, seed=seed, mode=mode)
         assert rep.to_json() == expected
 
     def test_correlated_memory_does_not_grow_with_n(self, table2_joint, table3_partitions):
@@ -677,9 +690,9 @@ class TestJointMonteCarlo:
         assert peak < 32 * 2**20
 
     def test_forked_child_reports_after_the_parent_used_the_pool(self, table2_joint, table3_partitions):
-        """The pool's worker thread does not survive a fork, so a child must
-        not hand its chunks to the parent's pool; its call returns the
-        parent's report instead of hanging."""
+        """A map's helper thread does not survive a fork, so a child must
+        start its own; its call returns the parent's report instead of
+        hanging."""
         kw = dict(n=200, eps=0.1, trials=2000, seed=17, mode="independent")
         before = threading.active_count()
         want = estimate_joint_typicality(table2_joint, table3_partitions, **kw).to_json()
