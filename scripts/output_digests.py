@@ -22,8 +22,9 @@ in the middle; the joint Monte Carlo in both modes at n = 3,
 n = 1000 and one trial on Table II, and on a joint where the decoding probe
 counts hits; and R_s(D) beyond the binary case, with a Hamming cost on
 [0.5, 0.3, 0.2] at n^ = 4, D = 0.1 and on [0.4, 0.3, 0.2, 0.1] at n^ = 4,
-D = 0.2; the AWGN simulation on Table VIII at 1 trial and at 12 345 trials
-(which ends on a partial batch), and on an n = 8 code, the Table VIII words
+D = 0.2, and the first of them at --tol=-1, which is refused; the AWGN
+simulation on Table VIII at 1 trial and at 12 345 trials (which ends on a
+partial batch), and on an n = 8 code, the Table VIII words
 with an even-parity bit appended; capacity, full and --identity-only, on a
 channel whose optimal input is on the boundary of the simplex, on one with an
 all-zero output column and on a seeded random 6x6 channel; chancode and
@@ -113,6 +114,10 @@ def extra_jobs(work: Path) -> list[tuple[list[str], Path]]:
                 "--distortion", _write_json(work / f"hamming{k}.json", {"values": (1.0 - np.eye(k)).tolist()}),
                 "--d-target", str(target), "--reconstruction-size", "4"]
         jobs.append((argv, work / f"rd_{k}x{k}.json"))
+    # a tolerance that is not positive is refused before any round
+    argv = ["rate-distortion", "--dist", str(work / "rd3.json"), "--distortion", str(work / "hamming3.json"),
+            "--d-target", "0.1", "--tol=-1"]
+    jobs.append((argv, work / "rd_tol.json"))
     table8 = json.loads(Path("fixtures/tableVIII_codebook.json").read_text())
     parity = {"n": 8, "codewords": [w + str(w.count("1") % 2) for w in table8["codewords"]],
               "groups": table8["groups"]}

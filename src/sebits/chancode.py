@@ -371,7 +371,7 @@ def gep_union_bound(cb: GroupedCodebook, es_n0: float, mode: str = "MLG") -> flo
     spectrum.  A group pair with equal sum signals, on which the MLG decoder
     always ties, has distance 0 and contributes a term of 1.
     """
-    if es_n0 <= 0:
+    if not es_n0 > 0:
         raise ValueError("Es/N0 must be positive")
     if mode == "MLG":
         _, spectrum = min_group_hamming_distance(cb)
@@ -394,9 +394,9 @@ class AwgnConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.es_n0 <= 0:
+        if not self.es_n0 > 0:
             raise ValueError("Es/N0 must be positive")
-        if self.trials < 1:
+        if not self.trials >= 1:
             raise ValueError("need at least one trial")
 
 

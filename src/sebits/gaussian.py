@@ -13,18 +13,18 @@ import math
 
 def uniform_semantic_entropy(a: float, b: float, n_tilde: int) -> float:
     """Uniform density on [a, b] under an even partition into n_tilde intervals: log2 n_tilde."""
-    if b <= a:
+    if not b > a:
         raise ValueError("interval must have positive length")
-    if n_tilde < 1:
+    if not n_tilde >= 1:
         raise ValueError("need at least one synonymous interval")
     return math.log2(n_tilde)
 
 
 def gaussian_semantic_entropy(sigma2: float, s: float) -> float:
     """(1/2) log2(2 pi e sigma^2 / S^2); equals the differential entropy at S = 1."""
-    if sigma2 <= 0:
+    if not sigma2 > 0:
         raise ValueError("variance must be positive")
-    if s < 1:
+    if not s >= 1:
         raise ValueError("average synonymous length must be at least 1")
     return 0.5 * math.log2(2.0 * math.pi * math.e * sigma2 / (s * s))
 
@@ -32,9 +32,9 @@ def gaussian_semantic_entropy(sigma2: float, s: float) -> float:
 def gaussian_semantic_capacity(p: float, sigma2: float, s: float) -> tuple[float, float]:
     """Per-use capacity (1/2) log2(1 + P/sigma^2) + log2(S^2) and its lower bound
     (1/2) log2(1 + S^4 P/sigma^2)."""
-    if p <= 0 or sigma2 <= 0:
+    if not (p > 0 and sigma2 > 0):
         raise ValueError("power and noise variance must be positive")
-    if s < 1:
+    if not s >= 1:
         raise ValueError("average synonymous length must be at least 1")
     snr = p / sigma2
     c_s = 0.5 * math.log2(1.0 + snr) + math.log2(s * s)
@@ -44,9 +44,9 @@ def gaussian_semantic_capacity(p: float, sigma2: float, s: float) -> tuple[float
 
 def bandlimited_semantic_capacity(p: float, n0: float, b: float, s: float) -> tuple[float, float]:
     """Per-second capacity B log2[S^4 (1 + P/(N0 B))] and lower bound B log2(1 + S^4 P/(N0 B))."""
-    if p <= 0 or n0 <= 0 or b <= 0:
+    if not (p > 0 and n0 > 0 and b > 0):
         raise ValueError("power, noise density, and bandwidth must be positive")
-    if s < 1:
+    if not s >= 1:
         raise ValueError("average synonymous length must be at least 1")
     snr = p / (n0 * b)
     c_s = b * math.log2(s**4 * (1.0 + snr))
@@ -56,20 +56,20 @@ def bandlimited_semantic_capacity(p: float, n0: float, b: float, s: float) -> tu
 
 def min_energy_per_sebit(mu: float, s: float) -> float:
     """(2^mu - 1) / (S^4 mu) with N0 = 1; increasing in mu with limit ln2 / S^4 at mu -> 0."""
-    if mu <= 0:
+    if not mu > 0:
         raise ValueError("spectral efficiency must be positive")
-    if s < 1:
+    if not s >= 1:
         raise ValueError("average synonymous length must be at least 1")
     return (2.0**mu - 1.0) / (s**4 * mu)
 
 
 def gaussian_semantic_rd(p: float, d: float, s: float) -> float:
     """(1/2) log2(P / (S^4 D)) for 0 <= D <= P / S^4, else 0."""
-    if p <= 0:
+    if not p > 0:
         raise ValueError("source power must be positive")
-    if d <= 0:
+    if not d > 0:
         raise ValueError("distortion must be positive")
-    if s < 1:
+    if not s >= 1:
         raise ValueError("average synonymous length must be at least 1")
     if d > p / s**4:
         return 0.0
@@ -86,9 +86,9 @@ def spectral_efficiency(eb_n0_linear: float, s: float, lower_bound: bool = False
     rounding residue of g near eta = 0: 9.6e-16 at -2 dB and S = 1, growing
     to about 1e-8 within 1e-9 dB of the limit.
     """
-    if eb_n0_linear <= 0:
+    if not eb_n0_linear > 0:
         raise ValueError("Eb/N0 must be positive")
-    if s < 1:
+    if not s >= 1:
         raise ValueError("average synonymous length must be at least 1")
 
     s4 = s**4

@@ -6,14 +6,15 @@ one block, where Hs(X~,Y~) = 0, so C_s = max_p H(X) + H(Y).  Semantic
 rate-distortion enumerates labeled source partitions and reconstruction
 block-size vectors, gated by a caller-supplied budget: the cost sees only the
 semantic symbols, so each such pair is one problem on the semantic alphabet.
-With the partition pair fixed, both inner problems are
-solved by closed-form Blahut-Arimoto-style alternating updates, accelerated by
-SQUAREM extrapolation, that stop on a certificate: the up companion of mutual
-information is concave in the input distribution and its ascent stops on the
-Frank-Wolfe gap; the down companion is convex in the test channel and its
-descent, with the multiplier of the distortion constraint re-solved at every
-step, stops once the Lagrange-dual lower bound meets the best feasible value.
-Classic Blahut-Arimoto baselines are included for the C <= C_s and
+With the partition pair fixed, both inner problems are solved by closed-form
+Blahut-Arimoto-style alternating updates, accelerated by SQUAREM extrapolation
+(shortened toward the plain step when it would leave the simplex, so optima on
+its boundary keep the speed-up), that stop on a certificate: the up companion
+of mutual information is concave in the input distribution and its ascent
+stops on the Frank-Wolfe gap; the down companion is convex in the test channel
+and its descent, with the multiplier of the distortion constraint re-solved at
+every step, stops once the Lagrange-dual lower bound meets the best feasible
+value.  Classic Blahut-Arimoto baselines are included for the C <= C_s and
 R_s(D) <= R(D) comparisons; both run on the same SQUAREM driver and stop on
 their own certificates: Arimoto's upper and lower capacity bounds for C, the
 singleton case of the descent's duality bound for R(D).
@@ -76,10 +77,16 @@ def _iterate_to_certificate(step, x: np.ndarray, done, rounds: int):
     step(x) returns (the map's image of x, the certificate gap at x, the
     objective at x, lower being better).  Returns (x, objective, stopped) at
     the first x with done(gap, objective) true, or after `rounds` rounds with
-    stopped false.  Each round is two steps plus a SQUAREM extrapolation
-    along them (Varadhan and Roland 2008), kept when it stays inside the
-    simplex and lowers the objective: it rescues near-degenerate problems,
-    where plain Blahut-Arimoto steps contract at a rate near 1.
+    stopped false.  Each round is two steps x -> x1 -> x2 plus a SQUAREM
+    extrapolation along them (Varadhan and Roland 2008), x - 2 alpha r +
+    alpha^2 v with r = x1 - x, v = x2 - 2 x1 + x and alpha <= -1: it rescues
+    near-degenerate problems, where plain Blahut-Arimoto steps contract at a
+    rate near 1.  An extrapolation with an entry <= 0 is shortened toward x2,
+    alpha <- (alpha - 1) / 2, until it is inside the simplex (Du and Varadhan
+    2020), so problems whose optimum lies on the boundary keep the
+    acceleration; at alpha = -1 it is x2 itself.  One step from the
+    extrapolation is kept when it lowers the objective; otherwise the round
+    ends at x2.
     """
     for _ in range(rounds):
         x1, gap, f = step(x)
@@ -92,6 +99,9 @@ def _iterate_to_certificate(step, x: np.ndarray, done, rounds: int):
         if v.any():
             alpha = min(-float(np.linalg.norm(r) / np.linalg.norm(v)), -1.0)
             ext = x - 2.0 * alpha * r + alpha * alpha * v
+            while ext.min() <= 0 and alpha < -1.0:
+                alpha = 0.5 * (alpha - 1.0)
+                ext = x - 2.0 * alpha * r + alpha * alpha * v
             if ext.min() > 0:
                 x3, _, f3 = step(ext / ext.sum())
                 if f3 < f:
@@ -116,7 +126,7 @@ def blahut_arimoto_capacity(ch: ChannelModel, tol: float = 1e-10) -> tuple[float
     the returned value is within `tol` of the true maximum, or raises
     NonConvergence after `MAX_ROUNDS` rounds.
     """
-    if tol <= 0:
+    if not tol > 0:  # a NaN tol is refused too
         raise ValueError("tol must be positive")
     w = ch.transition
     m = ch.input_size
@@ -184,6 +194,8 @@ def maximize_up_smi(
     maximum, and the ascent stops once it is below `tol`, or raises
     NonConvergence after `MAX_ROUNDS` rounds.
     """
+    if not tol > 0:  # a NaN tol is refused too
+        raise ValueError("tol must be positive")
     w, wv, x_block = _up_smi_pieces(ch, fj)
     x_onehot = np.eye(x_block.max() + 1)[x_block]
 
@@ -309,6 +321,8 @@ def blahut_arimoto_rd(
     a duality certificate, so the rate is within `tol` of R(D) and the channel
     meets the target.
     """
+    if not tol > 0:  # a NaN tol is refused too
+        raise ValueError("tol must be positive")
     p = src.probs
     d = np.asarray(d, dtype=float)
     if d.ndim != 2 or d.shape[0] != p.size:
@@ -496,6 +510,8 @@ def semantic_rate_distortion(
     syntactic alphabet defaults to one symbol per semantic symbol.  The result
     is clamped at zero.
     """
+    if not tol > 0:  # a NaN tol is refused too
+        raise ValueError("tol must be positive")
     if not target_d >= 0:  # a NaN target is refused too
         raise Infeasible("distortion target must be non-negative")
     p = src.probs

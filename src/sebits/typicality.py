@@ -62,7 +62,7 @@ def is_semantically_typical(
     seq, d: Distribution, f: SynonymousPartition, eps: float
 ) -> bool:
     """Whether a semantic index sequence has empirical semantic entropy eps-close to Hs."""
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     sem = induced_semantic_distribution(d, f)
     seq = np.asarray(seq, dtype=int)
@@ -81,7 +81,7 @@ def is_synonymous_typical(
     within eps of Hs(U~), and the conditional rate of choosing this sequence
     inside its synonymous set within eps of H(U) - Hs(U~).
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     u_seq = np.asarray(u_seq, dtype=int)
     if u_seq.size == 0 or u_seq.min() < 0 or u_seq.max() >= d.alphabet_size:
@@ -189,9 +189,9 @@ def enumerate_typical_sets(
     EXHAUSTIVE_STATE_CAP, or, before the sweep, when a bracket exponent
     n(H - Hs + eps) or n(Hs + eps) overflows a double.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
-    if n < 1:
+    if not n >= 1:
         raise ValueError("n must be at least 1")
     sem = induced_semantic_distribution(d, f)
     n_sem, n_syn = sem.alphabet_size, d.alphabet_size
@@ -392,11 +392,11 @@ def estimate_joint_typicality(
     In independent mode, raises BudgetExceeded before drawing when a band
     edge overflows a double.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
-    if n < 1:
+    if not n >= 1:
         raise ValueError("n must be at least 1")
-    if trials < 1:
+    if not trials >= 1:
         raise ValueError("need at least one trial")
     if mode not in ("correlated", "independent"):
         raise ValueError(f"mode must be 'correlated' or 'independent', got {mode!r}")

@@ -306,6 +306,11 @@ class TestUnionBounds:
         cb = build_grouped_codebook(["00", "11", "01", "10"], [[0, 1], [2, 3]])
         assert gep_union_bound(cb, 1.0, "MLG") == 1.0
 
+    @pytest.mark.parametrize("mode", ["MLG", "ML"])
+    def test_nan_es_n0_refused(self, hamming_codebook, mode):
+        with pytest.raises(ValueError, match="Es/N0 must be positive"):
+            gep_union_bound(hamming_codebook, math.nan, mode)
+
 
 def oracle_group_loglik(y: np.ndarray, cb: GroupedCodebook, sigma2: float) -> int:
     """argmax over groups of sum_l ln p(y | codeword l), evaluated longhand."""
@@ -547,7 +552,9 @@ class TestSweep:
         ]
 
     @pytest.mark.parametrize(
-        "es_n0s, trials", [([], 100), ([1.0, 0.0], 100), ([-1.0], 100), ([1.0, 2.0], 0), ([1.0], -3)]
+        "es_n0s, trials",
+        [([], 100), ([1.0, 0.0], 100), ([-1.0], 100), ([1.0, 2.0], 0), ([1.0], -3), ([math.nan], 100),
+         ([1.0], math.nan)],
     )
     def test_invalid_sweep_rejected_before_any_draw(self, hamming_codebook, monkeypatch, es_n0s, trials):
         def no_draw(*args):

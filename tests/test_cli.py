@@ -577,6 +577,15 @@ class TestNonConvergenceExit:
         assert code == 3
         assert '"error":"NonConvergence"' in err and "rounds" in err
 
+    @pytest.mark.parametrize("command", ["capacity", "rate-distortion"])
+    @pytest.mark.parametrize("tol", ["0", "-1"])
+    def test_tol_not_positive_exits_2(self, argv, command, tol):
+        """Refused before any round: a solve that ran would exit 3 here, and
+        rate-distortion --tol=-1 ran all of its rounds at the default budget."""
+        code, out, err = run_main(*argv[command], f"--tol={tol}")
+        assert (code, out) == (2, "")
+        assert "tol must be positive" in err and "Traceback" not in err
+
 
 class TestOneLoaderPerKind:
     """The subcommand that reads a file and `schema-check` run the same loader."""

@@ -25,6 +25,25 @@ from sebits.gaussian import (
 from sebits.measures import semantic_entropy, up_smi
 
 
+# valid arguments of each guarded formula; every one of them set to NaN must be refused
+VALID_ARGS = [
+    (uniform_semantic_entropy, (0.0, 1.0, 4)),
+    (gaussian_semantic_entropy, (1.0, 2.0)),
+    (gaussian_semantic_capacity, (1.0, 1.0, 2.0)),
+    (bandlimited_semantic_capacity, (1.0, 1.0, 1.0, 2.0)),
+    (min_energy_per_sebit, (1.0, 2.0)),
+    (gaussian_semantic_rd, (1.0, 0.1, 2.0)),
+    (spectral_efficiency, (1.0, 2.0)),
+]
+
+
+@pytest.mark.parametrize("fn, args, i", [(fn, args, i) for fn, args in VALID_ARGS for i in range(len(args))])
+def test_nan_argument_refused(fn, args, i):
+    fn(*args)
+    with pytest.raises(ValueError, match="positive|at least"):
+        fn(*args[:i], math.nan, *args[i + 1:])
+
+
 class TestClosedForms:
     def test_uniform_entropy(self):
         assert uniform_semantic_entropy(0.0, 1.0, 8) == 3.0

@@ -20,6 +20,7 @@ from sebits.errors import BudgetExceeded, Infeasible, NonConvergence
 from sebits.measures import down_smi, mutual_information, up_smi
 from sebits.optimize import (
     SemanticDistortionMatrix,
+    _iterate_to_certificate,
     blahut_arimoto_capacity,
     blahut_arimoto_rd,
     count_ordered_set_partitions,
@@ -106,6 +107,24 @@ class TestPartitionEnumeration:
         assert len(set(got)) == 6
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda tol: blahut_arimoto_capacity(bsc(0.1), tol),
+        lambda tol: maximize_up_smi(bsc(0.1), JointSynonymousPartition.identity(2, 2), tol),
+        lambda tol: semantic_capacity(bsc(0.1), tol),
+        lambda tol: blahut_arimoto_rd(Distribution(np.array([0.5, 0.5])), 1.0 - np.eye(2), 0.1, tol),
+        lambda tol: semantic_rate_distortion(Distribution(np.array([0.5, 0.5])), hamming_distortion(2), 0.1,
+                                             tol=tol),
+    ],
+    ids=["ba_capacity", "up_smi", "semantic_capacity", "ba_rd", "semantic_rd"],
+)
+def test_tol_must_be_positive(solve, tol):
+    with pytest.raises(ValueError, match="tol must be positive"):
+        solve(tol)
+
+
 class TestBlahutArimotoCapacity:
     def test_bsc_closed_form(self):
         c, r = blahut_arimoto_capacity(bsc(0.11), tol=1e-12)
@@ -133,7 +152,8 @@ class TestBlahutArimotoCapacity:
         assert c == pytest.approx(1 - e, abs=1e-9)
 
 
-# a solvers-workload channel whose optimal input puts 1.5e-10 on symbol 0
+# a solvers-workload channel whose optimal input puts no mass on symbol 0 (its
+# divergence falls 0.29 bit short of the capacity), on the simplex boundary
 BOUNDARY_OPTIMUM = [
     [0.6634490638607984, 0.17789920231940143, 0.15865173381980024],
     [0.011519950965607977, 0.5930180594914135, 0.39546198954297845],
@@ -196,6 +216,19 @@ class TestBlahutArimotoCapacityOracle:
         _, r = blahut_arimoto_capacity(ChannelModel(np.array(BOUNDARY_OPTIMUM)))
         assert r.probs[0] < 1e-9
 
+    def test_boundary_optimum_keeps_the_acceleration(self, steps):
+        """107 driver steps when every extrapolation that leaves the simplex is
+        dropped; 25 when such an extrapolation is shortened toward the plain step."""
+        blahut_arimoto_capacity(ChannelModel(np.array(BOUNDARY_OPTIMUM)), 1e-10)
+        assert steps[0] <= 30
+
+    def test_fewer_steps_over_the_oracle_channels(self, steps):
+        """1 601 driver steps in all when every extrapolation that leaves the
+        simplex is dropped; 1 224 when such an extrapolation is shortened."""
+        for w in oracle_channels():
+            blahut_arimoto_capacity(ChannelModel(w), 1e-10)
+        assert steps[0] < 1601
+
     def test_certifies_within_a_third_of_the_plain_passes(self, monkeypatch):
         import sebits.optimize as opt
 
@@ -213,6 +246,45 @@ class TestBlahutArimotoCapacityOracle:
         monkeypatch.setattr(opt, "MAX_ROUNDS", 1)
         with pytest.raises(NonConvergence, match="rounds"):
             blahut_arimoto_capacity(ChannelModel(np.array(SLOW_PLAIN)), 1e-10)
+
+
+class TestIterateToCertificate:
+    def test_extrapolation_outside_the_simplex_is_shortened_and_kept(self):
+        # a linear map on the simplex toward t, slow along e1 and fast along e2;
+        # a start nearly on the slow axis makes the SQUAREM step long enough to
+        # carry the fast component past the face x_0 = 0
+        t = np.array([0.01, 0.495, 0.495])
+        e1 = np.array([0.0, 1.0, -1.0]) / math.sqrt(2)
+        e2 = np.array([-2.0, 1.0, 1.0]) / math.sqrt(6)
+
+        def image(x):
+            return t + 0.99 * ((x - t) @ e1) * e1 + 0.5 * ((x - t) @ e2) * e2
+
+        seen = []
+
+        def step(x):
+            seen.append(x)
+            f = float((x - t) @ (x - t))
+            return image(x), f, f
+
+        x0 = t + 0.3 * e1 + 1e-4 * e2
+        x1, x2 = image(x0), image(image(x0))
+        r, v = x1 - x0, x2 - 2 * x1 + x0
+        alpha0 = -float(np.linalg.norm(r) / np.linalg.norm(v))
+
+        def ext(alpha):
+            return x0 - 2 * alpha * r + alpha * alpha * v
+
+        assert ext(alpha0).min() < 0
+
+        x, _, _ = _iterate_to_certificate(step, x0, lambda gap, f: False, 1)
+        start = seen[2]  # the point the extrapolation step ran from
+        # alpha <- (alpha - 1) / 2, k times, is -1 + (alpha0 + 1) / 2^k
+        shortened = [ext(-1 + (alpha0 + 1) / 2**k) for k in range(1, 54)]
+        assert any(np.allclose(start, e, rtol=0, atol=1e-12) for e in shortened)
+        assert start.min() > 0
+        np.testing.assert_allclose(x, image(start), rtol=0, atol=1e-15)
+        assert (x - t) @ (x - t) < (x2 - t) @ (x2 - t)
 
 
 def _xlog2x(a: np.ndarray) -> np.ndarray:

@@ -166,6 +166,11 @@ class TestMembership:
         with pytest.raises(IndexOutOfRange):
             is_semantically_typical([0, 9], table1_dist, table1_partition, 0.1)
 
+    @pytest.mark.parametrize("check", [is_semantically_typical, is_synonymous_typical])
+    def test_nan_eps_refused(self, check, table1_dist, table1_partition):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            check([0, 1], table1_dist, table1_partition, math.nan)
+
     def test_synonymous_identity_reduces_to_classic(self, table1_dist):
         f = SynonymousPartition.identity(6)
         seq = [0, 3, 1, 2, 0, 3, 0, 5, 4, 0]
@@ -192,6 +197,12 @@ class TestMembership:
 
 
 class TestEnumeration:
+    @pytest.mark.parametrize("n, eps, message", [(5, math.nan, "eps must be positive"),
+                                                 (math.nan, 0.1, "n must be at least 1")])
+    def test_nan_refused(self, table1_dist, table1_partition, n, eps, message):
+        with pytest.raises(ValueError, match=message):
+            enumerate_typical_sets(table1_dist, table1_partition, n, eps)
+
     def test_uniform_source_counts(self):
         d = Distribution(np.full(4, 0.25))
         f = SynonymousPartition(((0, 1), (2, 3)), 4)
@@ -651,7 +662,14 @@ class TestJointMonteCarlo:
                 assert rep.to_json() == expected
 
     @pytest.mark.parametrize("mode", ["correlated", "independent"])
-    @pytest.mark.parametrize("n", [0, -3])
+    @pytest.mark.parametrize("eps, trials, message", [(math.nan, 10, "eps must be positive"),
+                                                      (0.1, math.nan, "need at least one trial")])
+    def test_nan_refused(self, table2_joint, table3_partitions, eps, trials, message, mode):
+        with pytest.raises(ValueError, match=message):
+            estimate_joint_typicality(table2_joint, table3_partitions, n=10, eps=eps, trials=trials, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["correlated", "independent"])
+    @pytest.mark.parametrize("n", [0, -3, math.nan])
     def test_n_must_be_positive(self, table2_joint, table3_partitions, n, mode):
         with pytest.raises(ValueError, match="n must be at least 1"):
             estimate_joint_typicality(table2_joint, table3_partitions, n=n, eps=0.1, trials=10,
