@@ -22,7 +22,10 @@ in the middle; the joint Monte Carlo in both modes at n = 3,
 n = 1000 and one trial on Table II, and on a joint where the decoding probe
 counts hits; and R_s(D) beyond the binary case, with a Hamming cost on
 [0.5, 0.3, 0.2] at n^ = 4, D = 0.1 and on [0.4, 0.3, 0.2, 0.1] at n^ = 4,
-D = 0.2, and the first of them at --tol=-1, which is refused; the AWGN
+D = 0.2, and the first of them at --tol=-1, which is refused; the second
+at n^ = 5 (a positive rate) and n^ = 6 (rate 0), and at n^ = 6 with
+--budget 100, which is refused; a uniform 6-symbol source with a 3x3 Hamming
+cost at n^ = 5, D = 0.02 (rate 0); the AWGN
 simulation on Table VIII at 1 trial and at 12 345 trials (which ends on a
 partial batch), and on an n = 8 code, the Table VIII words
 with an even-parity bit appended; capacity, full and --identity-only, on a
@@ -118,6 +121,14 @@ def extra_jobs(work: Path) -> list[tuple[list[str], Path]]:
     argv = ["rate-distortion", "--dist", str(work / "rd3.json"), "--distortion", str(work / "hamming3.json"),
             "--d-target", "0.1", "--tol=-1"]
     jobs.append((argv, work / "rd_tol.json"))
+    rd4 = ["rate-distortion", "--dist", str(work / "rd4.json"), "--distortion", str(work / "hamming4.json"),
+           "--d-target", "0.2"]
+    for flags in (["--reconstruction-size", "5"], ["--reconstruction-size", "6"],
+                  ["--reconstruction-size", "6", "--budget", "100"]):
+        jobs.append(([*rd4, *flags], work / f"rd_4x4_{'_'.join(flags[1::2])}.json"))
+    argv = ["rate-distortion", "--dist", _write_json(work / "uniform6_rd.json", {"probs": [1 / 6] * 6}),
+            "--distortion", str(work / "hamming3.json"), "--d-target", "0.02", "--reconstruction-size", "5"]
+    jobs.append((argv, work / "rd_uniform6.json"))
     table8 = json.loads(Path("fixtures/tableVIII_codebook.json").read_text())
     parity = {"n": 8, "codewords": [w + str(w.count("1") % 2) for w in table8["codewords"]],
               "groups": table8["groups"]}

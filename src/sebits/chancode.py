@@ -411,8 +411,10 @@ class SimulationResult:
 
 def wilson_halfwidth(p_hat: float, n: int) -> float:
     """Half-width of the 95% Wilson score interval (z = WILSON_Z) for a proportion."""
-    if n < 1:
+    if not n >= 1:  # a NaN count is refused too
         raise ValueError("need at least one observation")
+    if not 0.0 <= p_hat <= 1.0:  # so is a NaN proportion
+        raise ValueError("p_hat must lie in [0, 1]")
     z = WILSON_Z
     denom = 1.0 + z * z / n
     return (z / denom) * math.sqrt(p_hat * (1.0 - p_hat) / n + z * z / (4.0 * n * n))

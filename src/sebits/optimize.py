@@ -6,6 +6,8 @@ one block, where Hs(X~,Y~) = 0, so C_s = max_p H(X) + H(Y).  Semantic
 rate-distortion enumerates labeled source partitions and reconstruction
 block-size vectors, gated by a caller-supplied budget: the cost sees only the
 semantic symbols, so each such pair is one problem on the semantic alphabet.
+The pairs are solved least first, and the first whose value reaches the clamp
+at zero ends the search.
 With the partition pair fixed, both inner problems are solved by closed-form
 Blahut-Arimoto-style alternating updates, accelerated by SQUAREM extrapolation
 (shortened toward the plain step when it would leave the simplex, so optima on
@@ -51,20 +53,31 @@ MAX_ROUNDS = 100_000  # `_iterate_to_certificate` rounds, each of up to three st
 # ---------------------------------------------------------------------------
 
 def ordered_set_partitions(n: int, k: int):
-    """Partitions of {0..n-1} into exactly k labeled, non-empty blocks."""
-    for assignment in itertools.product(range(k), repeat=n):
-        if len(set(assignment)) != k:
-            continue
-        blocks: list[list[int]] = [[] for _ in range(k)]
-        for idx, lab in enumerate(assignment):
-            blocks[lab].append(idx)
-        yield tuple(tuple(b) for b in blocks)
+    """Partitions of {0..n-1} into exactly k labeled, non-empty blocks, in
+    increasing (block 0, block 1, ...) order.
+
+    Block 0 runs over the sorted non-empty subsets that leave at least k - 1
+    symbols (every symbol when k = 1), and the symbols it leaves are split
+    into k - 1 blocks the same way, so only the k! S(n, k) onto labelings
+    are built.
+    """
+    def split(rest: tuple[int, ...], k: int):
+        if k == len(rest) == 0:
+            yield ()
+        # block 0 leaves at least k - 1 symbols and is never empty; the last block
+        # (k = 1) takes every symbol left, and for k < 1 the sizes start past len(rest)
+        least = 1 if k > 1 else max(1, len(rest) - k + 1)
+        subsets = (c for size in range(least, len(rest) - k + 2) for c in itertools.combinations(rest, size))
+        for block in sorted(subsets):
+            for tail in split(tuple(x for x in rest if x not in block), k - 1):
+                yield (block, *tail)
+
+    yield from split(tuple(range(n)), k)
 
 
 def count_ordered_set_partitions(n: int, k: int) -> int:
-    # k! * Stirling2(n, k) by inclusion-exclusion
-    total = sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1))
-    return max(total, 0)
+    # k! * Stirling2(n, k) by inclusion-exclusion, never negative
+    return sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -499,16 +512,19 @@ def semantic_rate_distortion(
     `ds` is indexed by semantic symbols, so a source partition into
     k = ds.shape[0] blocks enters only through its block masses p~ and
     H(X|X~), and a partition of the n^ reconstruction symbols into
-    k^ = ds.shape[1] blocks only through its block sizes.  The enumeration
-    ranges over labeled source partitions and the compositions of n^ into k^
-    sizes, one k x k^ solve each, and `partition_budget` caps their number.
-    Each composition stands for its consecutive-block partition, the least
-    labeled partition with those sizes, so the least (value, source blocks,
-    reconstruction blocks) is the one the enumeration of every labeled pair
-    would keep.  The returned n x n^ test channel is constant on each source
-    block and even inside each reconstruction block.  The reconstruction
-    syntactic alphabet defaults to one symbol per semantic symbol.  The result
-    is clamped at zero.
+    k^ = ds.shape[1] blocks only through its block sizes.  The search ranges
+    over labeled source partitions and the compositions of n^ into k^ sizes,
+    one k x k^ solve each.  `partition_budget` caps their number, counted up
+    front, so an input over it is refused before any solve.  Each composition
+    stands for its consecutive-block partition, the least labeled partition
+    with those sizes, so the least (value, source blocks, reconstruction
+    blocks) is the one the enumeration of every labeled pair would keep.
+    Pairs are solved least first, so that pair is the first of the least
+    value, and the first pair whose value reaches the clamp at zero ends the
+    search: no later pair can be less.  The returned n x n^ test channel is
+    constant on each source block and even inside each reconstruction block.
+    The reconstruction syntactic alphabet defaults to one symbol per semantic
+    symbol.  The result is clamped at zero.
     """
     if not tol > 0:  # a NaN tol is refused too
         raise ValueError("tol must be positive")
@@ -528,31 +544,34 @@ def semantic_rate_distortion(
         )
 
     # each size vector's consecutive blocks: the least labeled partition with those sizes
-    cuts = itertools.combinations(range(1, n_hat), n_sxh - 1)
-    recon = [tuple(tuple(range(a, b)) for a, b in zip((0, *c), (*c, n_hat))) for c in cuts]
+    edges = [(0, *c, n_hat) for c in itertools.combinations(range(1, n_hat), n_sxh - 1)]
+    recon = [SynonymousPartition([tuple(range(a, b)) for a, b in zip(e, e[1:])], n_hat) for e in edges]
     pos = p > 0
-    best: tuple | None = None
-    for fx_blocks in ordered_set_partitions(n, n_sx):
-        fx = SynonymousPartition(fx_blocks, n)
-        pt = block_sums(p, 0, 1, fx.block_of, n_sx)[0]
-        if target_d < float(pt @ ds.values.min(axis=1)) - 1e-12:
-            continue  # no pair with this source partition can meet the distortion target
-        # -H(X|X~) as a sum of p_x log2(p_x / p~_b) <= 0, each exactly 0 on a singleton block
-        offset = float(p[pos] @ np.log2(p[pos] / pt[fx.block_of[pos]]))
-        for fxh_blocks in recon:
-            sizes = np.array([len(b) for b in fxh_blocks], dtype=float)
-            value, dist, qb = _min_down_smi_under_distortion(
-                pt, ds.values, sizes, offset, target_d, tol
-            )
-            key = (max(value, 0.0), fx_blocks, fxh_blocks)
-            if best is None or key < best[0]:
-                best = (key, dist, qb)
+
+    def solves():
+        """(clamped value, fx, fxh, sizes, dist, qb) of each pair, in key order,
+        up to the first whose value is at most 0."""
+        for fx_blocks in ordered_set_partitions(n, n_sx):
+            fx = SynonymousPartition(fx_blocks, n)
+            pt = block_sums(p, 0, 1, fx.block_of, n_sx)[0]
+            if target_d < float(pt @ ds.values.min(axis=1)) - 1e-12:
+                continue  # no pair with this source partition can meet the distortion target
+            # -H(X|X~) as a sum of p_x log2(p_x / p~_b) <= 0, each exactly 0 on a singleton block
+            offset = float(p[pos] @ np.log2(p[pos] / pt[fx.block_of[pos]]))
+            for fxh in recon:
+                sizes = np.array([len(b) for b in fxh.blocks], dtype=float)
+                value, dist, qb = _min_down_smi_under_distortion(
+                    pt, ds.values, sizes, offset, target_d, tol
+                )
+                yield max(value, 0.0), fx, fxh, sizes, dist, qb
+                if value <= 0.0:
+                    return  # the clamp makes this final: no later pair can be less
+
+    # min keeps the first of equal values, which is the least pair
+    best = min(solves(), key=lambda solved: solved[0], default=None)
     if best is None:
         raise Infeasible(f"no partition pair admits a test channel with distortion <= {target_d}")
-
-    (value, fx_blocks, fxh_blocks), dist, qb = best
-    fx, fxh = SynonymousPartition(fx_blocks, n), SynonymousPartition(fxh_blocks, n_hat)
-    sizes = np.array([len(b) for b in fxh_blocks], dtype=float)
+    value, fx, fxh, sizes, dist, qb = best
     q = qb[fx.block_of][:, fxh.block_of] / sizes[fxh.block_of]
     dsyn = ds.values[np.ix_(fx.block_of, fxh.block_of)]
     r_classic, _ = blahut_arimoto_rd(src, dsyn, target_d)

@@ -15,8 +15,9 @@ grow with n, and the calling thread and one helper thread each draw and
 score chunks, whose integer hit counts are summed: two threads at most.
 
 The non-asymptotic upper bounds on set sizes hold at every n; the matching
-lower bounds only for "sufficiently large n", so violations below a caller
-configurable threshold are reported as informational caveats, not failures.
+lower bounds only for "sufficiently large n", so violations at n below the
+fixed constant SMALL_N_THRESHOLD are reported as informational caveats, not
+failures.
 """
 
 from __future__ import annotations
@@ -53,11 +54,6 @@ def _log2_probs(p: np.ndarray) -> np.ndarray:
     return out
 
 
-def _seq_rate(seq: np.ndarray, log2p: np.ndarray) -> float:
-    """Empirical rate -(1/n) sum log2 p(symbol)."""
-    return float(-log2p[seq].sum() / seq.size)
-
-
 def is_semantically_typical(
     seq, d: Distribution, f: SynonymousPartition, eps: float
 ) -> bool:
@@ -69,7 +65,7 @@ def is_semantically_typical(
     if seq.size == 0 or seq.min() < 0 or seq.max() >= sem.alphabet_size:
         raise IndexOutOfRange("semantic sequence indices outside the semantic alphabet")
     hs = entropy(sem)
-    return abs(_seq_rate(seq, _log2_probs(sem.probs)) - hs) < eps
+    return abs(float(_rate(_log2_probs(sem.probs), seq[None], seq.size)[0]) - hs) < eps
 
 
 def is_synonymous_typical(
@@ -88,8 +84,8 @@ def is_synonymous_typical(
         raise IndexOutOfRange("sequence indices outside the syntactic alphabet")
     sem = induced_semantic_distribution(d, f)
     h, hs = entropy(d), entropy(sem)
-    rate_syn = _seq_rate(u_seq, _log2_probs(d.probs))
-    rate_sem = _seq_rate(f.block_of[u_seq], _log2_probs(sem.probs))
+    rate_syn = float(_rate(_log2_probs(d.probs), u_seq[None], u_seq.size)[0])
+    rate_sem = float(_rate(_log2_probs(sem.probs), f.block_of[u_seq][None], u_seq.size)[0])
     return (
         abs(rate_syn - h) < eps
         and abs(rate_sem - hs) < eps

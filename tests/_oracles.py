@@ -1,8 +1,11 @@
 """References that the library no longer runs: all set partitions, the
-capacity search over every (input, output) partition pair, the R_s(D) search
-over every labeled (source, reconstruction) partition pair, the per-block
+labeled partitions read off every label assignment, the capacity search over
+every (input, output) partition pair, the R_s(D) search over every labeled
+(source, reconstruction) partition pair, the per-block
 loops that summed masses over the blocks before `_kernels.block_sums`, and
 the plain Blahut-Arimoto capacity loop that ran before the SQUAREM driver."""
+
+import itertools
 
 import numpy as np
 
@@ -47,6 +50,19 @@ def set_partitions(n: int):
 
     if n >= 1:
         yield from rec(1, 1)
+
+
+def assignment_partitions(n: int, k: int):
+    """Partitions of {0..n-1} into exactly k labeled, non-empty blocks, read
+    off the k^n label assignments in `itertools.product` order, keeping the
+    onto ones."""
+    for assignment in itertools.product(range(k), repeat=n):
+        if len(set(assignment)) != k:
+            continue
+        blocks: list[list[int]] = [[] for _ in range(k)]
+        for idx, lab in enumerate(assignment):
+            blocks[lab].append(idx)
+        yield tuple(tuple(b) for b in blocks)
 
 
 def plain_blahut_arimoto_capacity(

@@ -431,6 +431,16 @@ class TestSimulation:
         assert wilson_halfwidth(0.5, 10_000) == pytest.approx(0.0098, abs=2e-4)
         assert wilson_halfwidth(0.0, 100) > 0.0
 
+    @pytest.mark.parametrize(
+        "p_hat, n",
+        [(0.1, math.nan), (0.1, 0), (0.1, 0.5), (math.nan, 100), (-0.1, 100), (1.1, 100)],
+        ids=["nan_n", "zero_n", "fractional_n", "nan_p_hat", "negative_p_hat", "p_hat_above_1"],
+    )
+    def test_wilson_halfwidth_refuses(self, p_hat, n):
+        """A count below 1 or NaN, and a proportion outside [0, 1] or NaN, are refused."""
+        with pytest.raises(ValueError):
+            wilson_halfwidth(p_hat, n)
+
 
 def awgn_chunk(monkeypatch, cb: GroupedCodebook, trials: int) -> None:
     """Set AWGN_WORK so that simulate_awgn_sweep runs cb in chunks of `trials` trials."""

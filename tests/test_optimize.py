@@ -34,6 +34,7 @@ from sebits.optimize import (
 )
 
 from _oracles import (
+    assignment_partitions,
     bell_number,
     exhaustive_capacity,
     labeled_pair_solve,
@@ -105,6 +106,16 @@ class TestPartitionEnumeration:
         got = list(ordered_set_partitions(3, 2))
         assert len(got) == count_ordered_set_partitions(3, 2) == 6
         assert len(set(got)) == 6
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_ordered_partitions_are_the_onto_assignments_in_key_order(self, n):
+        """The onto labelings of the k^n assignments, sorted by (block 0,
+        block 1, ...), for every k up to n + 1 (none at k = n + 1, and the
+        empty partition of nothing at n = k = 0)."""
+        for k in range(n + 2):
+            got = list(ordered_set_partitions(n, k))
+            assert got == sorted(assignment_partitions(n, k))
+            assert len(got) == count_ordered_set_partitions(n, k)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
@@ -812,6 +823,51 @@ class TestSemanticRateDistortion:
             res = semantic_rate_distortion(src, ds, target, reconstruction_size=n_hat)
             ref = labeled_rate_distortion(src, ds, target, n_hat, reduced=True)
             assert json.dumps(res.to_json()) == json.dumps(ref.to_json())
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """Counts the calls of the inner down-SMI solver, the r_classic solve included."""
+        import sebits.optimize as opt
+
+        count = [0]
+        inner = opt._min_down_smi_under_distortion
+
+        def counted(*args):
+            count[0] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(opt, "_min_down_smi_under_distortion", counted)
+        return count
+
+    @pytest.mark.parametrize(
+        "probs, k, n_hat, target, calls",
+        [
+            # 241 calls when every pair is solved
+            ([0.4, 0.3, 0.2, 0.1], 4, 6, 0.2, 10),
+            # 3 241 calls when every pair is solved
+            ([1 / 6] * 6, 3, 5, 0.02, 2),
+        ],
+        ids=["4x4_n_hat_6", "uniform6_3x3_n_hat_5"],
+    )
+    def test_first_zero_ends_the_search(self, solves, probs, k, n_hat, target, calls):
+        """Pairs are solved least first, so the first pair whose value reaches
+        the clamp at 0 is the answer and no later pair is solved."""
+        res = semantic_rate_distortion(
+            Distribution(np.array(probs)), hamming_distortion(k), target, reconstruction_size=n_hat
+        )
+        assert res.r_s == 0.0
+        assert solves[0] == calls
+
+    def test_positive_rate_solves_every_pair(self, solves):
+        """No pair reaches 0 at n^ = 5: all 96 pairs and the r_classic solve
+        run, and the least pair of the least value is reported."""
+        res = semantic_rate_distortion(
+            Distribution(np.array([0.4, 0.3, 0.2, 0.1])), hamming_distortion(4), 0.2, reconstruction_size=5
+        )
+        assert res.r_s == pytest.approx(0.3038999093445769, abs=1e-9)
+        assert solves[0] == 97
+        assert res.best_partitions[0].blocks == ((3,), (0,), (2,), (1,))
+        assert res.best_partitions[1].blocks == ((0,), (1, 2), (3,), (4,))
 
     def test_4x4_hamming_beyond_the_old_budget(self):
         """Source [0.4, 0.3, 0.2, 0.1], 4x4 Hamming cost, D = 0.2: the rates
