@@ -20,8 +20,11 @@ symbols with one index outside the alphabet; decode of a stream of the
 Table VII code that ends inside a codeword and of one with an invalid digit
 in the middle; the joint Monte Carlo in both modes at n = 3,
 n = 1000 and one trial on Table II, and on a joint where the decoding probe
-counts hits; and R_s(D) beyond the binary case, with a Hamming cost on
-[0.5, 0.3, 0.2] at n^ = 4, D = 0.1 and on [0.4, 0.3, 0.2, 0.1] at n^ = 4,
+counts hits; the exact typical sets of Table I at eps = 0.1 swept over
+n = 1, ..., 12 (CSV: each n's lower bound and verdict);
+the same at n = 10 alone (JSON: the per-class bracket flags too);
+and R_s(D) beyond the binary case, with a Hamming cost on [0.5, 0.3, 0.2]
+at n^ = 4, D = 0.1 and on [0.4, 0.3, 0.2, 0.1] at n^ = 4,
 D = 0.2, and the first of them at --tol=-1, which is refused; the second
 at n^ = 5 (a positive rate) and n^ = 6 (rate 0), and at n^ = 6 with
 --budget 100, which is refused; a uniform 6-symbol source with a 3x3 Hamming
@@ -111,6 +114,10 @@ def extra_jobs(work: Path) -> list[tuple[list[str], Path]]:
             argv = ["typicality", *joint, "--n", str(n), "--trials", str(trials), "--eps", str(eps),
                     "--mc-mode", mode, "--seed", "5"]
             jobs.append((argv, work / f"joint_{mode}_{n}_{trials}.json"))
+    table1 = ["typicality", "--dist", "fixtures/tableI_dist.json", "--partition", "fixtures/tableI_partition.json",
+              "--eps", "0.1"]
+    jobs.append(([*table1, "--sweep", ",".join(map(str, range(1, 13)))], work / "table1_sweep.csv"))
+    jobs.append(([*table1, "--n", "10"], work / "table1_n10.json"))
     for probs, target in (([0.5, 0.3, 0.2], 0.1), ([0.4, 0.3, 0.2, 0.1], 0.2)):
         k = len(probs)
         argv = ["rate-distortion", "--dist", _write_json(work / f"rd{k}.json", {"probs": probs}),

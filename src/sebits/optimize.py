@@ -57,22 +57,25 @@ def ordered_set_partitions(n: int, k: int):
     increasing (block 0, block 1, ...) order.
 
     Block 0 runs over the sorted non-empty subsets that leave at least k - 1
-    symbols (every symbol when k = 1), and the symbols it leaves are split
-    into k - 1 blocks the same way, so only the k! S(n, k) onto labelings
-    are built.
+    symbols, and the symbols it leaves are split into k - 1 blocks the same
+    way, down to the last block, which takes every symbol left.  So only the
+    k! S(n, k) onto labelings are built, and the recursion stops at the last
+    block.
     """
     def split(rest: tuple[int, ...], k: int):
-        if k == len(rest) == 0:
-            yield ()
-        # block 0 leaves at least k - 1 symbols and is never empty; the last block
-        # (k = 1) takes every symbol left, and for k < 1 the sizes start past len(rest)
-        least = 1 if k > 1 else max(1, len(rest) - k + 1)
-        subsets = (c for size in range(least, len(rest) - k + 2) for c in itertools.combinations(rest, size))
+        if k == 1:
+            yield (rest,)
+            return
+        # block 0 is never empty and leaves at least one symbol for each of the other k - 1
+        subsets = (c for size in range(1, len(rest) - k + 2) for c in itertools.combinations(rest, size))
         for block in sorted(subsets):
             for tail in split(tuple(x for x in rest if x not in block), k - 1):
                 yield (block, *tail)
 
-    yield from split(tuple(range(n)), k)
+    if k == n == 0:
+        yield ()
+    elif 1 <= k <= n:
+        yield from split(tuple(range(n)), k)
 
 
 def count_ordered_set_partitions(n: int, k: int) -> int:

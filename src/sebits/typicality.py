@@ -3,8 +3,11 @@
 Small block lengths are handled exactly by the method of types: probabilities
 and rates depend only on a sequence's composition, so the O(N^n) sweep becomes
 one array computation over the grid of C(n+N-1, N-1) compositions, walked in
-fixed-size chunks, with multinomial coefficients as exact integer weights.  A
-rate lying exactly on +/-eps is decided there by floating-point rounding.
+fixed-size chunks, with multinomial coefficients as exact integer weights.
+Every membership test, exact or sampled, is the one predicate `_within`: a
+rate is typical when it lies strictly within eps of its target (Cover &
+Thomas write the typical set with <=), and a rate lying exactly on +/-eps is
+decided by floating-point rounding.
 Large block lengths fall back to seeded Monte Carlo.  Symbols are drawn by a
 comparison-count inverse CDF as cell indices, and each rate is a row sum of
 log-probabilities gathered from a table over the syntactic or semantic joint
@@ -14,10 +17,14 @@ can count.  Trials run in chunks of about 2^17 uniforms, so memory does not
 grow with n, and the calling thread and one helper thread each draw and
 score chunks, whose integer hit counts are summed: two threads at most.
 
-The non-asymptotic upper bounds on set sizes hold at every n; the matching
-lower bounds only for "sufficiently large n", so violations at n below the
-fixed constant SMALL_N_THRESHOLD are reported as informational caveats, not
-failures.
+Every bound the exact sweep checks holds at every n, so a failed check is a
+fault.  Each semantically typical sequence has probability below
+2^{-n(Hs-eps)}, so |A~| >= Pr{A~} 2^{n(Hs-eps)} (the step of the proof of
+Cover & Thomas Thm 3.1.2 before Pr{A~} > 1 - eps is used), and each member
+of the synonymous class B(z) of a semantic sequence z has conditional
+probability below 2^{-n(H-Hs-eps)}, so |B(z)| >= Pr{B(z) | z} 2^{n(H-Hs-eps)}.
+The paper's (1 - eps) 2^{n(Hs-eps)} follows from the first whenever
+Pr{A~} >= 1 - eps, which the AEP promises only for sufficiently large n.
 """
 
 from __future__ import annotations
@@ -43,7 +50,6 @@ from .errors import BudgetExceeded, IndexOutOfRange
 from .measures import entropy, joint_entropy
 
 EXHAUSTIVE_STATE_CAP = 2**24
-SMALL_N_THRESHOLD = 64
 GRID_CHUNK = 1 << 14
 
 
@@ -64,8 +70,8 @@ def is_semantically_typical(
     seq = np.asarray(seq, dtype=int)
     if seq.size == 0 or seq.min() < 0 or seq.max() >= sem.alphabet_size:
         raise IndexOutOfRange("semantic sequence indices outside the semantic alphabet")
-    hs = entropy(sem)
-    return abs(float(_rate(_log2_probs(sem.probs), seq[None], seq.size)[0]) - hs) < eps
+    rate = _rate(_log2_probs(sem.probs), seq[None], seq.size)
+    return bool(_within([rate], [entropy(sem)], eps)[0])
 
 
 def is_synonymous_typical(
@@ -75,7 +81,9 @@ def is_synonymous_typical(
 
     Syntactic rate within eps of H(U), semantic rate of the blockwise image
     within eps of Hs(U~), and the conditional rate of choosing this sequence
-    inside its synonymous set within eps of H(U) - Hs(U~).
+    inside its synonymous set within eps of H(U) - Hs(U~).  The last is
+    tested only when the first two pass, so a sequence of zero probability
+    never takes inf - inf.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -84,18 +92,22 @@ def is_synonymous_typical(
         raise IndexOutOfRange("sequence indices outside the syntactic alphabet")
     sem = induced_semantic_distribution(d, f)
     h, hs = entropy(d), entropy(sem)
-    rate_syn = float(_rate(_log2_probs(d.probs), u_seq[None], u_seq.size)[0])
-    rate_sem = float(_rate(_log2_probs(sem.probs), f.block_of[u_seq][None], u_seq.size)[0])
-    return (
-        abs(rate_syn - h) < eps
-        and abs(rate_sem - hs) < eps
-        and abs((rate_syn - rate_sem) - (h - hs)) < eps
+    rate_syn = _rate(_log2_probs(d.probs), u_seq[None], u_seq.size)
+    rate_sem = _rate(_log2_probs(sem.probs), f.block_of[u_seq][None], u_seq.size)
+    return bool(
+        _within([rate_syn, rate_sem], [h, hs], eps)[0] and _within([rate_syn - rate_sem], [h - hs], eps)[0]
     )
 
 
 @dataclass(frozen=True)
 class TypicalityReport:
-    """Sizes, probabilities and bound checks for one typicality experiment."""
+    """Sizes, probabilities and bound checks for one typicality experiment.
+
+    `bound_satisfied` is true only when every check the experiment makes
+    holds at this n: in exact mode, upper_bound >= set_size >= lower_bound
+    and every synonymous-class bracket in `detail`; in Monte Carlo mode, the
+    estimate against its band.
+    """
 
     n: int
     epsilon: float
@@ -104,7 +116,6 @@ class TypicalityReport:
     lower_bound: float
     upper_bound: float
     bound_satisfied: bool
-    lower_bound_caveat: str | None = None
     detail: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -162,17 +173,21 @@ def enumerate_typical_sets(
 ) -> TypicalityReport:
     """Exact sizes of the semantic typical set and its synonymous classes.
 
-    Reports |A~| (semantic typical set, with its 2^{n(Hs -/+ eps)} bracket),
-    Pr{A~}, the syntactic typical-set size |A|, per-class synonymous set sizes
-    |B|, whether the B classes exactly tile A, and whether every |B| obeys the
-    2^{n(H - Hs -/+ eps)} bracket.  Lower-bound violations at n below SMALL_N_THRESHOLD are
-    demoted to a caveat.
+    Reports |A~| (the semantic typical set) against its bracket
+    Pr{A~} 2^{n(Hs - eps)} <= |A~| <= 2^{n(Hs + eps)}, Pr{A~}, the syntactic
+    typical-set size |A|, per-class synonymous set sizes |B|, whether the B
+    classes exactly tile A, and whether every |B(z)| obeys
+    Pr{B(z) | z} 2^{n(H - Hs - eps)} <= |B(z)| <= 2^{n(H - Hs + eps)}.  Both
+    brackets hold at every n, and `bound_satisfied` is true only when all of
+    them hold.  `detail["b_lower_bound"]` is the multiplier 2^{n(H - Hs - eps)}.
 
     Probabilities and rates depend only on a sequence's type (method of types),
     so the sweep is over the grid of compositions of n: each row's rates and
     its three membership conditions are array expressions, its semantic type is
     `counts @ block-indicator`, and the exact set sizes are Python-int sums of
-    multinomials taken from factorial tables over the rows that pass.  The grid
+    multinomials taken from factorial tables over the rows that pass.  Each
+    passing row adds its sequences inside one semantic sequence, times their
+    conditional probability, to its class's Pr{B | z}.  The grid
     is walked in chunks of GRID_CHUNK rows, so memory does not grow with the
     composition count.  Types that put a count on a zero-probability symbol
     hold no sequences and are dropped.  A rate that lies exactly on +/-eps in
@@ -214,7 +229,6 @@ def enumerate_typical_sets(
     try:
         b_lower = 2.0 ** (n * (h - hs - eps))
         b_upper = 2.0 ** (n * (h - hs + eps))
-        lower = (1.0 - eps) * 2.0 ** (n * (hs - eps))
         upper = 2.0 ** (n * (hs + eps))
     except OverflowError:
         exponent = n * max(h - hs + eps, hs + eps)
@@ -231,7 +245,7 @@ def enumerate_typical_sets(
     prob_sem = 0.0
     for counts in _supported_types(n, sem.probs):
         logp = _log2_mass(counts, log2_sem)
-        typical = np.abs(-logp / n - hs) < eps
+        typical = _within([-logp / n], [hs], eps)
         mult = fact[n] // fact[counts[typical]].prod(axis=1)
         a_sem_size += mult.sum()
         prob_sem += float(np.sum(mult.astype(float) * 2.0 ** logp[typical]))
@@ -246,26 +260,29 @@ def enumerate_typical_sets(
     a_syn_size = 0
     b_total = 0
     b_sizes_by_semtype: dict[tuple[int, ...], int] = {}
+    b_prob_by_semtype: dict[tuple[int, ...], float] = {}
     for counts in _supported_types(n, d.probs):
         rate_syn = -_log2_mass(counts, log2_syn) / n
         sem_counts = counts @ indicator
         rate_sem = -_log2_mass(sem_counts, log2_sem) / n
-        cond1 = np.abs(rate_syn - h) < eps
-        cond2 = np.abs(rate_sem - hs) < eps
-        cond3 = np.abs((rate_syn - rate_sem) - (h - hs)) < eps
+        cond1 = _within([rate_syn], [h], eps)
         denom = fact[counts[cond1]].prod(axis=1)
         mult = fact[n] // denom
         a_syn_size += mult.sum()
-        member = (cond2 & cond3)[cond1]
+        member = _within([rate_sem, rate_syn - rate_sem], [hs, h - hs], eps)[cond1]
         b_total += mult[member].sum()
-        # sequences of each passing type inside one fixed semantic sequence,
-        # summed per semantic type
+        # sequences of each passing type inside one fixed semantic sequence, and
+        # their probability given that sequence, summed per semantic type
         sem_member = sem_counts[cond1][member]
+        ways = fact[sem_member].prod(axis=1) // denom[member]
+        prob = ways.astype(float) * 2.0 ** (n * (rate_sem - rate_syn)[cond1][member])
         types, group = np.unique(sem_member, axis=0, return_inverse=True)
         sizes = np.zeros(types.shape[0], dtype=object)
-        np.add.at(sizes, group, fact[sem_member].prod(axis=1) // denom[member])
-        for key, size in zip(map(tuple, types.tolist()), sizes):
+        np.add.at(sizes, group, ways)
+        probs = np.bincount(group, prob, types.shape[0]).tolist()
+        for key, size, p in zip(map(tuple, types.tolist()), sizes, probs):
             b_sizes_by_semtype[key] = b_sizes_by_semtype.get(key, 0) + size
+            b_prob_by_semtype[key] = b_prob_by_semtype.get(key, 0.0) + p
 
     # per-class bracket on every nonempty synonymous class of a semantically
     # typical sequence; bracket checks carry a relative float slack because a
@@ -273,13 +290,11 @@ def enumerate_typical_sets(
     slack = 1e-9
     b_values = list(b_sizes_by_semtype.values())
     b_upper_ok = all(v <= b_upper * (1 + slack) for v in b_values)
-    b_lower_ok = all(v >= b_lower * (1 - slack) for v in b_values)
+    b_lower_ok = all(v >= b_prob_by_semtype[key] * b_lower * (1 - slack) for key, v in b_sizes_by_semtype.items())
 
+    lower = prob_sem * 2.0 ** (n * (hs - eps))
     upper_ok = a_sem_size <= upper * (1 + slack) and b_upper_ok
     lower_ok = a_sem_size >= lower * (1 - slack) and b_lower_ok
-    caveat = None
-    if not lower_ok and n < SMALL_N_THRESHOLD:
-        caveat = f"lower bounds hold only for sufficiently large n (n={n} < {SMALL_N_THRESHOLD})"
     return TypicalityReport(
         n=n,
         epsilon=eps,
@@ -287,8 +302,7 @@ def enumerate_typical_sets(
         set_size=float(a_sem_size),
         lower_bound=lower,
         upper_bound=upper,
-        bound_satisfied=upper_ok and (lower_ok or caveat is not None),
-        lower_bound_caveat=caveat,
+        bound_satisfied=upper_ok and lower_ok,
         detail={
             "syntactic_typical_size": float(a_syn_size),
             "synonymous_union_size": float(b_total),
@@ -336,10 +350,15 @@ def _rate(table: np.ndarray, cells: np.ndarray, n: int) -> np.ndarray:
 
 
 def _within(rates, targets, eps: float) -> np.ndarray:
-    """Rows whose every rate lies within eps of its target."""
-    ok = np.ones(rates[0].shape, dtype=bool)
-    for rate, target in zip(rates, targets):
-        ok &= np.abs(rate - target) < eps
+    """Rows whose every rate lies strictly within eps of its target.
+
+    The one +/-eps predicate of this module.  The result starts as the first
+    rate's comparison, so a call with one rate costs one comparison.
+    """
+    near = (np.abs(rate - target) < eps for rate, target in zip(rates, targets))
+    ok = next(near)
+    for more in near:
+        ok &= more
     return ok
 
 
@@ -456,15 +475,14 @@ def estimate_joint_typicality(
         typical = _within(rates, (h_u, h_v, h_uv, *sem_targets), eps)
         # the conditional rate is taken on typical rows only, where rate_xy
         # and rate_sj are finite; a zero-probability pair never gets there
-        cond_rate = rates[2][typical] - rates[5][typical]
-        hits = (np.abs(cond_rate - (h_uv - hs_uv)) < eps).sum()
+        hits = _within([rates[2][typical] - rates[5][typical]], [h_uv - hs_uv], eps).sum()
         # encoding probe: independent semantic sequences in the semantic joint
         # typical set; the joint rate, on the semantic cells zx * |V~| + zy,
         # fails most often, so it is tested first
         zx = _inverse_cdf(u[:, 2 * n : 3 * n], sem_u.probs)
         zy = _inverse_cdf(u[:, 3 * n :], sem_v.probs)
         rate_zj = _rate(l2_js.ravel(), zx.astype(np.intp) * sem_v.alphabet_size + zy, n)
-        keep = np.abs(rate_zj - hs_uv) < eps
+        keep = _within([rate_zj], [hs_uv], eps)
         rates = [_rate(l2_ju, zx[keep], n), _rate(l2_jv, zy[keep], n)]
         return np.array([hits, _within(rates, (hs_u, hs_v), eps).sum()])
 

@@ -52,6 +52,8 @@ TILE_PART = SynonymousPartition(((0,), (1, 2)), 3)
 def _brute_force(d, f, n, eps):
     """Exact-mode fields by literal enumeration of every sequence of length n.
 
+    `b_lower_ok` checks each class B(z) against Pr{B(z) | z} 2^{n(H - Hs - eps)},
+    with Pr{B(z) | z} the sum of p(u) / p(z) over the class's members u.
     Also returns the smallest distance of any of the four rates compared
     against eps from the edge, so callers can keep eps off knife edges.
     """
@@ -73,6 +75,10 @@ def _brute_force(d, f, n, eps):
     syn, sem_ok, cond_ok, z_ok = (np.abs(x) < eps for x in dev)
     member = syn & sem_ok & cond_ok
     classes = Counter(map(tuple, z[member].tolist()))
+    class_prob = Counter()
+    cond_prob = d.probs[seqs].prod(axis=1) / sem[z].prod(axis=1)
+    for key, p in zip(map(tuple, z[member].tolist()), cond_prob[member]):
+        class_prob[key] += p
     fields = {
         "set_size": int(z_ok.sum()),
         "prob_typical": float(sem[zs[z_ok]].prod(axis=1).sum()),
@@ -80,6 +86,9 @@ def _brute_force(d, f, n, eps):
         "synonymous_union_size": int(member.sum()),
         "b_class_sizes": sorted(set(classes.values())),
         "partition_exact": bool(member.sum() == syn.sum()),
+        "b_lower_ok": all(
+            size >= class_prob[key] * 2.0 ** (n * (h - hs - eps)) * (1 - 1e-9) for key, size in classes.items()
+        ),
     }
     return fields, margin
 
@@ -89,7 +98,7 @@ def _exact_fields(rep):
         "set_size": rep.set_size,
         "prob_typical": pytest.approx(rep.prob_typical, rel=1e-12),
         **{k: rep.detail[k] for k in (
-            "syntactic_typical_size", "synonymous_union_size", "b_class_sizes", "partition_exact"
+            "syntactic_typical_size", "synonymous_union_size", "b_class_sizes", "partition_exact", "b_lower_ok"
         )},
     }
 
@@ -185,6 +194,15 @@ class TestMembership:
         # semantic rate is exactly 0 = Hs, syntactic conditions carry the test
         assert is_synonymous_typical([0, 1, 0, 1], d, f, 0.05)
 
+    def test_zero_mass_block_is_atypical_without_warning(self):
+        """A sequence through a zero-probability symbol has infinite syntactic and
+        semantic rates; it fails the first two conditions, so the conditional
+        rate, inf - inf, is never taken."""
+        d = Distribution(np.array([0.5, 0.5, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert is_synonymous_typical([2, 0, 1], d, SynonymousPartition.identity(3), 0.1) is False
+
     def test_tiling_source_membership_consistency(self):
         rng = np.random.default_rng(31)
         for _ in range(200):
@@ -228,6 +246,23 @@ class TestEnumeration:
         assert rep.set_size <= rep.upper_bound
         assert rep.detail["b_upper_ok"]
         assert 0.0 <= rep.prob_typical <= 1.0
+
+    @pytest.mark.parametrize("eps", [0.1, 0.2])
+    def test_table1_lower_bounds_hold_at_every_n(self, table1_dist, table1_partition, eps):
+        """The lower bounds are the finite-n ones, Pr{A~} 2^{n(Hs - eps)} and
+        Pr{B | z} 2^{n(H - Hs - eps)}, so they hold at n = 1..12 as the upper
+        bounds do.  The paper's (1 - eps) 2^{n(Hs - eps)} fails here at n = 1, 2
+        (and at 3, 4, 5 and 7 at eps = 0.1), and the bare 2^{n(H - Hs - eps)}
+        fails a class at n = 10, eps = 0.1.  No report carries a small-n caveat."""
+        hs = entropy(induced_semantic_distribution(table1_dist, table1_partition))
+        for n in range(1, 13):
+            rep = enumerate_typical_sets(table1_dist, table1_partition, n, eps)
+            assert rep.bound_satisfied and rep.detail["b_lower_ok"], f"n={n}"
+            assert rep.lower_bound == rep.prob_typical * 2.0 ** (n * (hs - eps))
+            assert rep.lower_bound <= rep.set_size <= rep.upper_bound
+            assert set(rep.to_json()) == {
+                "n", "epsilon", "prob_typical", "set_size", "lower_bound", "upper_bound", "bound_satisfied", "detail"
+            }
 
     def test_prob_grows_toward_one(self):
         probs = [
@@ -490,7 +525,6 @@ def _per_symbol_estimator(j, fj, n, eps, trials, seed, mode, batch=4096):
         "lower_bound": lower,
         "upper_bound": upper,
         "bound_satisfied": bool(satisfied),
-        "lower_bound_caveat": None,
         "detail": detail,
     }
 
