@@ -20,7 +20,8 @@ symbols with one index outside the alphabet; decode of a stream of the
 Table VII code that ends inside a codeword and of one with an invalid digit
 in the middle; the joint Monte Carlo in both modes at n = 3,
 n = 1000 and one trial on Table II, and on a joint where the decoding probe
-counts hits; the exact typical sets of Table I at eps = 0.1 swept over
+counts hits, and on Table II the correlated probe at n = 10 and 30 and the
+independent probes at n = 6, eps = 0.3, where the exact sums are known; the exact typical sets of Table I at eps = 0.1 swept over
 n = 1, ..., 12 (CSV: each n's lower bound and verdict);
 the same at n = 10 alone (JSON: the per-class bracket flags too);
 and R_s(D) beyond the binary case, with a Hamming cost on [0.5, 0.3, 0.2]
@@ -108,9 +109,13 @@ def extra_jobs(work: Path) -> list[tuple[list[str], Path]]:
     weak = ["--joint", _write_json(work / "weak.json", {"matrix": weak_matrix}),
             "--u-partition", _write_json(work / "weak_u.json", {"blocks": [[0], [1, 2]]}),
             "--v-partition", _write_json(work / "weak_v.json", {"blocks": [[0], [1]]})]
-    for joint, n, trials, eps in ((table2, 3, 20_000, 0.1), (table2, 1000, 1500, 0.02), (table2, 200, 1, 0.1),
-                                  (weak, 24, 30_000, 0.1)):
-        for mode in ("correlated", "independent"):
+    both = ("correlated", "independent")
+    for joint, n, trials, eps, modes in ((table2, 3, 20_000, 0.1, both), (table2, 1000, 1500, 0.02, both),
+                                         (table2, 200, 1, 0.1, both), (weak, 24, 30_000, 0.1, both),
+                                         (table2, 10, 20_000, 0.1, ("correlated",)),
+                                         (table2, 30, 20_000, 0.1, ("correlated",)),
+                                         (table2, 6, 20_000, 0.3, ("independent",))):
+        for mode in modes:
             argv = ["typicality", *joint, "--n", str(n), "--trials", str(trials), "--eps", str(eps),
                     "--mc-mode", mode, "--seed", "5"]
             jobs.append((argv, work / f"joint_{mode}_{n}_{trials}.json"))

@@ -1,21 +1,22 @@
 """Empirical checks of the semantic and synonymous typical-set bounds.
 
-Small block lengths are handled exactly by the method of types: probabilities
-and rates depend only on a sequence's composition, so the O(N^n) sweep becomes
-one array computation over the grid of C(n+N-1, N-1) compositions, walked in
+Every rate here is a rate of a type: the log2 probability of one sequence of
+type c is sum_k c_k log2 p_k (method of types), computed by `_log2_mass`
+column by column, so a type gets the same float wherever it comes from.
+Small block lengths are handled exactly: the O(N^n) sweep becomes one array
+computation over the grid of C(n+N-1, N-1) compositions, walked in
 fixed-size chunks, with multinomial coefficients as exact integer weights.
 Every membership test, exact or sampled, is the one predicate `_within`: a
 rate is typical when it lies strictly within eps of its target (Cover &
 Thomas write the typical set with <=), and a rate lying exactly on +/-eps is
 decided by floating-point rounding.
-Large block lengths fall back to seeded Monte Carlo.  Symbols are drawn by a
-comparison-count inverse CDF as cell indices, and each rate is a row sum of
-log-probabilities gathered from a table over the syntactic or semantic joint
-cells, built once per call.  The decoding probe computes rates only for
-trials whose every symbol is its block's representative, the only trials it
-can count.  Trials run in chunks of about 2^17 uniforms, so memory does not
-grow with n, and the calling thread and one helper thread each draw and
-score chunks, whose integer hit counts are summed: two threads at most.
+Large block lengths fall back to seeded Monte Carlo on types.  Each joint
+probe draws a trial's type over its own cells, the semantic cells (a, b)
+plus one lumped cell, by K - 1 conditional binomials (Devroye 1986, ch. XI),
+each inverted from one uniform, so a trial costs K - 1 uniforms whatever n
+is.  Trials run in chunks of about 2^17 uniforms, and the calling thread and
+one helper thread each draw and score chunks, whose integer hit counts are
+summed: two threads at most.
 
 Every bound the exact sweep checks holds at every n, so a failed check is a
 fault.  Each semantically typical sequence has probability below
@@ -36,7 +37,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ._kernels import trial_map
+from ._kernels import CHUNK_DRAWS, trial_map
 from .core import (
     Distribution,
     JointDistribution,
@@ -63,14 +64,19 @@ def _log2_probs(p: np.ndarray) -> np.ndarray:
 def is_semantically_typical(
     seq, d: Distribution, f: SynonymousPartition, eps: float
 ) -> bool:
-    """Whether a semantic index sequence has empirical semantic entropy eps-close to Hs."""
+    """Whether a semantic index sequence has empirical semantic entropy eps-close to Hs.
+
+    The rate is that of the sequence's type, the float the exact sweep gives
+    that type, so every ordering of a sequence gets one verdict.
+    """
     if not eps > 0:
         raise ValueError("eps must be positive")
     sem = induced_semantic_distribution(d, f)
     seq = np.asarray(seq, dtype=int)
     if seq.size == 0 or seq.min() < 0 or seq.max() >= sem.alphabet_size:
         raise IndexOutOfRange("semantic sequence indices outside the semantic alphabet")
-    rate = _rate(_log2_probs(sem.probs), seq[None], seq.size)
+    counts = np.bincount(seq, minlength=sem.alphabet_size)[None]
+    rate = -_log2_mass(counts, _log2_probs(sem.probs)) / seq.size
     return bool(_within([rate], [entropy(sem)], eps)[0])
 
 
@@ -81,9 +87,11 @@ def is_synonymous_typical(
 
     Syntactic rate within eps of H(U), semantic rate of the blockwise image
     within eps of Hs(U~), and the conditional rate of choosing this sequence
-    inside its synonymous set within eps of H(U) - Hs(U~).  The last is
-    tested only when the first two pass, so a sequence of zero probability
-    never takes inf - inf.
+    inside its synonymous set within eps of H(U) - Hs(U~).  Each rate is that
+    of the sequence's syntactic or semantic type, computed as the exact sweep
+    computes it, so a sequence is a member exactly when its type is counted
+    in `synonymous_union_size`.  The last condition is tested only when the
+    first two pass, so a sequence of zero probability never takes inf - inf.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -92,8 +100,10 @@ def is_synonymous_typical(
         raise IndexOutOfRange("sequence indices outside the syntactic alphabet")
     sem = induced_semantic_distribution(d, f)
     h, hs = entropy(d), entropy(sem)
-    rate_syn = _rate(_log2_probs(d.probs), u_seq[None], u_seq.size)
-    rate_sem = _rate(_log2_probs(sem.probs), f.block_of[u_seq][None], u_seq.size)
+    n = u_seq.size
+    rate_syn = -_log2_mass(np.bincount(u_seq, minlength=d.alphabet_size)[None], _log2_probs(d.probs)) / n
+    sem_counts = np.bincount(f.block_of[u_seq], minlength=sem.alphabet_size)[None]
+    rate_sem = -_log2_mass(sem_counts, _log2_probs(sem.probs)) / n
     return bool(
         _within([rate_syn, rate_sem], [h, hs], eps)[0] and _within([rate_syn - rate_sem], [h - hs], eps)[0]
     )
@@ -155,13 +165,15 @@ def _supported_types(n: int, probs: np.ndarray):
 def _log2_mass(counts: np.ndarray, log2p: np.ndarray) -> np.ndarray:
     """log2 probability of one sequence of each type row, sum_i c_i log2 p_i.
 
-    Zero-probability (-inf) columns are skipped, as supported rows count 0
-    there, and the sum runs column by column, so a given row gives the same
-    float wherever it sits in the grid.
+    The sum runs column by column over the finite columns, so a given row
+    gives the same float wherever it sits in the grid or a draw.  A row with
+    a count on a zero-probability (-inf) column gets -inf, with no inf - inf.
     """
     out = np.zeros(counts.shape[0])
-    for i in np.flatnonzero(np.isfinite(log2p)):
+    finite = np.isfinite(log2p)
+    for i in np.flatnonzero(finite):
         out += counts[:, i] * log2p[i]
+    out[counts[:, ~finite].any(axis=1)] = -np.inf
     return out
 
 
@@ -320,35 +332,6 @@ def enumerate_typical_sets(
 # joint typicality via Monte Carlo
 # ---------------------------------------------------------------------------
 
-def _inverse_cdf(u: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Cell index of each uniform in [0, 1): the number of CDF edges at or below it.
-
-    Equal to `np.searchsorted(edges, u, side="right")`, counted with one
-    comparison pass per cell into the smallest unsigned dtype that holds
-    K - 1.  Every pass writes its comparison into one preallocated bool
-    buffer and adds it as uint8, so no pass allocates an array of u's shape.
-    The K passes cost at most about 1 ns per element each: faster than the
-    binary search up to about 100 cells, slower beyond.
-    """
-    edges = np.cumsum(probs)
-    out = np.zeros(u.shape, dtype=np.min_scalar_type(probs.size - 1))
-    passed = np.empty(u.shape, dtype=bool)
-    for e in edges[:-1]:
-        np.greater_equal(u, e, out=passed)
-        out += passed.view(np.uint8)
-    return out
-
-
-def _rate(table: np.ndarray, cells: np.ndarray, n: int) -> np.ndarray:
-    """Empirical rate -(1/n) sum_i table[cell_i] of each row of `cells`.
-
-    A gather followed by a row sum over a C-contiguous (rows, n) array, so
-    numpy's pairwise summation gives a row the same float whichever other
-    rows are present.
-    """
-    return -table[cells].sum(axis=1) / n
-
-
 def _within(rates, targets, eps: float) -> np.ndarray:
     """Rows whose every rate lies strictly within eps of its target.
 
@@ -360,6 +343,93 @@ def _within(rates, targets, eps: float) -> np.ndarray:
     for more in near:
         ok &= more
     return ok
+
+
+def _binomial_inverse(u: np.ndarray, m: np.ndarray, hit: float, miss: float, lg: np.ndarray) -> np.ndarray:
+    """Bin(m, q) variates with q = hit / (hit + miss), one per (u, m) pair, by inversion.
+
+    Each variate is #{x : F(x) <= u} for the CDF F of Bin(m, q).  Each
+    distinct m in `m` gets one CDF row over a window of counts from
+    floor(m q) - w, with w = ceil(15 + sqrt(225 + 90 n q (1 - q))) and
+    n = lg.size - 1, at least min(2w, n) + 1 counts long: by Bernstein's
+    inequality Bin(m, q) puts less than 2 e^-45 < 2^-63 outside
+    floor(m q) +/- w for every m <= n, below the 2^-53 spacing of the
+    uniforms.  Log-pmfs come from the table lg[k] = ln k!, so a row depends
+    on (m, q, n) alone.  A row reads inf from min(m, its last count) on, so a
+    variate stays inside its window and at most m.  A binary search per
+    element counts the entries of its row at or below u; the window's length
+    is a power of two, so the search needs no bounds check.  Rows are built
+    and searched in blocks of at most max(1, CHUNK_DRAWS // width) distinct
+    m, so a block holds about CHUNK_DRAWS doubles whatever n is.
+    """
+    n = lg.size - 1
+    q = hit / (hit + miss)
+    log_hit = math.log(hit) - math.log(hit + miss)
+    log_miss = math.log(miss) - math.log(hit + miss)
+    w = math.ceil(15 + math.sqrt(225 + 90 * n * q * (1 - q)))
+    width = 1 << min(2 * w, n).bit_length()
+    span = max(1, CHUNK_DRAWS // width)
+    low = m.min()
+    present = np.bincount(m - low) > 0
+    distinct = low + np.flatnonzero(present)
+    row = np.cumsum(present)[m - low] - 1
+    out = np.empty_like(m)
+    for first in range(0, distinct.size, span):
+        rows = distinct[first : first + span]
+        start = np.maximum(np.floor(rows * q).astype(np.int64) - w, 0)
+        x = start[:, None] + np.arange(width)
+        k = np.minimum(x, rows[:, None])
+        rest = rows[:, None] - k
+        cdf = np.cumsum(np.exp(lg[rows][:, None] - lg[k] - lg[rest] + k * log_hit + rest * log_miss), axis=1)
+        cdf[x >= np.minimum(rows, start + width - 1)[:, None]] = np.inf
+        sel = np.flatnonzero((row >= first) & (row < first + span))
+        at = row[sel] - first
+        last = at * width - 1
+        below = u[sel]
+        flat = cdf.ravel()
+        found = last.copy()
+        for step in (width >> s for s in range(1, width.bit_length())):
+            found += step * (flat.take(found + step) <= below)
+        out[sel] = start[at] + found - last
+    return out
+
+
+def _draw_types(u: np.ndarray, law: np.ndarray, lg: np.ndarray) -> np.ndarray:
+    """Multinomial(n, law) types, n = lg.size - 1: one int64 row per row of `u`.
+
+    Conditional binomials (Devroye 1986, ch. XI): the k-th cell of positive
+    law takes Bin(m, p_k / sum_{i >= k} p_i) of the m counts left, inverted
+    from u[:, k], and the last such cell takes the rest.  `u` has a column
+    for every positive cell but the last; a zero-law cell never gets a count.
+    """
+    cells = np.flatnonzero(law > 0)
+    counts = np.zeros((u.shape[0], law.size), dtype=np.int64)
+    left = np.full(u.shape[0], lg.size - 1, dtype=np.int64)
+    for k, cell in enumerate(cells[:-1]):
+        counts[:, cell] = _binomial_inverse(u[:, k], left, law[cell], law[cells[k + 1 :]].sum(), lg)
+        left -= counts[:, cell]
+    counts[:, cells[-1]] = left
+    return counts
+
+
+def _count_typical(counts: np.ndarray, shape: tuple[int, int], n: int, eps: float, checks) -> int:
+    """How many type rows of `counts` are typical.
+
+    A row counts the cells (a, b) of a `shape` grid in row-major order, then
+    one lumped cell.  It is typical when it counts 0 on the lumped cell and
+    every check's rate lies within eps of its target.  A check (axis, log2
+    table, target) rates the type summed over b (axis 0, a type over a), over
+    a (axis 1, over b), or the type over the cells (a, b) itself (axis None).
+    """
+    cells = counts[:, :-1]
+    grid = cells.reshape(-1, *shape)
+    types = {0: grid.sum(axis=2), 1: grid.sum(axis=1), None: cells}
+    rates = [-_log2_mass(types[axis], table) / n for axis, table, _ in checks]
+    return int((_within(rates, [target for *_, target in checks], eps) & (counts[:, -1] == 0)).sum())
+
+
+def _log2(x: float) -> float:
+    return math.log2(x) if x > 0 else -math.inf
 
 
 def estimate_joint_typicality(
@@ -387,22 +457,27 @@ def estimate_joint_typicality(
     at the full companion Hs(U~)+Hs(V~)-Hs(U~,V~), which is never below the
     down companion, so the upper edge always holds while the lower edge is
     only attainable when the partition does no real merging (identity blocks);
-    the flags in `detail` report each edge separately.
+    the flags in `detail` report each edge separately.  Both verdicts are
+    decided on the log2 scale, where an estimate of 0 fails a lower edge
+    even when the printed edge underflows to 0.
 
-    Each rate is a row sum of log-probabilities gathered by cell index
-    (x * |V| + y, or the semantic cell in the encoding probe) from tables
-    built once per call.  The decoding probe computes its six rates only for
-    trials whose every x_i and y_i is its block's representative, the only
-    trials it can count, and draws y only for trials whose every x_i is.
+    Every rate is a rate of the trial's type, so each probe draws types from
+    its own law over the semantic cells (a, b) plus one lumped cell.  The
+    correlated probe's law is the semantic joint, the encoding probe's the
+    product of the semantic marginals; neither puts mass on the lumped cell.
+    The decoding probe's cell (a, b) is the pair of block representatives,
+    with law p(rep a) p(rep b), and its lumped cell, with the law of every
+    other pair, must count 0.  A type costs one uniform per cell of positive
+    law but the last.
 
     Trials run through `_kernels.trial_map` in chunks of as many trials as
-    hold about CHUNK_DRAWS (2^17) uniforms, so memory stays at a few MB
-    whatever n is.  The calling thread and one helper thread of this call's
-    own each draw a chunk's Philox slices into their own buffer, both
-    allocated on the calling thread, and score it to (hits, encoding hits);
-    a call runs on at most two threads.  A trial's verdict depends on its
-    own Philox slice alone and the counts are integers, so the result does
-    not depend on the chunk size or on which thread scored which chunk.
+    hold about CHUNK_DRAWS (2^17) uniforms.  The calling thread and one
+    helper thread of this call's own each draw a chunk's Philox slices into
+    their own buffer, both allocated on the calling thread, and score it to
+    (hits, encoding hits); a call runs on at most two threads.  A trial's
+    verdict depends on its own Philox slice alone and the counts are
+    integers, so the result does not depend on the chunk size or on which
+    thread scored which chunk.
 
     In independent mode, raises BudgetExceeded before drawing when a band
     edge overflows a double.
@@ -417,30 +492,22 @@ def estimate_joint_typicality(
         raise ValueError(f"mode must be 'correlated' or 'independent', got {mode!r}")
 
     pu, pv = marginals(j)
-    sem_joint = induced_semantic_joint(j, fj)
+    sem_joint = induced_semantic_joint(j, fj).probs
     sem_u = induced_semantic_distribution(pu, fj.u_partition)
     sem_v = induced_semantic_distribution(pv, fj.v_partition)
     h_u, h_v, h_uv = entropy(pu), entropy(pv), joint_entropy(j)
-    hs_u, hs_v, hs_uv = entropy(sem_u), entropy(sem_v), entropy(sem_joint.probs.ravel())
+    hs_u, hs_v, hs_uv = entropy(sem_u), entropy(sem_v), entropy(sem_joint.ravel())
     up = h_u + h_v - hs_uv
     down = hs_u + hs_v - h_uv
 
-    l2_ju = _log2_probs(sem_u.probs)
-    l2_jv = _log2_probs(sem_v.probs)
-    l2_js = _log2_probs(sem_joint.probs)
-    bu, bv = fj.u_partition.block_of, fj.v_partition.block_of
-    nu, nv = j.shape
-    # log2-probability tables indexed by the joint cell x * nv + y
-    cu, cv = np.divmod(np.arange(nu * nv), nv)
-    sem_tables = (l2_ju[bu[cu]], l2_jv[bv[cv]], l2_js[bu[cu], bv[cv]])
-    l2_u, l2_v = _log2_probs(pu.probs), _log2_probs(pv.probs)
-    syn_tables = (l2_u[cu], l2_v[cv], _log2_probs(j.probs).ravel())
-    sem_targets = (hs_u, hs_v, hs_uv)
-    is_rep_u = np.array([min(b) for b in fj.u_partition.blocks])[bu] == np.arange(nu)
-    is_rep_v = np.array([min(b) for b in fj.v_partition.blocks])[bv] == np.arange(nv)
-
+    semantic = [
+        (0, _log2_probs(sem_u.probs), hs_u),
+        (1, _log2_probs(sem_v.probs), hs_v),
+        (None, _log2_probs(sem_joint.ravel()), hs_uv),
+    ]
     if mode == "correlated":
         lower, upper = 1.0 - eps, 1.0
+        probes = [(np.append(sem_joint.ravel(), 0.0), semantic)]
     else:
         try:
             lower = (1.0 - eps) * 2.0 ** (-n * (up + 3 * eps))
@@ -453,47 +520,44 @@ def estimate_joint_typicality(
                 f"typicality band 2^{exponent:.1f} overflows a double at n={n}",
                 required=math.ceil(exponent),
             ) from None
+        reps_u = [min(b) for b in fj.u_partition.blocks]
+        reps_v = [min(b) for b in fj.v_partition.blocks]
+        rep = np.ix_(reps_u, reps_v)
+        product = np.outer(pu.probs, pv.probs)
+        others = np.ones(product.shape, dtype=bool)
+        others[rep] = False
+        pair = j.probs[rep]
+        # log2 of each representative pair's probability given its semantic cell
+        given = np.divide(pair, sem_joint, out=np.zeros_like(pair), where=pair > 0)
+        decoding = [
+            (0, _log2_probs(pu.probs[reps_u]), h_u),
+            (1, _log2_probs(pv.probs[reps_v]), h_v),
+            (None, _log2_probs(pair.ravel()), h_uv),
+            *semantic,
+            (None, _log2_probs(given.ravel()), h_uv - hs_uv),
+        ]
+        probes = [
+            (np.append(product[rep].ravel(), product[others].sum()), decoding),
+            (np.append(np.outer(sem_u.probs, sem_v.probs).ravel(), 0.0), semantic),
+        ]
 
-    def correlated(u: np.ndarray) -> np.ndarray:
-        # gathered by the small-dtype cells as they are: an intp copy would add 8 bytes
-        # a draw to the heap of each thread that scores
-        cells = _inverse_cdf(u, j.probs.ravel())
-        sem_rates = [_rate(t, cells, n) for t in sem_tables]
-        return np.array([_within(sem_rates, sem_targets, eps).sum(), 0])
+    lg = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
+    bounds = np.cumsum([0, *(max(np.count_nonzero(law) - 1, 0) for law, _ in probes)]).tolist()
 
-    def independent(u: np.ndarray) -> np.ndarray:
-        # decoding probe: the pair must be the representative of a jointly
-        # synonymous typical class, so only rows whose every x_i and y_i is
-        # its block's representative get rates; ys are drawn only on the rows
-        # whose xs all are
-        xs = _inverse_cdf(u[:, :n], pu.probs)
-        rep = np.flatnonzero(is_rep_u[xs].all(axis=1))
-        ys = _inverse_cdf(u[rep, n : 2 * n], pv.probs)
-        rep_y = is_rep_v[ys].all(axis=1)
-        cells = xs[rep[rep_y]].astype(np.intp) * nv + ys[rep_y]
-        rates = [_rate(t, cells, n) for t in syn_tables + sem_tables]
-        typical = _within(rates, (h_u, h_v, h_uv, *sem_targets), eps)
-        # the conditional rate is taken on typical rows only, where rate_xy
-        # and rate_sj are finite; a zero-probability pair never gets there
-        hits = _within([rates[2][typical] - rates[5][typical]], [h_uv - hs_uv], eps).sum()
-        # encoding probe: independent semantic sequences in the semantic joint
-        # typical set; the joint rate, on the semantic cells zx * |V~| + zy,
-        # fails most often, so it is tested first
-        zx = _inverse_cdf(u[:, 2 * n : 3 * n], sem_u.probs)
-        zy = _inverse_cdf(u[:, 3 * n :], sem_v.probs)
-        rate_zj = _rate(l2_js.ravel(), zx.astype(np.intp) * sem_v.alphabet_size + zy, n)
-        keep = _within([rate_zj], [hs_uv], eps)
-        rates = [_rate(l2_ju, zx[keep], n), _rate(l2_jv, zy[keep], n)]
-        return np.array([hits, _within(rates, (hs_u, hs_v), eps).sum()])
+    def score(u: np.ndarray) -> np.ndarray:
+        hits = [
+            _count_typical(_draw_types(u[:, a:b], law, lg), sem_joint.shape, n, eps, checks)
+            for (law, checks), a, b in zip(probes, bounds, bounds[1:])
+        ]
+        return np.array(hits + [0] * (2 - len(hits)))
 
-    score, per_trial = (correlated, n) if mode == "correlated" else (independent, 4 * n)
-    hits, enc_hits = trial_map(seed, trials, per_trial, score).tolist()
+    hits, enc_hits = trial_map(seed, trials, max(bounds[-1], 1), score).tolist()
     p_hat = hits / trials
     if mode == "correlated":
         satisfied = p_hat > lower
         detail = {"target": "prob of semantic joint typicality approaches 1"}
     else:
-        satisfied = lower <= p_hat <= upper
+        satisfied = _log2(1.0 - eps) - n * (up + 3 * eps) <= _log2(p_hat) <= -n * (up - 3 * eps)
         p_enc = enc_hits / trials
         full = hs_u + hs_v - hs_uv
         detail = {
@@ -503,8 +567,8 @@ def estimate_joint_typicality(
             "encoding_prob": p_enc,
             "encoding_lower": enc_lower,
             "encoding_upper": enc_upper,
-            "encoding_upper_ok": bool(p_enc <= enc_upper),
-            "encoding_lower_ok": bool(p_enc >= enc_lower),
+            "encoding_upper_ok": _log2(p_enc) <= -n * (down - 3 * eps),
+            "encoding_lower_ok": _log2(p_enc) >= _log2(1.0 - eps) - n * (down + 3 * eps),
         }
     return TypicalityReport(
         n=n,

@@ -1,11 +1,14 @@
-"""References that the library no longer runs: all set partitions, the
+"""References that the library does not run: all set partitions, the
 labeled partitions read off every label assignment, the capacity search over
 every (input, output) partition pair, the R_s(D) search over every labeled
-(source, reconstruction) partition pair, the per-block
+(source, reconstruction) partition pair, the exact probabilities of the joint
+typicality probes summed over every type (the library estimates them by Monte
+Carlo), the per-block
 loops that summed masses over the blocks before `_kernels.block_sums`, and
 the plain Blahut-Arimoto capacity loop that ran before the SQUAREM driver."""
 
 import itertools
+import math
 
 import numpy as np
 
@@ -220,3 +223,99 @@ def loop_semantic_relative_entropy(
                         raise SupportMismatch(f"q has no mass on block {k} where p does")
                     total += pu * np.log2(pu / q_s[k])
     return float(total)
+
+
+def compositions(n: int, k: int, chunk: int = 1 << 16):
+    """Every composition of n into k nonnegative counts, as chunks of int64 rows:
+    stars and bars, read off `itertools.combinations` of k - 1 bar positions."""
+    if k == 1:
+        yield np.array([[n]])
+        return
+    bars = itertools.combinations(range(n + k - 1), k - 1)
+    while True:
+        cut = np.fromiter(itertools.islice(bars, chunk), dtype=(np.int64, k - 1))
+        if not len(cut):
+            return
+        ends = np.full((len(cut), 1), -1), np.full((len(cut), 1), n + k - 1)
+        yield np.diff(np.hstack([ends[0], cut, ends[1]]), axis=1) - 1
+
+
+def exact_joint_probe(j, fj: JointSynonymousPartition, n: int, eps: float, probe: str) -> float:
+    """Exact probability of a joint typicality probe's event at block length n,
+    summed over every type of the pairs the probe draws, one multinomial
+    probability each, without the library's sampler or scorer.
+
+    - "correlated": semantic pairs (a, b) from the semantic joint; the event
+      is the three semantic rates within eps of Hs(U~), Hs(V~), Hs(U~, V~).
+    - "encoding": (a, b) from the product of the semantic marginals; the same
+      event.
+    - "decoding": syntactic pairs (x, y) from the product of the syntactic
+      marginals; the event is every x and y its block's least member, the
+      three syntactic and three semantic rates within eps of their
+      entropies, and the rate of the pairs given their semantic cells within
+      eps of H(U, V) - Hs(U~, V~).
+
+    Types run over the cells of positive probability.  A rate is a float dot
+    product of the type with a log2 table over the cells, infinite on a type
+    that counts a zero-probability cell.  An AssertionError refuses a case in
+    which a finite rate lies within 1e-9 of its edge, where the summation
+    order could decide the verdict, so a returned value is exact up to
+    rounding in the weights.
+    """
+    m = np.asarray(j.probs, dtype=float)
+    sj = loop_induced_semantic_joint(m, fj)
+    bu, bv = fj.u_partition.block_of, fj.v_partition.block_of
+
+    def entropy_of(p):
+        return -math.fsum(x * math.log2(x) for x in np.ravel(p) if x > 0)
+
+    def log2_of(p):
+        return np.array([math.log2(x) if x > 0 else -math.inf for x in np.ravel(p)])
+
+    if probe == "decoding":
+        pu, pv = m.sum(axis=1), m.sum(axis=0)
+        x, y = np.divmod(np.arange(m.size), m.shape[1])
+        a, b = bu[x], bv[y]
+        law = np.outer(pu, pv).ravel()
+        least_u = np.array([min(blk) for blk in fj.u_partition.blocks])
+        least_v = np.array([min(blk) for blk in fj.v_partition.blocks])
+        allowed = (x == least_u[a]) & (y == least_v[b])
+        given = [math.log2(m[xi, yi] / sj[ai, bi]) if m[xi, yi] > 0 else -math.inf
+                 for xi, yi, ai, bi in zip(x, y, a, b)]
+        tables = [
+            (log2_of(pu)[x], entropy_of(pu)),
+            (log2_of(pv)[y], entropy_of(pv)),
+            (log2_of(m), entropy_of(m)),
+            (log2_of(sj.sum(axis=1))[a], entropy_of(sj.sum(axis=1))),
+            (log2_of(sj.sum(axis=0))[b], entropy_of(sj.sum(axis=0))),
+            (log2_of(sj)[a * sj.shape[1] + b], entropy_of(sj)),
+            (np.array(given), entropy_of(m) - entropy_of(sj)),
+        ]
+    else:
+        su, sv = sj.sum(axis=1), sj.sum(axis=0)
+        a, b = np.divmod(np.arange(sj.size), sj.shape[1])
+        law = sj.ravel() if probe == "correlated" else np.outer(su, sv).ravel()
+        allowed = np.ones(law.size, dtype=bool)
+        tables = [
+            (log2_of(su)[a], entropy_of(su)),
+            (log2_of(sv)[b], entropy_of(sv)),
+            (log2_of(sj), entropy_of(sj)),
+        ]
+    keep = law > 0
+    law, allowed = law[keep], allowed[keep]
+    tables = [(t[keep], h) for t, h in tables]
+    lg = np.array([math.lgamma(c + 1) for c in range(n + 1)])
+    weights = []
+    for counts in compositions(n, law.size):
+        counts = counts[~counts[:, ~allowed].any(axis=1)]
+        hit = np.ones(len(counts), dtype=bool)
+        for table, h in tables:
+            finite = np.isfinite(table)
+            rate = -(counts[:, finite] @ table[finite]) / n
+            rate[counts[:, ~finite].any(axis=1)] = math.inf
+            gap = np.abs(rate - h)
+            assert np.all(np.abs(gap[np.isfinite(rate)] - eps) > 1e-9), "a rate lies on an edge"
+            hit &= gap < eps
+        log_w = lg[n] - lg[counts[hit]].sum(axis=1) + counts[hit] @ np.log(law)
+        weights.extend(np.exp(log_w).tolist())
+    return math.fsum(weights)

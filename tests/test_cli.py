@@ -382,6 +382,26 @@ class TestTypicality:
         assert out == ""
         assert "Traceback" not in err and "overflows" in err
 
+    @pytest.mark.parametrize("n, trials, eps", [("1000", "1500", "0.02"), ("200", "2000", "0.1")])
+    def test_empty_decoding_event_fails_its_band(self, n, trials, eps):
+        """On Table II the decoding probe's event is empty at these eps, so the
+        estimate is 0 and fails the band's positive lower edge.  At n = 1000
+        both printed edges underflow to 0.0; the verdict is decided on the log2
+        scale, so it is still false."""
+        code, out, err = run_cli(
+            "typicality",
+            "--joint", str(FIXTURES / "tableII_joint.json"),
+            "--u-partition", str(FIXTURES / "tableIII_u_partition.json"),
+            "--v-partition", str(FIXTURES / "tableIII_v_partition.json"),
+            "--n", n, "--trials", trials, "--eps", eps, "--mc-mode", "independent",
+        )
+        assert code == 0, err
+        rep = json.loads(out)
+        assert rep["prob_typical"] == 0.0
+        assert rep["bound_satisfied"] is False
+        if n == "1000":
+            assert rep["lower_bound"] == rep["upper_bound"] == 0.0
+
     def test_factorial_table_over_the_cap_exits_4(self, tmp_path):
         """One block over [1 - 1e-9, 1e-9] passes the n_sem**n and composition
         gates at n = 16 000; the call refuses before building its table of k!."""

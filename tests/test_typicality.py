@@ -1,5 +1,7 @@
 """Typical-set membership, exact enumeration, and the Monte Carlo joint probes."""
 
+import bisect
+import functools
 import itertools
 import math
 import multiprocessing
@@ -8,34 +10,26 @@ import threading
 import tracemalloc
 import warnings
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from sebits._kernels import trial_uniforms
+from _oracles import compositions, exact_joint_probe
+from conftest import load_fixture
 from sebits.core import (
     Distribution,
     JointDistribution,
     JointSynonymousPartition,
     SynonymousPartition,
     induced_semantic_distribution,
-    induced_semantic_joint,
-    marginals,
 )
 from sebits.errors import BudgetExceeded, IndexOutOfRange
-from sebits.measures import (
-    down_smi,
-    entropy,
-    full_smi,
-    joint_entropy,
-    mutual_information,
-    semantic_joint_entropy,
-    up_smi,
-)
+from sebits.measures import entropy, mutual_information
 from sebits import _kernels, typicality
 from sebits.typicality import (
-    _inverse_cdf,
-    _log2_probs,
+    _binomial_inverse,
+    _draw_types,
     enumerate_typical_sets,
     estimate_joint_typicality,
     is_semantically_typical,
@@ -212,6 +206,29 @@ class TestMembership:
             # conditions collapse: syntactic typicality alone decides membership
             rate = float(-np.log2(TILE_DIST.probs[seq]).sum() / n)
             assert member == (abs(rate - 1.5) < 0.2)
+
+    @pytest.mark.parametrize("semantic", [False, True])
+    def test_verdicts_depend_on_the_type_alone(self, table1_dist, table1_partition, semantic):
+        """On Table I at n = 10, eps = 0.2, a dozen random orderings of each of
+        the 3 003 syntactic types (286 semantic types) get one verdict, and the
+        multinomials of the typical types sum to the exact sweep's
+        synonymous_union_size (set_size for the semantic check)."""
+        n, eps = 10, 0.2
+        rep = enumerate_typical_sets(table1_dist, table1_partition, n, eps)
+        check, size, expected = (
+            (is_semantically_typical, table1_partition.semantic_size, rep.set_size)
+            if semantic
+            else (is_synonymous_typical, table1_dist.alphabet_size, rep.detail["synonymous_union_size"])
+        )
+        rng = np.random.default_rng(53)
+        total = 0
+        for counts in itertools.chain.from_iterable(compositions(n, size)):
+            seq = np.repeat(np.arange(size), counts)
+            verdicts = {check(rng.permutation(seq), table1_dist, table1_partition, eps) for _ in range(12)}
+            assert len(verdicts) == 1, counts
+            if verdicts.pop():
+                total += math.factorial(n) // math.prod(map(math.factorial, counts))
+        assert total == expected
 
 
 class TestEnumeration:
@@ -429,104 +446,34 @@ def _report_in_child(results, j, fj, kw):
 
 
 def joint_chunk(monkeypatch, n: int, mode: str, trials: int) -> None:
-    """Set CHUNK_DRAWS so that estimate_joint_typicality at block length n runs in
-    chunks of `trials` trials."""
-    monkeypatch.setattr(_kernels, "CHUNK_DRAWS", trials * (n if mode == "correlated" else 4 * n))
+    """Run estimate_joint_typicality in chunks of `trials` trials.
+
+    The chunk is set on `trial_map` itself, so it holds `trials` trials at
+    every n and in either mode."""
+    monkeypatch.setattr(typicality, "trial_map", functools.partial(_kernels.trial_map, batch=trials))
 
 
-def _per_symbol_estimator(j, fj, n, eps, trials, seed, mode, batch=4096):
-    """The per-symbol joint estimator that the representative-first, cell-table
-    version replaced, kept as a test oracle: every rate of every trial through
-    block_of arrays and 2-D fancy indexing, with the same Philox slices."""
-    pu, pv = marginals(j)
-    sem_u = induced_semantic_distribution(pu, fj.u_partition)
-    sem_v = induced_semantic_distribution(pv, fj.v_partition)
-    h_u, h_v, h_uv = entropy(pu), entropy(pv), joint_entropy(j)
-    hs_u, hs_v = entropy(sem_u), entropy(sem_v)
-    hs_uv = semantic_joint_entropy(j, fj)
-    l2_ju, l2_jv = _log2_probs(sem_u.probs), _log2_probs(sem_v.probs)
-    l2_js = _log2_probs(induced_semantic_joint(j, fj).probs)
-    l2_u, l2_v, l2_uv = _log2_probs(pu.probs), _log2_probs(pv.probs), _log2_probs(j.probs)
-    bu, bv = fj.u_partition.block_of, fj.v_partition.block_of
-    rep_u = np.array([min(b) for b in fj.u_partition.blocks])
-    rep_v = np.array([min(b) for b in fj.v_partition.blocks])
-    nv = j.shape[1]
-    hits = enc_hits = done = 0
-    while done < trials:
-        b = min(batch, trials - done)
-        u = trial_uniforms(seed, done, b, n if mode == "correlated" else 4 * n)
-        if mode == "correlated":
-            pair = _inverse_cdf(u, j.probs.ravel())
-            xs, ys = pair // nv, pair % nv
-        else:
-            xs = _inverse_cdf(u[:, :n], pu.probs)
-            ys = _inverse_cdf(u[:, n : 2 * n], pv.probs)
-        sx, sy = bu[xs], bv[ys]
-        rate_sj = -l2_js[sx, sy].sum(axis=1) / n
-        in_sem = (
-            (np.abs(-l2_ju[sx].sum(axis=1) / n - hs_u) < eps)
-            & (np.abs(-l2_jv[sy].sum(axis=1) / n - hs_v) < eps)
-            & (np.abs(rate_sj - hs_uv) < eps)
-        )
-        if mode == "correlated":
-            hits += int(in_sem.sum())
-        else:
-            rate_xy = -l2_uv[xs, ys].sum(axis=1) / n
-            in_syn = (
-                (np.abs(-l2_u[xs].sum(axis=1) / n - h_u) < eps)
-                & (np.abs(-l2_v[ys].sum(axis=1) / n - h_v) < eps)
-                & (np.abs(rate_xy - h_uv) < eps)
-            )
-            cond_rate = np.full(b, np.inf)
-            seen = np.isfinite(rate_xy)
-            cond_rate[seen] = rate_xy[seen] - rate_sj[seen]
-            cond_ok = np.abs(cond_rate - (h_uv - hs_uv)) < eps
-            is_rep = (xs == rep_u[sx]).all(axis=1) & (ys == rep_v[sy]).all(axis=1)
-            hits += int((is_rep & in_sem & in_syn & cond_ok).sum())
-            zx = _inverse_cdf(u[:, 2 * n : 3 * n], sem_u.probs)
-            zy = _inverse_cdf(u[:, 3 * n :], sem_v.probs)
-            enc_hits += int(
-                (
-                    (np.abs(-l2_ju[zx].sum(axis=1) / n - hs_u) < eps)
-                    & (np.abs(-l2_jv[zy].sum(axis=1) / n - hs_v) < eps)
-                    & (np.abs(-l2_js[zx, zy].sum(axis=1) / n - hs_uv) < eps)
-                ).sum()
-            )
-        done += b
+def _joint(name):
+    """The weak joint, or Table II with the Table III partitions."""
+    if name == "weak":
+        return WEAK_JOINT, WEAK_FJ
+    j = JointDistribution(np.asarray(load_fixture("tableII_joint.json")["matrix"]))
+    fu, fv = (
+        SynonymousPartition(tuple(map(tuple, load_fixture(f"tableIII_{side}_partition.json")["blocks"])), size)
+        for side, size in zip("uv", j.shape)
+    )
+    return j, JointSynonymousPartition(fu, fv)
 
-    p_hat = hits / trials
-    if mode == "correlated":
-        lower, upper = 1.0 - eps, 1.0
-        satisfied = p_hat > lower
-        detail = {"target": "prob of semantic joint typicality approaches 1"}
-    else:
-        up, down = h_u + h_v - hs_uv, hs_u + hs_v - h_uv
-        lower = (1.0 - eps) * 2.0 ** (-n * (up + 3 * eps))
-        upper = 2.0 ** (-n * (up - 3 * eps))
-        satisfied = lower <= p_hat <= upper
-        p_enc = enc_hits / trials
-        enc_lower = (1.0 - eps) * 2.0 ** (-n * (down + 3 * eps))
-        enc_upper = 2.0 ** (-n * (down - 3 * eps))
-        detail = {
-            "up_companion": up,
-            "down_companion": down,
-            "full_companion": hs_u + hs_v - hs_uv,
-            "encoding_prob": p_enc,
-            "encoding_lower": enc_lower,
-            "encoding_upper": enc_upper,
-            "encoding_upper_ok": bool(p_enc <= enc_upper),
-            "encoding_lower_ok": bool(p_enc >= enc_lower),
-        }
-    return {
-        "n": n,
-        "epsilon": eps,
-        "prob_typical": p_hat,
-        "set_size": None,
-        "lower_bound": lower,
-        "upper_bound": upper,
-        "bound_satisfied": bool(satisfied),
-        "detail": detail,
-    }
+
+@functools.cache
+def _exact(name: str, n: int, eps: float, probe: str) -> float:
+    return exact_joint_probe(*_joint(name), n, eps, probe)
+
+
+def _assert_near_exact(estimate: float, exact: float, trials: int) -> None:
+    """The estimate lies within 4 binomial standard errors of the exact probability."""
+    variance = max(exact * (1 - exact), 0.0)  # the oracle's sum may round past 1
+    assert abs(estimate - exact) <= 4 * math.sqrt(variance / trials) + 1e-12, (estimate, exact)
 
 
 class TestJointMonteCarlo:
@@ -604,41 +551,46 @@ class TestJointMonteCarlo:
         assert a.detail["encoding_prob"] == b.detail["encoding_prob"]
 
     def test_zero_probability_pairs_raise_no_warning(self, table2_joint, table3_partitions):
-        """Table II has zero cells: sequences through them are atypical, with no
-        inf - inf on the way.  The pinned probabilities are what the unmasked
-        subtraction gave; the mask changes no result."""
+        """Table II has zero cells: types through them are atypical, with no
+        inf - inf on the way.  Both estimates lie within 4 standard errors of
+        the exact probabilities 0.016092 and 0.649080."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rep = estimate_joint_typicality(
                 table2_joint, table3_partitions, n=3, eps=0.5, trials=20_000, seed=5,
                 mode="independent",
             )
-        assert rep.prob_typical == 0.0172
-        assert rep.detail["encoding_prob"] == 0.6485
+        assert rep.prob_typical == 0.01735
+        assert rep.detail["encoding_prob"] == 0.65295
+        _assert_near_exact(rep.prob_typical, _exact("table2", 3, 0.5, "decoding"), 20_000)
+        _assert_near_exact(rep.detail["encoding_prob"], _exact("table2", 3, 0.5, "encoding"), 20_000)
 
     @pytest.mark.parametrize(
         "mode, n, eps, seed, trials, prob, detail",
         [
-            ("correlated", 30, 0.1, 43, 5000, 0.698, None),
-            ("correlated", 200, 0.1, 41, 5000, 0.9964, None),
-            ("independent", 4, 0.3, 47, 20_000, 0.00185,
-             {"encoding_prob": 0.45555, "encoding_lower": 0.34259047609869386,
+            ("correlated", 30, 0.1, 43, 5000, 0.702, None),
+            ("correlated", 200, 0.1, 41, 5000, 0.9962, None),
+            ("independent", 4, 0.3, 47, 20_000, 0.002,
+             {"encoding_prob": 0.4604, "encoding_lower": 0.34259047609869386,
               "encoding_upper": 71.96034127217747, "encoding_lower_ok": True}),
-            ("independent", 5, 0.4, 59, 20_000, 0.002,
-             {"encoding_prob": 0.55555, "encoding_lower": 0.08683660061253501,
+            ("independent", 5, 0.4, 59, 20_000, 0.0017,
+             {"encoding_prob": 0.54835, "encoding_lower": 0.08683660061253501,
               "encoding_upper": 592.8045268482399, "encoding_lower_ok": True}),
         ],
     )
     def test_pinned_table2_draws(self, table2_joint, table3_partitions, mode, n, eps, seed,
                                  trials, prob, detail):
-        """Draws through the comparison-count inverse CDF reproduce the values
-        the binary-search version gave at these seeds."""
+        """Type draws at these seeds, each pin within 4 standard errors of the
+        exact probability where the type grid is small enough to sum (every
+        case but the correlated probe at n = 200)."""
         rep = estimate_joint_typicality(
             table2_joint, table3_partitions, n=n, eps=eps, trials=trials, seed=seed, mode=mode
         )
         assert rep.prob_typical == prob
         if detail is None:
             assert rep.detail == {"target": "prob of semantic joint typicality approaches 1"}
+            if n <= 30:
+                _assert_near_exact(prob, _exact("table2", n, eps, "correlated"), trials)
         else:
             assert rep.detail == {
                 "up_companion": 1.5086949695628413,
@@ -647,6 +599,8 @@ class TestJointMonteCarlo:
                 "encoding_upper_ok": True,
                 **detail,
             }
+            _assert_near_exact(prob, _exact("table2", n, eps, "decoding"), trials)
+            _assert_near_exact(detail["encoding_prob"], _exact("table2", n, eps, "encoding"), trials)
 
     def test_batch_split_invariance(self, monkeypatch):
         """Per-trial counter slices make results independent of chunking."""
@@ -658,42 +612,51 @@ class TestJointMonteCarlo:
         assert a.prob_typical == b.prob_typical
         assert a.detail["encoding_prob"] == b.detail["encoding_prob"]
 
-    @pytest.mark.parametrize("mode", ["correlated", "independent"])
     @pytest.mark.parametrize(
-        "joint, n, eps, seed, trials",
+        "joint, mode, n, eps, seed, trials, probes",
         [
-            ("table2", 3, 0.5, 5, 20_000),
-            ("table2", 4, 0.3, 47, 20_000),
-            ("table2", 5, 0.4, 59, 20_000),
-            ("table2", 30, 0.1, 43, 5000),
-            ("table2", 200, 0.1, 41, 2000),
-            ("weak", 24, 0.1, 11, 100_000),
-            ("strong_identity", 6, 0.3, 2, 30_000),
+            ("table2", "correlated", 10, 0.1, 3, 20_000, {"correlated": 0.219538}),
+            ("table2", "correlated", 30, 0.1, 3, 20_000, {"correlated": 0.696412}),
+            ("table2", "independent", 6, 0.3, 3, 20_000, {"decoding": 3.3878e-4, "encoding": 0.432963}),
+            ("weak", "independent", 24, 0.1, 3, 100_000, {"decoding": 2.41705e-4, "encoding": 1.0}),
         ],
     )
-    def test_matches_per_symbol_estimator(self, table2_joint, table3_partitions, joint, n, eps,
-                                          seed, trials, mode, monkeypatch):
-        """Every report field equals the per-symbol oracle's at batches 4096,
-        1024 and 911 and at the default, draw-sized batch (inline when one
-        chunk holds every trial, split across two threads otherwise).  On the weak joint at n = 24 rows survive the
-        representative test and decoding hits are nonzero; warnings are errors,
-        so an empty surviving subset must pass silently."""
-        j, fj = {
-            "table2": (table2_joint, table3_partitions),
-            "weak": (WEAK_JOINT, WEAK_FJ),
-            "strong_identity": (STRONG_JOINT, JointSynonymousPartition.identity(3, 2)),
-        }[joint]
-        expected = _per_symbol_estimator(j, fj, n, eps, trials, seed, mode)
-        if joint != "table2" and mode == "independent":
-            assert expected["prob_typical"] > 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for batch in (4096, 1024, 911, None):
-                with monkeypatch.context() as chunk:
-                    if batch is not None:
-                        joint_chunk(chunk, n, mode, batch)
-                    rep = estimate_joint_typicality(j, fj, n=n, eps=eps, trials=trials, seed=seed, mode=mode)
-                assert rep.to_json() == expected
+    def test_matches_exact_probe(self, joint, mode, n, eps, seed, trials, probes):
+        """Each probe's estimate lies within 4 standard errors of its exact
+        probability, summed over every type by the oracle, whose values these
+        are (to the digits shown).  On the weak joint the decoding event has
+        probability 2.4e-4, so hits are counted there."""
+        j, fj = _joint(joint)
+        rep = estimate_joint_typicality(j, fj, n=n, eps=eps, trials=trials, seed=seed, mode=mode)
+        got = {"correlated": rep.prob_typical, "decoding": rep.prob_typical,
+               "encoding": rep.detail.get("encoding_prob")}
+        for probe, value in probes.items():
+            exact = _exact(joint, n, eps, probe)
+            assert exact == pytest.approx(value, rel=1e-4)
+            _assert_near_exact(got[probe], exact, trials)
+
+    @pytest.mark.parametrize("mode", ["correlated", "independent"])
+    @pytest.mark.parametrize(
+        "joint, n, eps, seed",
+        [("table2", 3, 0.5, 5), ("table2", 30, 0.1, 43), ("table2", 200, 0.1, 41), ("weak", 24, 0.1, 11)],
+    )
+    def test_fields_equal_across_chunkings(self, joint, n, eps, seed, mode, monkeypatch):
+        """Every report field is the same at chunks of 4096, 1024 and 911
+        trials as at the default, draw-sized chunk (10 000 trials), and at
+        one-trial chunks, shared by the calling thread and the helper, as at
+        the default (300 trials)."""
+        j, fj = _joint(joint)
+
+        def report(trials, batch):
+            with monkeypatch.context() as chunk:
+                if batch is not None:
+                    joint_chunk(chunk, n, mode, batch)
+                return estimate_joint_typicality(j, fj, n=n, eps=eps, trials=trials, seed=seed, mode=mode).to_json()
+
+        for trials, batches in ((10_000, (4096, 1024, 911)), (300, (1,))):
+            expected = report(trials, None)
+            for batch in batches:
+                assert report(trials, batch) == expected, batch
 
     @pytest.mark.parametrize("mode", ["correlated", "independent"])
     @pytest.mark.parametrize("eps, trials, message", [(math.nan, 10, "eps must be positive"),
@@ -709,28 +672,27 @@ class TestJointMonteCarlo:
             estimate_joint_typicality(table2_joint, table3_partitions, n=n, eps=0.1, trials=10,
                                       mode=mode)
 
-    @pytest.mark.parametrize("mode", ["correlated", "independent"])
-    @pytest.mark.parametrize(
-        "joint, n, eps, seed, trials",
-        [("table2", 200, 0.1, 41, 2000), ("weak", 24, 0.1, 1, 2000), ("table2", 3, 0.5, 5, 2000)],
-    )
-    def test_one_trial_batches_match_per_symbol_estimator(self, table2_joint, table3_partitions, joint,
-                                                          n, eps, seed, trials, mode, monkeypatch):
-        """At one trial per chunk, 2000 chunks are shared by the calling thread and
-        the helper, and every report field still equals the per-symbol oracle's."""
-        j, fj = {"table2": (table2_joint, table3_partitions), "weak": (WEAK_JOINT, WEAK_FJ)}[joint]
-        expected = _per_symbol_estimator(j, fj, n, eps, trials, seed, mode)
-        if joint == "weak" and mode == "independent":
-            assert expected["prob_typical"] > 0
-        joint_chunk(monkeypatch, n, mode, 1)
-        rep = estimate_joint_typicality(j, fj, n=n, eps=eps, trials=trials, seed=seed, mode=mode)
-        assert rep.to_json() == expected
-
     def test_correlated_memory_does_not_grow_with_n(self, table2_joint, table3_partitions):
         """A correlated call at n = 10 000 peaks under 32 MB traced: the
         default chunk holds about 2^17 uniforms (13 trials here), where the
         old fixed 1024-trial batch peaked at 235 MB."""
         kw = dict(n=10_000, eps=0.1, trials=1100, seed=3, mode="correlated")
+        estimate_joint_typicality(table2_joint, table3_partitions, n=10, eps=0.1, trials=10)
+        tracemalloc.start()
+        try:
+            rep = estimate_joint_typicality(table2_joint, table3_partitions, **kw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.prob_typical == 1.0
+        assert peak < 32 * 2**20
+
+    def test_correlated_memory_is_bounded_at_large_n(self, table2_joint, table3_partitions):
+        """At n = 10^6 a few hundred trials spread each binomial's m over
+        hundreds of values, and every value's CDF row is 16 384 counts long;
+        the rows are built a block of about 2^17 doubles at a time, so the
+        peak is the 8 MB ln k! table plus a few MB, under the same 32 MB."""
+        kw = dict(n=10**6, eps=0.1, trials=300, seed=3, mode="correlated")
         estimate_joint_typicality(table2_joint, table3_partitions, n=10, eps=0.1, trials=10)
         tracemalloc.start()
         try:
@@ -780,36 +742,80 @@ class TestJointMonteCarlo:
         assert peak < np.dtype(float).itemsize * 4096 * 4 * 200
 
 
-class TestInverseCdf:
-    @staticmethod
-    def _searchsorted(u, probs):
-        edges = np.cumsum(probs)
-        edges[-1] = 1.0
-        return np.searchsorted(edges, u, side="right")
+def _exact_inverse(m: int, hit: float, miss: float):
+    """(u -> #{x : F(x) <= u}, the CDF values as floats) for the exact CDF F of
+    Bin(m, hit / (hit + miss)), in integers from `math.comb`: F(x) = c_x / D."""
+    a, b = (Fraction(p) for p in (hit, miss))
+    scale = math.lcm(a.denominator, b.denominator)
+    a, b = int(a * scale), int(b * scale)
+    cs = list(itertools.accumulate(math.comb(m, x) * a**x * b ** (m - x) for x in range(m + 1)))
+    denominator = (a + b) ** m
+
+    def count(u: float) -> int:
+        top, bottom = u.as_integer_ratio()
+        return bisect.bisect_right(cs, top * denominator // bottom)
+
+    return count, np.array([c / denominator for c in cs])
+
+
+class TestTypeSampler:
+    @pytest.mark.parametrize(
+        "n, ms, tol",
+        [(40, (0, 1, 2, 3, 7, 20, 39, 40), 1e-12), (600, (600, 420), 1e-9)],
+    )
+    @pytest.mark.parametrize("q", [0.05, 0.3, 0.5, 0.9])
+    def test_inversion_counts_cdf_values_at_or_below_u(self, n, ms, tol, q):
+        """_binomial_inverse returns #{x : F(x) <= u} against the exact CDF,
+        at random u and at u = F(x) +/- tol for every CDF value in [0, 1).
+        At n = 40 each row covers [0, m]; at n = 600 it is a window, and the
+        lgamma table's rounding keeps the float CDF within 1e-9 there."""
+        lg = np.array([math.lgamma(k + 1) for k in range(n + 1)])
+        rng = np.random.default_rng(61)
+        for m in ms:
+            count, edges = _exact_inverse(m, q, 1 - q)
+            u = np.concatenate([rng.random(2000), edges - tol, edges + tol])
+            u = u[(u > 0) & (u < 1)]
+            got = _binomial_inverse(u, np.full(u.size, m), q, 1 - q, lg)
+            np.testing.assert_array_equal(got, [count(x) for x in u.tolist()])
+
+    def test_inversion_mixes_counts_in_one_call(self):
+        """Each element is inverted against its own m's CDF row when one call
+        holds many m."""
+        n, q = 40, 0.3
+        lg = np.array([math.lgamma(k + 1) for k in range(n + 1)])
+        rng = np.random.default_rng(67)
+        m = rng.integers(0, n + 1, size=3000)
+        u = rng.random(3000)
+        got = _binomial_inverse(u, m, q, 1 - q, lg)
+        counts = {k: _exact_inverse(k, q, 1 - q)[0] for k in np.unique(m).tolist()}
+        np.testing.assert_array_equal(got, [counts[k](x) for k, x in zip(m.tolist(), u.tolist())])
+
+    def test_type_frequencies_match_the_multinomial(self):
+        """At n = 4 over three cells, each of the 15 types turns up within 5
+        standard errors of its multinomial probability in 2e5 draws."""
+        n, law, draws = 4, np.array([0.5, 0.3, 0.2]), 200_000
+        lg = np.array([math.lgamma(k + 1) for k in range(n + 1)])
+        counts = _draw_types(np.random.default_rng(71).random((draws, 2)), law, lg)
+        seen = Counter(map(tuple, counts.tolist()))
+        types = [c for c in itertools.product(range(n + 1), repeat=3) if sum(c) == n]
+        assert set(seen) <= set(types)
+        for c in types:
+            p = math.factorial(n) / math.prod(map(math.factorial, c)) * math.prod(law**c)
+            assert abs(seen[c] / draws - p) <= 5 * math.sqrt(p * (1 - p) / draws), c
 
     @pytest.mark.parametrize(
-        "probs",
-        [
-            [0.3, 0.7],
-            [0.05, 0.1, 0.15, 0.0, 0.0, 0.1, 0.05, 0.05, 0.1, 0.4],
-            [0.0, 0.4, 0.6],
-            [0.5, 0.5, 0.0],
-            [0.2, 0.0, 0.0, 0.5, 0.0, 0.3],
-            np.full(300, 1 / 300),
-        ],
+        "law",
+        [[0.0, 0.2, 0.0, 0.5, 0.3, 0.0], [0.25, 0.25, 0.5], [0.0, 1.0, 0.0], [1e-3, 0.999, 0.0, 1e-3]],
     )
-    def test_equals_binary_search(self, probs):
-        """Random u, u on every edge and just below it, repeated edges from
-        zero-probability cells, and an alphabet too large for uint8."""
-        probs = np.asarray(probs, dtype=float)
-        edges = np.cumsum(probs)[:-1]
-        u = np.concatenate([
-            np.random.default_rng(41).random(5000),
-            edges,
-            np.nextafter(edges, 0.0),
-            [0.0, np.nextafter(1.0, 0.0)],
-        ])
-        u = u[u < 1.0].reshape(-1, 1)  # the Philox uniforms lie in [0, 1)
-        got = _inverse_cdf(u, probs)
-        np.testing.assert_array_equal(got, self._searchsorted(u, probs))
-        assert got.dtype == np.min_scalar_type(probs.size - 1)
+    @pytest.mark.parametrize("n", [1, 7, 500, 10_000])
+    def test_counts_sum_to_n_off_zero_law_cells(self, law, n):
+        """Every type sums to n, has no negative count, and puts nothing on a
+        zero-law cell; u has a column for each positive cell but the last."""
+        law = np.array(law)
+        lg = np.array([math.lgamma(k + 1) for k in range(n + 1)])
+        u = np.random.default_rng(73).random((4000, np.count_nonzero(law) - 1))
+        counts = _draw_types(u, law, lg)
+        assert counts.shape == (4000, law.size)
+        assert (counts.sum(axis=1) == n).all()
+        assert (counts >= 0).all()
+        assert not counts[:, law == 0].any()
