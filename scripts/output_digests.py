@@ -21,8 +21,12 @@ Table VII code that ends inside a codeword and of one with an invalid digit
 in the middle; the joint Monte Carlo in both modes at n = 3,
 n = 1000 and one trial on Table II, and on a joint where the decoding probe
 counts hits, and on Table II the correlated probe at n = 10 and 30 and the
-independent probes at n = 6, eps = 0.3, where the exact sums are known; the exact typical sets of Table I at eps = 0.1 swept over
-n = 1, ..., 12 (CSV: each n's lower bound and verdict);
+independent probes at n = 6, eps = 0.3, where the exact sums are known;
+the independent probes on Table II with identity partitions at n = 6,
+eps = 0.3 and n = 20, eps = 0.1 (seed 7), whose decoding probe lumps no
+pair; the correlated probe on Table II at n = 2^24, refused before it
+builds its table of ln k!; the exact typical sets of Table I at eps = 0.1
+swept over n = 1, ..., 12 (CSV: each n's lower bound and verdict);
 the same at n = 10 alone (JSON: the per-class bracket flags too);
 and R_s(D) beyond the binary case, with a Hamming cost on [0.5, 0.3, 0.2]
 at n^ = 4, D = 0.1 and on [0.4, 0.3, 0.2, 0.1] at n^ = 4,
@@ -119,6 +123,17 @@ def extra_jobs(work: Path) -> list[tuple[list[str], Path]]:
             argv = ["typicality", *joint, "--n", str(n), "--trials", str(trials), "--eps", str(eps),
                     "--mc-mode", mode, "--seed", "5"]
             jobs.append((argv, work / f"joint_{mode}_{n}_{trials}.json"))
+    # every pair its own representative, so the decoding probe's lumped cell has law 0
+    identity = ["--joint", "fixtures/tableII_joint.json",
+                "--u-partition", _write_json(work / "identity_u.json", {"blocks": [[k] for k in range(4)]}),
+                "--v-partition", _write_json(work / "identity_v.json", {"blocks": [[k] for k in range(5)]})]
+    for n, eps in ((6, 0.3), (20, 0.1)):
+        argv = ["typicality", *identity, "--n", str(n), "--trials", "20000", "--eps", str(eps),
+                "--mc-mode", "independent", "--seed", "7"]
+        jobs.append((argv, work / f"joint_identity_{n}.json"))
+    # n + 1 entries of ln k! exceed EXHAUSTIVE_STATE_CAP, so the call is refused
+    jobs.append((["typicality", *table2, "--n", str(2**24), "--trials", "1", "--eps", "0.1"],
+                 work / "joint_table_cap.json"))
     table1 = ["typicality", "--dist", "fixtures/tableI_dist.json", "--partition", "fixtures/tableI_partition.json",
               "--eps", "0.1"]
     jobs.append(([*table1, "--sweep", ",".join(map(str, range(1, 13)))], work / "table1_sweep.csv"))

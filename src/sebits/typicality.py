@@ -11,12 +11,13 @@ rate is typical when it lies strictly within eps of its target (Cover &
 Thomas write the typical set with <=), and a rate lying exactly on +/-eps is
 decided by floating-point rounding.
 Large block lengths fall back to seeded Monte Carlo on types.  Each joint
-probe draws a trial's type over its own cells, the semantic cells (a, b)
-plus one lumped cell, by K - 1 conditional binomials (Devroye 1986, ch. XI),
+probe draws a trial's type over its own cells, one lumped cell and then the
+semantic cells (a, b), by K - 1 conditional binomials (Devroye 1986, ch. XI),
 each inverted from one uniform, so a trial costs K - 1 uniforms whatever n
-is.  Trials run in chunks of about 2^17 uniforms, and the calling thread and
-one helper thread each draw and score chunks, whose integer hit counts are
-summed: two threads at most.
+is.  A trial that counts on the lumped cell is atypical, so it draws no
+further cell.  Trials run in chunks of about 2^17 uniforms, and the calling
+thread and one helper thread each draw and score chunks, whose integer hit
+counts are summed: two threads at most.
 
 Every bound the exact sweep checks holds at every n, so a failed check is a
 fault.  Each semantically typical sequence has probability below
@@ -360,7 +361,8 @@ def _binomial_inverse(u: np.ndarray, m: np.ndarray, hit: float, miss: float, lg:
     element counts the entries of its row at or below u; the window's length
     is a power of two, so the search needs no bounds check.  Rows are built
     and searched in blocks of at most max(1, CHUNK_DRAWS // width) distinct
-    m, so a block holds about CHUNK_DRAWS doubles whatever n is.
+    m, so a block holds about CHUNK_DRAWS doubles whatever n is.  Empty `u`
+    and `m` give an empty result.
     """
     n = lg.size - 1
     q = hit / (hit + miss)
@@ -369,7 +371,7 @@ def _binomial_inverse(u: np.ndarray, m: np.ndarray, hit: float, miss: float, lg:
     w = math.ceil(15 + math.sqrt(225 + 90 * n * q * (1 - q)))
     width = 1 << min(2 * w, n).bit_length()
     span = max(1, CHUNK_DRAWS // width)
-    low = m.min()
+    low = m.min(initial=n)
     present = np.bincount(m - low) > 0
     distinct = low + np.flatnonzero(present)
     row = np.cumsum(present)[m - low] - 1
@@ -412,20 +414,39 @@ def _draw_types(u: np.ndarray, law: np.ndarray, lg: np.ndarray) -> np.ndarray:
     return counts
 
 
+def _draw_off_lumped(u: np.ndarray, law: np.ndarray, lg: np.ndarray) -> np.ndarray:
+    """The types of `_draw_types(u, law, lg)` that count 0 on the lumped cell law[0].
+
+    A law with nothing on the lumped cell is drawn as it is.  Otherwise the
+    lumped cell comes first, as in `_draw_types`: it takes Bin(n, law[0] / sum
+    of the law) counts, inverted from u[:, 0], and only the trials that count
+    0 there draw the other cells, from u[:, 1:], with the lumped cell's law set
+    to 0.  When the lumped cell is the only one of positive law, every trial
+    lands on it and nothing is drawn.
+    """
+    if law[0] == 0:
+        return _draw_types(u, law, lg)
+    rest = np.append(0.0, law[1:])
+    if not rest.any():
+        return np.zeros((0, law.size), dtype=np.int64)
+    lumped = _binomial_inverse(u[:, 0], np.full(u.shape[0], lg.size - 1), law[0], rest.sum(), lg)
+    return _draw_types(u[lumped == 0, 1:], rest, lg)
+
+
 def _count_typical(counts: np.ndarray, shape: tuple[int, int], n: int, eps: float, checks) -> int:
     """How many type rows of `counts` are typical.
 
-    A row counts the cells (a, b) of a `shape` grid in row-major order, then
-    one lumped cell.  It is typical when it counts 0 on the lumped cell and
+    A row counts one lumped cell, which is 0 in every row passed here, then
+    the cells (a, b) of a `shape` grid in row-major order.  It is typical when
     every check's rate lies within eps of its target.  A check (axis, log2
     table, target) rates the type summed over b (axis 0, a type over a), over
     a (axis 1, over b), or the type over the cells (a, b) itself (axis None).
     """
-    cells = counts[:, :-1]
+    cells = counts[:, 1:]
     grid = cells.reshape(-1, *shape)
     types = {0: grid.sum(axis=2), 1: grid.sum(axis=1), None: cells}
     rates = [-_log2_mass(types[axis], table) / n for axis, table, _ in checks]
-    return int((_within(rates, [target for *_, target in checks], eps) & (counts[:, -1] == 0)).sum())
+    return int(_within(rates, [target for *_, target in checks], eps).sum())
 
 
 def _log2(x: float) -> float:
@@ -445,7 +466,10 @@ def estimate_joint_typicality(
 
     mode "correlated": sample (x, y) pairs from the joint and estimate the
     probability that the blockwise semantic image lands in the semantically
-    jointly typical set; the limit statement promises > 1 - eps for large n.
+    jointly typical set.  The verdict checks the limit statement, p_hat >
+    1 - eps, which the AEP promises only for large n; it is not a bound that
+    holds at the printed n (on Table II at n = 3 and eps = 0.1 the exact
+    probability is 0.080, so the verdict is false).
 
     mode "independent": runs two probes.  The decoding probe samples x and y
     from the marginals independently and estimates the chance that the pair is
@@ -457,18 +481,27 @@ def estimate_joint_typicality(
     at the full companion Hs(U~)+Hs(V~)-Hs(U~,V~), which is never below the
     down companion, so the upper edge always holds while the lower edge is
     only attainable when the partition does no real merging (identity blocks);
-    the flags in `detail` report each edge separately.  Both verdicts are
-    decided on the log2 scale, where an estimate of 0 fails a lower edge
-    even when the printed edge underflows to 0.
+    the flags in `detail` report each edge separately.  When the down
+    companion is negative the upper edge exceeds 1, so `encoding_upper_ok`
+    holds for every estimate; when it is below -3 eps as well, the lower edge
+    exceeds 1 once n > log2(1 / (1 - eps)) / |down + 3 eps|, and then
+    `encoding_lower_ok` fails for every estimate.  On Table II (down
+    companion -0.642) at eps = 0.1 both happen at every n, and the band
+    checks nothing.  Both verdicts are decided on the log2 scale, where an
+    estimate of 0 fails a lower edge even when the printed edge underflows
+    to 0.
 
     Every rate is a rate of the trial's type, so each probe draws types from
-    its own law over the semantic cells (a, b) plus one lumped cell.  The
+    its own law over one lumped cell and then the semantic cells (a, b).  The
     correlated probe's law is the semantic joint, the encoding probe's the
     product of the semantic marginals; neither puts mass on the lumped cell.
     The decoding probe's cell (a, b) is the pair of block representatives,
     with law p(rep a) p(rep b), and its lumped cell, with the law of every
     other pair, must count 0.  A type costs one uniform per cell of positive
-    law but the last.
+    law but the last.  The decoding probe draws its lumped cell first, as
+    Bin(n, law of the lumped cell), and only the trials that count 0 there
+    draw the representative pairs; the rest are misses after one binomial.
+    Any cell order gives the same multinomial law.
 
     Trials run through `_kernels.trial_map` in chunks of as many trials as
     hold about CHUNK_DRAWS (2^17) uniforms.  The calling thread and one
@@ -480,7 +513,9 @@ def estimate_joint_typicality(
     thread scored which chunk.
 
     In independent mode, raises BudgetExceeded before drawing when a band
-    edge overflows a double.
+    edge overflows a double.  In either mode, raises BudgetExceeded before
+    building the table of ln k! for k <= n when its n + 1 doubles exceed
+    EXHAUSTIVE_STATE_CAP.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -507,7 +542,7 @@ def estimate_joint_typicality(
     ]
     if mode == "correlated":
         lower, upper = 1.0 - eps, 1.0
-        probes = [(np.append(sem_joint.ravel(), 0.0), semantic)]
+        probes = [(np.append(0.0, sem_joint.ravel()), semantic)]
     else:
         try:
             lower = (1.0 - eps) * 2.0 ** (-n * (up + 3 * eps))
@@ -537,16 +572,21 @@ def estimate_joint_typicality(
             (None, _log2_probs(given.ravel()), h_uv - hs_uv),
         ]
         probes = [
-            (np.append(product[rep].ravel(), product[others].sum()), decoding),
-            (np.append(np.outer(sem_u.probs, sem_v.probs).ravel(), 0.0), semantic),
+            (np.append(product[others].sum(), product[rep].ravel()), decoding),
+            (np.append(0.0, np.outer(sem_u.probs, sem_v.probs).ravel()), semantic),
         ]
 
+    if n + 1 > EXHAUSTIVE_STATE_CAP:
+        raise BudgetExceeded(
+            f"joint probes need a ln k! table of {n + 1} entries, cap is {EXHAUSTIVE_STATE_CAP}",
+            required=n + 1,
+        )
     lg = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
     bounds = np.cumsum([0, *(max(np.count_nonzero(law) - 1, 0) for law, _ in probes)]).tolist()
 
     def score(u: np.ndarray) -> np.ndarray:
         hits = [
-            _count_typical(_draw_types(u[:, a:b], law, lg), sem_joint.shape, n, eps, checks)
+            _count_typical(_draw_off_lumped(u[:, a:b], law, lg), sem_joint.shape, n, eps, checks)
             for (law, checks), a, b in zip(probes, bounds, bounds[1:])
         ]
         return np.array(hits + [0] * (2 - len(hits)))

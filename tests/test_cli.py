@@ -382,6 +382,20 @@ class TestTypicality:
         assert out == ""
         assert "Traceback" not in err and "overflows" in err
 
+    def test_joint_ln_factorial_table_over_the_cap_exits_4(self):
+        """At n = 2^24 the correlated probe's table of ln k! would hold more
+        than EXHAUSTIVE_STATE_CAP doubles; the call refuses before building it."""
+        code, out, err = run_cli(
+            "typicality",
+            "--joint", str(FIXTURES / "tableII_joint.json"),
+            "--u-partition", str(FIXTURES / "tableIII_u_partition.json"),
+            "--v-partition", str(FIXTURES / "tableIII_v_partition.json"),
+            "--n", str(2**24), "--trials", "1", "--eps", "0.1",
+        )
+        assert code == 4
+        assert out == ""
+        assert "Traceback" not in err and "ln k! table" in err
+
     @pytest.mark.parametrize("n, trials, eps", [("1000", "1500", "0.02"), ("200", "2000", "0.1")])
     def test_empty_decoding_event_fails_its_band(self, n, trials, eps):
         """On Table II the decoding probe's event is empty at these eps, so the

@@ -560,20 +560,53 @@ class TestJointMonteCarlo:
                 table2_joint, table3_partitions, n=3, eps=0.5, trials=20_000, seed=5,
                 mode="independent",
             )
-        assert rep.prob_typical == 0.01735
+        assert rep.prob_typical == 0.01615
         assert rep.detail["encoding_prob"] == 0.65295
         _assert_near_exact(rep.prob_typical, _exact("table2", 3, 0.5, "decoding"), 20_000)
         _assert_near_exact(rep.detail["encoding_prob"], _exact("table2", 3, 0.5, "encoding"), 20_000)
+
+    def test_lumped_cell_alone_misses_every_trial(self):
+        """Every representative pair has probability 0 here (u's one block
+        is {0, 1}, and p(u = 0) = 0), so the decoding probe's lumped cell is
+        its one cell of positive law: every trial lands on it, with no draw
+        and no log 0, while the encoding probe hits every trial."""
+        j = JointDistribution(np.array([[0.0, 0.0], [0.5, 0.5]]))
+        fj = JointSynonymousPartition(SynonymousPartition(((0, 1),), 2), SynonymousPartition.identity(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = estimate_joint_typicality(j, fj, n=5, eps=0.3, trials=1000, seed=1, mode="independent")
+        assert rep.prob_typical == 0.0
+        assert rep.detail["encoding_prob"] == 1.0
+
+    @pytest.mark.parametrize("n, eps, prob, encoding", [(6, 0.3, 0.07565, 0.0744), (20, 0.1, 0.0001, 0.0002)])
+    def test_identity_partitions_draw_no_lumped_cell(self, table2_joint, n, eps, prob, encoding):
+        """With identity partitions every pair is its own representative, so
+        the decoding probe's lumped cell has law 0 and takes no uniform: its
+        types come from the same uniforms, cell by cell, as the types of a
+        law with no lumped cell at all."""
+        rep = estimate_joint_typicality(
+            table2_joint, JointSynonymousPartition.identity(4, 5), n=n, eps=eps, trials=20_000, seed=7,
+            mode="independent",
+        )
+        assert (rep.prob_typical, rep.detail["encoding_prob"]) == (prob, encoding)
+
+    def test_ln_factorial_table_over_the_cap_is_refused(self, table2_joint, table3_partitions):
+        """At n = 2^24 the table of ln k! for k <= n would hold more than
+        EXHAUSTIVE_STATE_CAP doubles (128 MB), so the call refuses before
+        building it."""
+        with pytest.raises(BudgetExceeded, match="ln k! table") as err:
+            estimate_joint_typicality(table2_joint, table3_partitions, n=2**24, eps=0.1, trials=1)
+        assert err.value.required == 2**24 + 1
 
     @pytest.mark.parametrize(
         "mode, n, eps, seed, trials, prob, detail",
         [
             ("correlated", 30, 0.1, 43, 5000, 0.702, None),
             ("correlated", 200, 0.1, 41, 5000, 0.9962, None),
-            ("independent", 4, 0.3, 47, 20_000, 0.002,
+            ("independent", 4, 0.3, 47, 20_000, 0.00245,
              {"encoding_prob": 0.4604, "encoding_lower": 0.34259047609869386,
               "encoding_upper": 71.96034127217747, "encoding_lower_ok": True}),
-            ("independent", 5, 0.4, 59, 20_000, 0.0017,
+            ("independent", 5, 0.4, 59, 20_000, 0.0025,
              {"encoding_prob": 0.54835, "encoding_lower": 0.08683660061253501,
               "encoding_upper": 592.8045268482399, "encoding_lower_ok": True}),
         ],
@@ -674,8 +707,9 @@ class TestJointMonteCarlo:
 
     def test_correlated_memory_does_not_grow_with_n(self, table2_joint, table3_partitions):
         """A correlated call at n = 10 000 peaks under 32 MB traced: the
-        default chunk holds about 2^17 uniforms (13 trials here), where the
-        old fixed 1024-trial batch peaked at 235 MB."""
+        default chunk holds about 2^17 uniforms, 6 a trial here, so the 1100
+        trials run as one chunk, where the old fixed 1024-trial batch peaked
+        at 235 MB."""
         kw = dict(n=10_000, eps=0.1, trials=1100, seed=3, mode="correlated")
         estimate_joint_typicality(table2_joint, table3_partitions, n=10, eps=0.1, trials=10)
         tracemalloc.start()
@@ -789,6 +823,12 @@ class TestTypeSampler:
         got = _binomial_inverse(u, m, q, 1 - q, lg)
         counts = {k: _exact_inverse(k, q, 1 - q)[0] for k in np.unique(m).tolist()}
         np.testing.assert_array_equal(got, [counts[k](x) for k, x in zip(m.tolist(), u.tolist())])
+
+    def test_inversion_of_no_rows(self):
+        """A chunk in which no trial is left to draw passes empty arrays."""
+        lg = np.array([math.lgamma(k + 1) for k in range(11)])
+        got = _binomial_inverse(np.empty(0), np.empty(0, dtype=np.int64), 0.3, 0.7, lg)
+        assert got.shape == (0,) and got.dtype == np.int64
 
     def test_type_frequencies_match_the_multinomial(self):
         """At n = 4 over three cells, each of the 15 types turns up within 5
