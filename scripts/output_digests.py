@@ -40,7 +40,9 @@ with an even-parity bit appended; capacity, full and --identity-only, on a
 channel whose optimal input is on the boundary of the simplex, on one with an
 all-zero output column and on a seeded random 6x6 channel; chancode and
 simulate on a codebook whose two groups have equal sum signals, so that the
-MLG decoder always ties between them; and every malformed file of
+MLG decoder always ties between them; simulate on a singleton codebook of
+300 seeded distinct length-9 words, whose decision indices need more than
+one byte (2 000 trials at 0 and 3 dB, seed 1); and every malformed file of
 tests/malformed_inputs.json (read from this script's checkout), run through the subcommand of its kind and, for the
 five schema kinds, through `schema-check`; huffman on uniform sources whose
 complete codes' Kraft sums round off 1 in floats (9 symbols at arity 3, 6 at
@@ -176,6 +178,11 @@ def extra_jobs(work: Path) -> list[tuple[list[str], Path]]:
     jobs.append((["chancode", "--codebook", tied, "--es-n0", "1.0"], work / "tied_chancode.json"))
     jobs.append((["simulate", "--codebook", tied, "--es-n0-db", "0,10", "--trials", "20000", "--seed", "1"],
                  work / "tied_awgn.csv"))
+    # 300 singleton groups, so decision indices run past one byte
+    words = [format(int(w), "09b") for w in np.random.default_rng(33).choice(1 << 9, size=300, replace=False)]
+    wide = _write_json(work / "wide300.json", {"codewords": words, "groups": [[i] for i in range(300)]})
+    jobs.append((["simulate", "--codebook", wide, "--es-n0-db", "0,3", "--trials", "2000", "--seed", "1"],
+                 work / "wide300_awgn.csv"))
     malformed = json.loads((Path(__file__).resolve().parent.parent / "tests" / "malformed_inputs.json").read_text())
     for i, (kind, _, doc) in enumerate(malformed["cases"]):
         file = _write_json(work / f"malformed_{i}.json", doc)

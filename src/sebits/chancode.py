@@ -12,7 +12,12 @@ Both rules are decided by correlation: every BPSK signal has the same energy,
 so the nearest codeword maximizes y.s_i, and with equal group sizes the MLG
 group maximizes y.(sum of its members' signals).  A batch of b received words
 costs two matrix products and O(b (M + G)) memory for M codewords in G groups,
-not O(b M n).  The distance spectra are computed once per codebook.
+not O(b M n).  The scores are laid out one column per trial, (M, b) and
+(G, b), and each trial's decision is its column's first maximum: a column max,
+then the first row that matches it, so ties go to the lowest index.  Every
+pass runs along whole rows of b trials, where argmax over each trial's short
+row of scores would run one inner loop per trial.  The distance spectra are
+computed once per codebook.
 
 An SNR sweep (`simulate_awgn_sweep`) draws each chunk's codeword picks and
 Box-Muller noise once and decodes them at every Es/N0 point: common random
@@ -21,11 +26,11 @@ the one-point simulation with the same seed.  The trials run through
 `_kernels.trial_map`, the map the joint typicality Monte Carlo uses too: the
 calling thread and one helper thread each draw a chunk's Philox slices, turn
 them into normals in place (Box-Muller on a transposed contiguous copy,
-written back with a second transposing copy), decode them and return integer
-error counts, which are summed, so the result does not depend on the
-chunking.  A chunk holds AWGN_WORK / (M n) trials, which keeps its decode
-GEMMs off OpenBLAS's thread pool, so the simulation runs on those two threads
-alone.
+written back with a second transposing copy), decode them as the columns of
+an (n, b) array and return integer error counts, which are summed, so the
+result does not depend on the chunking.  A chunk holds AWGN_WORK / (M n)
+trials, which keeps its decode GEMMs off OpenBLAS's thread pool, so the
+simulation runs on those two threads alone.
 """
 
 from __future__ import annotations
@@ -326,20 +331,42 @@ def _classic_spectrum_of(cb: GroupedCodebook) -> dict[int, float]:
 # decoding
 # ---------------------------------------------------------------------------
 
-def _decide(y: np.ndarray, cb: GroupedCodebook) -> tuple[np.ndarray, np.ndarray]:
-    """ML codeword and MLG group of y (n,) or of each row of y (b, n), by correlation.
+def _first_max(scores: np.ndarray) -> np.ndarray:
+    """Row index of each column's maximum of scores (k, b), ties to the lowest: argmax(axis=0).
 
-    argmax keeps the first maximum, so ties go to the lowest index.
+    The entries equal to their column's max are weighted k, k - 1, ..., 1 down
+    the rows, so the lowest tied row carries the largest weight, and the
+    column max of the weights gives it back.  Every pass runs along whole
+    rows, where argmax(axis=0) loops once per column.  The weights' dtype
+    holds k.  A column holding a NaN matches no row and reads k, so
+    `_received` refuses a received vector that is not finite.
+    """
+    k = len(scores)
+    weights = np.arange(k, 0, -1, dtype=np.min_scalar_type(k))
+    marks = scores == scores.max(axis=0)
+    return k - (marks * weights[:, None]).max(axis=0)
+
+
+def _decide(y: np.ndarray, cb: GroupedCodebook) -> tuple[np.ndarray, np.ndarray]:
+    """ML codeword and MLG group of each row of y (b, n), by correlation.
+
+    The scores are laid out one column per trial, signals @ y.T (M, b) and
+    group_signals @ y.T (G, b), and each column's decision is its first
+    maximum (`_first_max`): a column max and a first match, so ties go to the
+    lowest index, as argmax gives them.
     """
     signals, group_signals = cb._decode_signals
-    return (y @ signals.T).argmax(axis=-1), (y @ group_signals.T).argmax(axis=-1)
+    return _first_max(signals @ y.T), _first_max(group_signals @ y.T)
 
 
 def _received(y, cb: GroupedCodebook) -> np.ndarray:
+    """y as a one-trial batch (1, n); a wrong length or a NaN or infinite entry is refused."""
     y = np.asarray(y, dtype=float)
     if y.shape != (cb.n,):
         raise LengthMismatch(f"received vector has length {y.size}, code length is {cb.n}")
-    return y
+    if not np.isfinite(y).all():
+        raise ValidationError("received vector must be finite")
+    return y[None]
 
 
 def ml_decode(y, cb: GroupedCodebook) -> int:
@@ -348,7 +375,7 @@ def ml_decode(y, cb: GroupedCodebook) -> int:
     Any Es > 0 scales every signal alike and gives the same decision, so the
     signals are taken at Es = 1.
     """
-    return int(_decide(_received(y, cb), cb)[0])
+    return int(_decide(_received(y, cb), cb)[0][0])
 
 
 def mlg_decode(y, cb: GroupedCodebook) -> int:
@@ -356,7 +383,7 @@ def mlg_decode(y, cb: GroupedCodebook) -> int:
 
     Ties go to the lowest group index; any Es > 0 gives the same decision.
     """
-    return int(_decide(_received(y, cb), cb)[1])
+    return int(_decide(_received(y, cb), cb)[1][0])
 
 
 # ---------------------------------------------------------------------------
@@ -491,31 +518,36 @@ def simulate_awgn_sweep(cb: GroupedCodebook, es_n0s, trials: int, seed: int = 0)
     (M n)) trials: the calling thread and one helper thread each fill a
     chunk's Philox slices, turn them into normals in place (`_box_muller`),
     decode the chunk at every point and return its (points, 3) error counts,
-    which are summed.  A trial holds several times its uniforms while it
-    decodes (clean signals, y and the two correlation products), and with
-    both threads decoding, each chunk's larger decode GEMM (b x M x n) must
-    stay under OpenBLAS's threading threshold: larger ones wake its thread
-    pool, which then spins on the cores the two threads use.
+    which are summed.  At each point y is an (n, b) array, one column per
+    trial: sigma times the strided view of the normals, plus the clean signal
+    columns taken from a contiguous (n, M) copy of the signals made once per
+    call.  `_decide` scores it as signals @ y, (M, b), and group_signals @ y,
+    (G, b), and takes each column's first maximum.  A trial holds several
+    times its uniforms while it decodes (its clean signal, y and the two
+    correlation products), and with both threads decoding, each chunk's
+    larger decode GEMM (b x M x n) must stay under OpenBLAS's threading
+    threshold: larger ones wake its thread pool, which then spins on the
+    cores the two threads use.
     """
     configs = [AwgnConfig(es_n0, trials, seed) for es_n0 in es_n0s]
     if not configs:
         raise ValueError("need at least one Es/N0 point")
     sigmas = [math.sqrt(1.0 / (2.0 * c.es_n0)) for c in configs]
-    signals = cb._decode_signals[0]  # built here, before the trial_map threads read it
-    m, n = signals.shape
+    # built here, before the trial_map threads read them
+    signals_t = np.ascontiguousarray(cb._decode_signals[0].T)  # (n, M): a clean trial is one column
+    n, m = signals_t.shape
 
     def score(u: np.ndarray) -> np.ndarray:
         _box_muller(u, n)
         sent = np.minimum((u[:, 0] * m).astype(int), m - 1)
-        normals = u[:, 1 : 1 + n]
-        clean = signals[sent]
+        normals = u[:, 1 : 1 + n].T
         true_group = cb.group_of[sent]
-        y = np.empty((len(sent), n))
+        y = np.empty((n, len(sent)))  # one column per trial
         counts = np.zeros((len(sigmas), 3), dtype=np.int64)
         for k, sigma in enumerate(sigmas):
             np.multiply(normals, sigma, out=y)
-            y += clean  # bit-identical to clean + sigma * normals
-            counts[k] = _error_counts(y, cb, sent, true_group)
+            y += np.take(signals_t, sent, axis=1)  # bit-identical to clean + sigma * normals
+            counts[k] = _error_counts(y.T, cb, sent, true_group)
         return counts
 
     counts = trial_map(seed, trials, 1 + 2 * ((n + 1) // 2), score, max(1, AWGN_WORK // (m * n)))

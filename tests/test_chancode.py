@@ -36,6 +36,7 @@ from sebits.errors import (
     LengthMismatch,
     RaggedLengths,
     UnequalGroupSizes,
+    ValidationError,
 )
 
 
@@ -351,6 +352,15 @@ class TestDecoding:
         with pytest.raises(LengthMismatch):
             mlg_decode(np.zeros(8), hamming_codebook)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("decode", [ml_decode, mlg_decode])
+    def test_non_finite_received_vector_refused(self, hamming_codebook, decode, bad):
+        """A NaN or infinite entry has no nearest codeword: it is refused, not decoded to 0."""
+        y = np.zeros(7)
+        y[3] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            decode(y, hamming_codebook)
+
     def test_mlg_matches_likelihood_sum_oracle(self, hamming_codebook):
         """10^4 random vectors: the distance rule equals brute-force log-likelihood sums."""
         rng = np.random.default_rng(21)
@@ -527,6 +537,22 @@ class TestCorrelationDecoder:
             assert [ml_decode(row, cb) for row in y[:50]] == want_ml[:50].tolist()
             assert [mlg_decode(row, cb) for row in y[:50]] == want_mlg[:50].tolist()
 
+    def test_decisions_beyond_one_byte(self):
+        """300 singleton groups: a decision index and its tie weights need more than uint8."""
+        rng = np.random.default_rng(33)
+        words = rng.choice(1 << 9, size=300, replace=False)
+        cb = singleton_codebook([format(int(w), "09b") for w in words])
+        s = cb.signals()
+        pairs = rng.choice(300, size=(400, 2))
+        ties = (s[pairs[:, 0]] + s[pairs[:, 1]]) / 2
+        for y in (rng.normal(0.0, 1.5, size=(500, cb.n)), ties):
+            ml, mlg = _decide(y, cb)
+            want_ml, want_mlg = brute_force_decisions(y, cb)
+            assert np.array_equal(ml, want_ml) and np.array_equal(mlg, want_mlg)
+            assert [ml_decode(row, cb) for row in y[:50]] == want_ml[:50].tolist()
+            assert [mlg_decode(row, cb) for row in y[:50]] == want_mlg[:50].tolist()
+        assert want_ml.max() > 255
+
 
 SWEEP_DB = (4.0, -2.0, 6.0, 0.0, 1.5, 4.0, -1.0)  # unsorted, 4 dB twice
 
@@ -589,10 +615,10 @@ class TestSweep:
     @pytest.mark.parametrize("batch, bound", [(None, 6e6), (1 << 15, 12e6)])
     def test_sweep_peak(self, hamming_codebook, batch, bound, monkeypatch):
         """The benchmark's 3-point 2^15-trial sweep.  The default is twelve chunks of
-        up to 2925 trials, two decoding at a time (2.1 MB traced, against 11.8 MB for one
+        up to 2925 trials, two decoding at a time (1.9-2.0 MB traced, against 10.8 MB for one
         2^15-trial chunk).  One inline chunk holds its uniform block, which Box-Muller
         turned into the normals, while it decodes; Box-Muller's cosine scratch must be
-        freed first: held, it reads 12.9 MB."""
+        freed first: held, it reads 11.8 MB, just under the 12 MB bound."""
         es_n0s = [10 ** (db / 10) for db in (0.0, 1.5, 3.0)]
         if batch is not None:
             awgn_chunk(monkeypatch, hamming_codebook, batch)

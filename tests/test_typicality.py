@@ -610,6 +610,7 @@ class TestJointMonteCarlo:
              {"encoding_prob": 0.54835, "encoding_lower": 0.08683660061253501,
               "encoding_upper": 592.8045268482399, "encoding_lower_ok": True}),
         ],
+        ids=["correlated-30-0.1-43", "correlated-200-0.1-41", "independent-4-0.3-47", "independent-5-0.4-59"],
     )
     def test_pinned_table2_draws(self, table2_joint, table3_partitions, mode, n, eps, seed,
                                  trials, prob, detail):
