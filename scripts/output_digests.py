@@ -17,11 +17,13 @@ fixed set of "extra" jobs outside the benchmark follows, once: the random
 decode policy; encode of the same symbols spelled as int() also reads them
 (leading zeros, a sign, Arabic-Indic digits, tabs and CRLF) and of the
 symbols with one index outside the alphabet; decode of a stream of the
-Table VII code that ends inside a codeword and of one with an invalid digit
-in the middle; the joint Monte Carlo in both modes at n = 3,
-n = 1000 and one trial on Table II, and on a joint where the decoding probe
-counts hits, and on Table II the correlated probe at n = 10 and 30 and the
-independent probes at n = 6, eps = 0.3, where the exact sums are known;
+Table VII code that ends inside a codeword, of one with an invalid digit
+in the middle and of one with an Arabic-Indic digit in the middle, and of a
+stream of a skewed 12-word code whose codewords run to 11 digits; the joint
+Monte Carlo in both modes at n = 3, n = 1000 and one trial on Table II, and
+on a joint where the decoding probe counts hits, and on Table II the
+correlated probe at n = 10 and 30 and the independent probes at n = 6,
+eps = 0.3, where the exact sums are known;
 the independent probes on Table II with identity partitions at n = 6,
 eps = 0.3 and n = 20, eps = 0.1 (seed 7), whose decoding probe lumps no
 pair; the correlated probe on Table II at n = 2^24, refused before it
@@ -105,9 +107,17 @@ def extra_jobs(work: Path) -> list[tuple[list[str], Path]]:
     words = ["0", "10", "11"]
     fixed_code = _write_json(work / "code_fixed.json", {"codewords": words, "arity": 2})
     body = "".join(words[k] for k in rng.integers(0, 3, size=20_000))
-    for name, text in (("stream_truncated.txt", body + "1"), ("stream_digit.txt", body[:half] + "2" + body[half:])):
+    for name, text in (("stream_truncated.txt", body + "1"), ("stream_digit.txt", body[:half] + "2" + body[half:]),
+                       ("stream_nonascii.txt", body[:half] + "\u0663" + body[half:])):
         (work / name).write_text(text)
         jobs.append((["decode", "--code", fixed_code, *part, "--input", str(work / name)], work / f"{name}.out"))
+    # a skewed code of 12 words, up to 11 digits long, one block per word
+    long_words = ["1" * k + "0" for k in range(11)] + ["1" * 11]
+    long_code = _write_json(work / "code_long.json", {"codewords": long_words, "arity": 2})
+    long_part = _write_json(work / "partition_long.json", {"blocks": [[k] for k in range(12)]})
+    (work / "stream_long.txt").write_text("".join(long_words[k] for k in rng.integers(0, 12, size=5_000)))
+    jobs.append((["decode", "--code", long_code, "--partition", long_part, "--input", str(work / "stream_long.txt")],
+                 work / "stream_long.txt.out"))
     table2 = ["--joint", "fixtures/tableII_joint.json", "--u-partition", "fixtures/tableIII_u_partition.json",
               "--v-partition", "fixtures/tableIII_v_partition.json"]
     # a weakly dependent joint on which the decoding probe's probability is not 0

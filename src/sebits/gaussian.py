@@ -83,8 +83,8 @@ def spectral_efficiency(eb_n0_linear: float, s: float, lower_bound: bool = False
     This is the per-hertz rate at which the energy per sebit equals Eb/N0.
     The lower-bound form, and the capacity form at S = 1, have no positive root
     below the Eb/N0 limit ln2 / S^4.  There the result is not exactly 0 but a
-    rounding residue of g near eta = 0: 9.6e-16 at -2 dB and S = 1, growing
-    to about 1e-8 within 1e-9 dB of the limit.
+    rounding residue of g(eta) = log2(...) - eta near eta = 0: 9.6e-16 at
+    -2 dB and S = 1, growing to about 1e-8 within 1e-9 dB of the limit.
     """
     if not eb_n0_linear > 0:
         raise ValueError("Eb/N0 must be positive")
@@ -92,15 +92,12 @@ def spectral_efficiency(eb_n0_linear: float, s: float, lower_bound: bool = False
         raise ValueError("average synonymous length must be at least 1")
 
     s4 = s**4
-    if lower_bound:
-        def g(eta: float) -> float:
-            return math.log2(1.0 + s4 * eta * eb_n0_linear) - eta
-    else:
-        def g(eta: float) -> float:
-            return math.log2(s4 * (1.0 + eta * eb_n0_linear)) - eta
-
+    log2 = math.log2
+    # g(eta) > 0 is written out in both loops as log2(...) > eta, with no call per step:
+    # a difference of two doubles is positive exactly when the first is the larger
     hi = 1.0
-    while g(hi) > 0:
+    while (log2(1.0 + s4 * hi * eb_n0_linear) if lower_bound
+           else log2(s4 * (1.0 + hi * eb_n0_linear))) > hi:
         hi *= 2.0
         if hi > 1e9:
             raise ValueError("spectral efficiency diverged")
@@ -109,9 +106,10 @@ def spectral_efficiency(eb_n0_linear: float, s: float, lower_bound: bool = False
     lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
+        if mid == lo or mid == hi:
             break
-        if g(mid) > 0:
+        if (log2(1.0 + s4 * mid * eb_n0_linear) if lower_bound
+                else log2(s4 * (1.0 + mid * eb_n0_linear))) > mid:
             lo = mid
         else:
             hi = mid

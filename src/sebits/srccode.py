@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import re
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -178,54 +177,89 @@ def decode_sequence(
 ) -> list[int]:
     """Parse a codeword stream and emit one block representative per symbol.
 
-    Parsing runs in the regex engine, not in a Python loop over symbols: one
-    findall of w1|w2|... splits the stream into codewords, and one dict maps
-    each to its representative.  The code is prefix-free, so the stream
-    parses exactly when those codewords, joined, give the stream back.  When
-    they do not, the parse breaks where the run of codewords contiguous from
-    position 0 ends; a bisection over joined prefixes of the findall list
-    finds that position without a backtracking match.  Decoding raises there:
+    Parsing runs as a few whole-array passes, not a Python loop over symbols.
+    The stream is read as an array of code points, so positions stay
+    character positions whatever the characters are.  A flat trie table is
+    walked max(lengths) steps from every offset at once, which gives the
+    codeword that starts at each offset, if any.  The parse from position 0
+    then follows next[i] = i + len(word at i) by pointer doubling, about
+    log2(k) rounds for k symbols.  next is a self-loop where no codeword
+    starts and at the end of the stream, so the parse stalls at the first
+    position it cannot pass.  Decoding raises there unless that is the end:
     TruncatedStream when the rest of the stream is a proper prefix of a
-    codeword, InvalidPrefix otherwise.  policy "lowest" picks the smallest
-    index in the block; "random" draws uniformly from the block (seeded, one
-    draw per symbol).  Blockwise round trip is exact:
-    block(decode(encode(s))[k]) == block(s[k]) for every k.
+    codeword, InvalidPrefix otherwise.  Every array takes the narrowest dtype
+    that holds it.  policy "lowest" picks the smallest index in the block;
+    "random" draws uniformly from the block (seeded, one draw per symbol).
+    Blockwise round trip is exact: block(decode(encode(s))[k]) == block(s[k])
+    for every k.
     """
     if len(code.codewords) != f.semantic_size:
         raise SizeMismatch("code does not match the partition's semantic alphabet")
     if policy not in ("lowest", "random"):
         raise ValueError(f"policy must be 'lowest' or 'random', got {policy!r}")
     rng = np.random.default_rng(seed) if policy == "random" else None
-    # codewords are digit strings, so none needs escaping; re caches the pattern by its text
-    words = re.findall("|".join(code.codewords), stream)
-    if "".join(words) != stream:
-        pos = _parsed_prefix_length(words, stream)
-        tail = stream[pos:]
+    # codewords are strings of the digits 0-9 below the arity; `other` is the trie column of
+    # every character that is none of them
+    other = min(code.arity, 10)
+    table, length_of, root = _trie(code.codewords, other + 1)
+    top = max(code.lengths)
+    n = len(stream)
+    # digit values of the code points, `other` for any other character and in the top - 1
+    # cells past the end
+    digits = np.full(n + top - 1, other, np.uint8)
+    points = np.frombuffer(stream.encode("utf-32-le", "surrogatepass"), np.uint32)
+    np.minimum(points - ord("0"), other, out=digits[:n], casting="unsafe")
+    del points  # 4 bytes a character: held on, it would raise the traced peak by a third
+    # every offset walks the trie at once; states are row offsets into the table, leaves absorb
+    state = np.full(n, root, table.dtype)
+    for j in range(top):
+        np.add(state, digits[j : j + n], out=state, casting="unsafe")
+        table.take(state, out=state)
+    # next[i] = i + len(word at i), a self-loop where none starts and at n; pointer doubling
+    # walks it from 0, each round appending the jumps of every position reached so far
+    jump = np.arange(n + 1, dtype=np.min_scalar_type(n))
+    jump[:n] += length_of.take(state)
+    pos = np.zeros(1, jump.dtype)
+    while jump[pos[-1]] != pos[-1]:
+        pos = np.concatenate((pos, jump.take(pos)))
+        jump = jump.take(jump)
+    end = int(pos[-1])
+    if end != n:
+        tail = stream[end:]
         if any(w.startswith(tail) for w in code.codewords):
-            raise TruncatedStream(f"stream ends inside a codeword after position {pos}")
-        raise InvalidPrefix(f"no codeword starts with {tail[:max(code.lengths)]!r} at position {pos}")
+            raise TruncatedStream(f"stream ends inside a codeword after position {end}")
+        raise InvalidPrefix(f"no codeword starts with {tail[:top]!r} at position {end}")
+    words = state.take(pos[: np.searchsorted(pos, end)]) // (other + 1)
     if rng is None:
-        lowest = {w: min(b) for w, b in zip(code.codewords, f.blocks)}
-        return list(map(lowest.__getitem__, words))
+        lowest = np.array([min(b) for b in f.blocks], np.min_scalar_type(f.alphabet_size))
+        return lowest.take(words).tolist()
     # members[rng.integers(len(members))] draws what rng.choice(members) does,
     # without converting the block to an array for every symbol
-    members_of = dict(zip(code.codewords, f.blocks))
-    return [members[rng.integers(len(members))] for members in map(members_of.__getitem__, words)]
+    return [members[rng.integers(len(members))] for members in map(f.blocks.__getitem__, words.tolist())]
 
 
-def _parsed_prefix_length(words: list[str], stream: str) -> int:
-    """Length of the run of findall `words` that lies contiguous from position 0.
+def _trie(codewords: tuple[str, ...], width: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """(table, length_of, root) of the trie of a prefix-free tuple of digit strings.
 
-    "The first k words, joined, start the stream" holds for every k up to
-    that run's length and for none beyond it: no codeword starts where the
-    run ends, or findall would have matched it there.  So the test is
-    monotone in k and a bisection finds the run in O(log len(words)) joins.
+    A state is the offset of its row in the flat table, whose rows have
+    `width` columns: one per digit and a last one for any other character.
+    Codeword k's leaf is row k, so its state divided by the row width is k;
+    then come a dead row that no codeword passes through, and the inner
+    nodes.  An inner row sends each digit to the child's row, or to the dead
+    row; dead and leaf rows send every column to themselves.  length_of
+    holds, at each leaf state, its codeword's length, and 0 elsewhere.
     """
-    lo, hi = 0, len(words)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if stream.startswith("".join(words[:mid])):
-            lo = mid
-        else:
-            hi = mid - 1
-    return sum(map(len, words[:lo]))
+    lengths = [len(w) for w in codewords]
+    dead = len(codewords) * width
+    inner = sorted({w[:j] for w in codewords for j in range(len(w))})
+    row = {w: k * width for k, w in enumerate(codewords)}
+    row.update((p, dead + (k + 1) * width) for k, p in enumerate(inner))
+    size = dead + (len(inner) + 1) * width
+    table = np.repeat(np.arange(0, size, width), width).astype(np.min_scalar_type(size))
+    table[dead:] = dead
+    for w, at in row.items():
+        if w:
+            table[row[w[:-1]] + int(w[-1])] = at
+    length_of = np.zeros(size, np.min_scalar_type(max(lengths)))
+    length_of[:dead:width] = lengths
+    return table, length_of, row[""]

@@ -612,13 +612,13 @@ class TestSweep:
         broadcast = np.dtype(float).itemsize * (1 << 15) * 16 * 7  # the one-point bound's base
         assert peak < broadcast / 2
 
-    @pytest.mark.parametrize("batch, bound", [(None, 6e6), (1 << 15, 12e6)])
+    @pytest.mark.parametrize("batch, bound", [(None, 6e6), (1 << 15, 11.3e6)])
     def test_sweep_peak(self, hamming_codebook, batch, bound, monkeypatch):
         """The benchmark's 3-point 2^15-trial sweep.  The default is twelve chunks of
         up to 2925 trials, two decoding at a time (1.9-2.0 MB traced, against 10.8 MB for one
         2^15-trial chunk).  One inline chunk holds its uniform block, which Box-Muller
         turned into the normals, while it decodes; Box-Muller's cosine scratch must be
-        freed first: held, it reads 11.8 MB, just under the 12 MB bound."""
+        freed first: held, it reads 11.8 MB, above the 11.3 MB bound."""
         es_n0s = [10 ** (db / 10) for db in (0.0, 1.5, 3.0)]
         if batch is not None:
             awgn_chunk(monkeypatch, hamming_codebook, batch)

@@ -392,8 +392,8 @@ class TestCodecsMatchLoopOracles:
                     assert got == want, (code, stream, policy)
 
     def test_decode_matches_the_finditer_loop_on_random_prefix_codes(self):
-        """The regex match and findall give the symbols of the finditer loop they
-        replaced, or its exception class and message, on random prefix codes."""
+        """The array parse gives the symbols of the finditer loop, or its
+        exception class and message, on random prefix codes."""
         rng = np.random.default_rng(94)
         outcomes = set()
         for _ in range(300):
@@ -408,6 +408,60 @@ class TestCodecsMatchLoopOracles:
                     assert got == want, (code, stream, policy)
                     outcomes.add(got[0])
         assert outcomes == {"ok", "TruncatedStream", "InvalidPrefix"}
+
+    @pytest.mark.parametrize("case", ["skewed binary", "arity 10", "arity 300", "one digit", "one word"])
+    def test_decode_matches_oracle_on_edge_codes(self, case):
+        """A skewed binary Huffman code (masses 2^-k, codewords up to 15 digits)
+        and an arity-10 one, where the trie walk takes one step per digit of
+        the longest codeword; a code declared with arity 300, whose digits are
+        still the characters 0-9; and codes of a single codeword."""
+        rng = np.random.default_rng(95)
+        if case in ("skewed binary", "arity 10"):
+            size, arity, top = (16, 2, 15) if case == "skewed binary" else (40, 10, 4)
+            probs = 0.5 ** np.arange(1, size + 1) if arity == 2 else rng.dirichlet(np.full(size, 0.3))
+            f = SynonymousPartition.identity(size)
+            code = build_semantic_huffman(Distribution(probs / probs.sum()), f, arity=arity)
+            assert max(code.lengths) == top
+        elif case == "arity 300":
+            f = SynonymousPartition.identity(4)
+            code = SemanticPrefixCode(("0", "1", "90", "91"), arity=300)
+        else:
+            f = SynonymousPartition.single_block(3)
+            code = SemanticPrefixCode(("0",) if case == "one digit" else ("1011",))
+        for _ in range(20):
+            for stream in self._streams(rng, code, f):
+                for policy in ("lowest", "random"):
+                    got = _outcome(decode_sequence, stream, code, f, policy=policy, seed=5)
+                    want = _outcome(_loop_decode, stream, code, f, policy=policy, seed=5)
+                    assert got == want, (stream, policy)
+
+    @pytest.mark.parametrize("char", ["\u0663", "\U0001f600", "\ud800"])
+    def test_other_characters_are_invalid_where_they_stand(self, huffman_dist, huffman_partition, char):
+        """A non-ASCII digit (int() reads it as 3), an astral character and a
+        lone surrogate after a valid codeword: each counts as one character."""
+        code = build_semantic_huffman(huffman_dist, huffman_partition)
+        for stream in ("0" + char, "0" + char + "10"):
+            got = _outcome(decode_sequence, stream, code, huffman_partition)
+            assert got == _outcome(_loop_decode, stream, code, huffman_partition)
+            assert got == ("InvalidPrefix", f"no codeword starts with {stream[1:3]!r} at position 1")
+
+    def test_table6_decode_memory(self, huffman_dist, huffman_partition):
+        """One 20 000-symbol Table VI decode, the benchmark's job, peaks under
+        0.85 MB traced (0.50 MB with narrow dtypes; the regex parse peaked at
+        0.86 MB)."""
+        import tracemalloc
+
+        code = build_semantic_huffman(huffman_dist, huffman_partition)
+        symbols = np.random.default_rng(0).choice(4, size=20_000, p=huffman_dist.probs).tolist()
+        stream = encode_sequence(symbols, code, huffman_partition)
+        tracemalloc.start()
+        try:
+            decoded = decode_sequence(stream, code, huffman_partition)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(decoded) == 20_000
+        assert peak < 0.85e6, peak
 
     def test_random_policy_draws_the_choice_stream(self):
         """The random policy's picks equal one `rng.choice(members)` per symbol,
