@@ -2,7 +2,7 @@
 
 Every rate here is a rate of a type: the log2 probability of one sequence of
 type c is sum_k c_k log2 p_k (method of types), computed by `_log2_mass`
-column by column, so a type gets the same float wherever it comes from.
+cell by cell, so a type gets the same float wherever it comes from.
 Small block lengths are handled exactly: the O(N^n) sweep becomes one array
 computation over the grid of C(n+N-1, N-1) compositions, walked in
 fixed-size chunks, with multinomial coefficients as exact integer weights.
@@ -14,10 +14,12 @@ Large block lengths fall back to seeded Monte Carlo on types.  Each joint
 probe draws a trial's type over its own cells, one lumped cell and then the
 semantic cells (a, b), by K - 1 conditional binomials (Devroye 1986, ch. XI),
 each inverted from one uniform, so a trial costs K - 1 uniforms whatever n
-is.  A trial that counts on the lumped cell is atypical, so it draws no
-further cell.  Trials run in chunks of about 2^17 uniforms, and the calling
-thread and one helper thread each draw and score chunks, whose integer hit
-counts are summed: two threads at most.
+is.  A chunk's types are held as (cells, trials), so every cell's counts,
+block sums and rate terms are whole rows.  A trial that counts on the lumped
+cell is atypical, so it draws no further cell, and whether it counts there
+is one comparison of its uniform with F(0).  Trials run in chunks of about
+2^17 uniforms, and the calling thread and one helper thread each draw and
+score chunks, whose integer hit counts are summed: two threads at most.
 
 Every bound the exact sweep checks holds at every n, so a failed check is a
 fault.  Each semantically typical sequence has probability below
@@ -76,7 +78,7 @@ def is_semantically_typical(
     seq = np.asarray(seq, dtype=int)
     if seq.size == 0 or seq.min() < 0 or seq.max() >= sem.alphabet_size:
         raise IndexOutOfRange("semantic sequence indices outside the semantic alphabet")
-    counts = np.bincount(seq, minlength=sem.alphabet_size)[None]
+    counts = np.bincount(seq, minlength=sem.alphabet_size)[:, None]
     rate = -_log2_mass(counts, _log2_probs(sem.probs)) / seq.size
     return bool(_within([rate], [entropy(sem)], eps)[0])
 
@@ -102,8 +104,8 @@ def is_synonymous_typical(
     sem = induced_semantic_distribution(d, f)
     h, hs = entropy(d), entropy(sem)
     n = u_seq.size
-    rate_syn = -_log2_mass(np.bincount(u_seq, minlength=d.alphabet_size)[None], _log2_probs(d.probs)) / n
-    sem_counts = np.bincount(f.block_of[u_seq], minlength=sem.alphabet_size)[None]
+    rate_syn = -_log2_mass(np.bincount(u_seq, minlength=d.alphabet_size)[:, None], _log2_probs(d.probs)) / n
+    sem_counts = np.bincount(f.block_of[u_seq], minlength=sem.alphabet_size)[:, None]
     rate_sem = -_log2_mass(sem_counts, _log2_probs(sem.probs)) / n
     return bool(
         _within([rate_syn, rate_sem], [h, hs], eps)[0] and _within([rate_syn - rate_sem], [h - hs], eps)[0]
@@ -164,18 +166,41 @@ def _supported_types(n: int, probs: np.ndarray):
 
 
 def _log2_mass(counts: np.ndarray, log2p: np.ndarray) -> np.ndarray:
-    """log2 probability of one sequence of each type row, sum_i c_i log2 p_i.
+    """log2 probability of one sequence of each type column, sum_i c_i log2 p_i.
 
-    The sum runs column by column over the finite columns, so a given row
-    gives the same float wherever it sits in the grid or a draw.  A row with
-    a count on a zero-probability (-inf) column gets -inf, with no inf - inf.
+    `counts` is (cells, types): the joint probes' draws come that way, and
+    the exact sweep and the membership functions pass transposed views.  The
+    sum runs cell by cell over the finite cells, adding one row of counts at
+    a time, so a given type gives the same float wherever it sits in the grid
+    or a draw.  A type with a count on a zero-probability (-inf) cell gets
+    -inf, with no inf - inf.
     """
-    out = np.zeros(counts.shape[0])
+    out = np.zeros(counts.shape[1])
     finite = np.isfinite(log2p)
     for i in np.flatnonzero(finite):
-        out += counts[:, i] * log2p[i]
-    out[counts[:, ~finite].any(axis=1)] = -np.inf
+        out += counts[i] * log2p[i]
+    out[counts[~finite].any(axis=0)] = -np.inf
     return out
+
+
+def _lex_rank(counts: np.ndarray, n: int) -> np.ndarray:
+    """Lexicographic rank of each row of `counts` among all compositions of n.
+
+    With r_i = n - c_0 - ... - c_{i-1} left before count i and p = parts -
+    1 - i parts after it, the compositions that agree up to i and put less
+    than c_i there number C(r_i + p, p) - C(r_i - c_i + p, p) (hockey
+    stick).  The ranks sum these differences from the int64 table
+    table[r, i] = C(r + p, p), r = 0..n, built column from column by
+    cumulative sums.  Its largest entry, C(n + parts - 1, parts - 1), is the
+    number of compositions, so nothing overflows while that fits in int64.
+    """
+    parts = counts.shape[1]
+    table = np.ones((n + 1, parts), dtype=np.int64)
+    for i in reversed(range(parts - 1)):
+        table[:, i] = table[:, i + 1].cumsum()
+    after = n - counts.cumsum(axis=1)
+    cols = np.arange(parts)
+    return (table[after + counts, cols] - table[after, cols]).sum(axis=1)
 
 
 def enumerate_typical_sets(
@@ -200,9 +225,10 @@ def enumerate_typical_sets(
     `counts @ block-indicator`, and the exact set sizes are Python-int sums of
     multinomials taken from factorial tables over the rows that pass.  Each
     passing row adds its sequences inside one semantic sequence, times their
-    conditional probability, to its class's Pr{B | z}.  The grid
-    is walked in chunks of GRID_CHUNK rows, so memory does not grow with the
-    composition count.  Types that put a count on a zero-probability symbol
+    conditional probability, to its class's Pr{B | z}; classes are keyed by
+    the semantic type's lexicographic rank among the compositions of n.  The
+    grid is walked in chunks of GRID_CHUNK rows, so memory does not grow with
+    the composition count.  Types that put a count on a zero-probability symbol
     hold no sequences and are dropped.  A rate that lies exactly on +/-eps in
     real arithmetic is decided by floating-point rounding (on Table I at
     eps = 0.2 and n = 10, 640 of the 3003 types have a conditional rate within
@@ -257,7 +283,7 @@ def enumerate_typical_sets(
     a_sem_size = 0
     prob_sem = 0.0
     for counts in _supported_types(n, sem.probs):
-        logp = _log2_mass(counts, log2_sem)
+        logp = _log2_mass(counts.T, log2_sem)
         typical = _within([-logp / n], [hs], eps)
         mult = fact[n] // fact[counts[typical]].prod(axis=1)
         a_sem_size += mult.sum()
@@ -272,12 +298,12 @@ def enumerate_typical_sets(
     indicator[np.arange(n_syn), f.block_of] = 1
     a_syn_size = 0
     b_total = 0
-    b_sizes_by_semtype: dict[tuple[int, ...], int] = {}
-    b_prob_by_semtype: dict[tuple[int, ...], float] = {}
+    b_sizes_by_semtype: dict[int, int] = {}
+    b_prob_by_semtype: dict[int, float] = {}
     for counts in _supported_types(n, d.probs):
-        rate_syn = -_log2_mass(counts, log2_syn) / n
+        rate_syn = -_log2_mass(counts.T, log2_syn) / n
         sem_counts = counts @ indicator
-        rate_sem = -_log2_mass(sem_counts, log2_sem) / n
+        rate_sem = -_log2_mass(sem_counts.T, log2_sem) / n
         cond1 = _within([rate_syn], [h], eps)
         denom = fact[counts[cond1]].prod(axis=1)
         mult = fact[n] // denom
@@ -285,15 +311,17 @@ def enumerate_typical_sets(
         member = _within([rate_sem, rate_syn - rate_sem], [hs, h - hs], eps)[cond1]
         b_total += mult[member].sum()
         # sequences of each passing type inside one fixed semantic sequence, and
-        # their probability given that sequence, summed per semantic type
+        # their probability given that sequence, summed per semantic type, which
+        # is keyed by its lexicographic rank: the rank table's entries are at most
+        # C(n + n_sem - 1, n_sem - 1), within the composition cap as n_sem <= n_syn
         sem_member = sem_counts[cond1][member]
         ways = fact[sem_member].prod(axis=1) // denom[member]
         prob = ways.astype(float) * 2.0 ** (n * (rate_sem - rate_syn)[cond1][member])
-        types, group = np.unique(sem_member, axis=0, return_inverse=True)
-        sizes = np.zeros(types.shape[0], dtype=object)
+        keys, group = np.unique(_lex_rank(sem_member, n), return_inverse=True)
+        sizes = np.zeros(keys.size, dtype=object)
         np.add.at(sizes, group, ways)
-        probs = np.bincount(group, prob, types.shape[0]).tolist()
-        for key, size, p in zip(map(tuple, types.tolist()), sizes, probs):
+        probs = np.bincount(group, prob, keys.size).tolist()
+        for key, size, p in zip(keys.tolist(), sizes, probs):
             b_sizes_by_semtype[key] = b_sizes_by_semtype.get(key, 0) + size
             b_prob_by_semtype[key] = b_prob_by_semtype.get(key, 0.0) + p
 
@@ -346,23 +374,20 @@ def _within(rates, targets, eps: float) -> np.ndarray:
     return ok
 
 
-def _binomial_inverse(u: np.ndarray, m: np.ndarray, hit: float, miss: float, lg: np.ndarray) -> np.ndarray:
-    """Bin(m, q) variates with q = hit / (hit + miss), one per (u, m) pair, by inversion.
+def _cdf_rows(rows: np.ndarray, hit: float, miss: float, lg: np.ndarray):
+    """The CDF rows of Bin(m, q), q = hit / (hit + miss), for each m in `rows`.
 
-    Each variate is #{x : F(x) <= u} for the CDF F of Bin(m, q).  Each
-    distinct m in `m` gets one CDF row over a window of counts from
-    floor(m q) - w, with w = ceil(15 + sqrt(225 + 90 n q (1 - q))) and
-    n = lg.size - 1, at least min(2w, n) + 1 counts long: by Bernstein's
-    inequality Bin(m, q) puts less than 2 e^-45 < 2^-63 outside
-    floor(m q) +/- w for every m <= n, below the 2^-53 spacing of the
-    uniforms.  Log-pmfs come from the table lg[k] = ln k!, so a row depends
-    on (m, q, n) alone.  A row reads inf from min(m, its last count) on, so a
-    variate stays inside its window and at most m.  A binary search per
-    element counts the entries of its row at or below u; the window's length
-    is a power of two, so the search needs no bounds check.  Rows are built
-    and searched in blocks of at most max(1, CHUNK_DRAWS // width) distinct
-    m, so a block holds about CHUNK_DRAWS doubles whatever n is.  Empty `u`
-    and `m` give an empty result.
+    Yields (first, start, cdf) per block of at most max(1, CHUNK_DRAWS //
+    width) rows, so a block holds about CHUNK_DRAWS doubles whatever n is.
+    The block is rows[first : first + start.size], and for its r-th m,
+    cdf[r, j] is F(start[r] + j).  Each window starts at floor(m q) - w,
+    clipped at 0, with w = ceil(15 + sqrt(225 + 90 n q (1 - q))) and
+    n = lg.size - 1, and is `width` counts long, a power of two at least
+    min(2w, n) + 1: by Bernstein's inequality Bin(m, q) puts less than
+    2 e^-45 < 2^-63 outside floor(m q) +/- w for every m <= n, below the
+    2^-53 spacing of the uniforms.  Log-pmfs come from the table lg[k] =
+    ln k!, so a row depends on (m, q, n) alone.  A row reads inf from
+    min(m, its last count) on.
     """
     n = lg.size - 1
     q = hit / (hit + miss)
@@ -371,20 +396,34 @@ def _binomial_inverse(u: np.ndarray, m: np.ndarray, hit: float, miss: float, lg:
     w = math.ceil(15 + math.sqrt(225 + 90 * n * q * (1 - q)))
     width = 1 << min(2 * w, n).bit_length()
     span = max(1, CHUNK_DRAWS // width)
-    low = m.min(initial=n)
+    for first in range(0, rows.size, span):
+        block = rows[first : first + span]
+        start = np.maximum(np.floor(block * q).astype(np.int64) - w, 0)
+        x = start[:, None] + np.arange(width)
+        k = np.minimum(x, block[:, None])
+        rest = block[:, None] - k
+        cdf = np.cumsum(np.exp(lg[block][:, None] - lg[k] - lg[rest] + k * log_hit + rest * log_miss), axis=1)
+        cdf[x >= np.minimum(block, start + width - 1)[:, None]] = np.inf
+        yield first, start, cdf
+
+
+def _binomial_inverse(u: np.ndarray, m: np.ndarray, hit: float, miss: float, lg: np.ndarray) -> np.ndarray:
+    """Bin(m, q) variates with q = hit / (hit + miss), one per (u, m) pair, by inversion.
+
+    Each variate is #{x : F(x) <= u} for the CDF F of Bin(m, q), read from
+    the `_cdf_rows` row of its m, one row per distinct m in `m`; a row's inf
+    tail keeps a variate inside its window and at most m.  A binary search
+    per element counts the entries of its row at or below u; the window's
+    length is a power of two, so the search needs no bounds check.  Empty
+    `u` and `m` give an empty result.
+    """
+    low = m.min(initial=lg.size - 1)
     present = np.bincount(m - low) > 0
-    distinct = low + np.flatnonzero(present)
     row = np.cumsum(present)[m - low] - 1
     out = np.empty_like(m)
-    for first in range(0, distinct.size, span):
-        rows = distinct[first : first + span]
-        start = np.maximum(np.floor(rows * q).astype(np.int64) - w, 0)
-        x = start[:, None] + np.arange(width)
-        k = np.minimum(x, rows[:, None])
-        rest = rows[:, None] - k
-        cdf = np.cumsum(np.exp(lg[rows][:, None] - lg[k] - lg[rest] + k * log_hit + rest * log_miss), axis=1)
-        cdf[x >= np.minimum(rows, start + width - 1)[:, None]] = np.inf
-        sel = np.flatnonzero((row >= first) & (row < first + span))
+    for first, start, cdf in _cdf_rows(low + np.flatnonzero(present), hit, miss, lg):
+        width = cdf.shape[1]
+        sel = np.flatnonzero((row >= first) & (row < first + start.size))
         at = row[sel] - first
         last = at * width - 1
         below = u[sel]
@@ -397,54 +436,64 @@ def _binomial_inverse(u: np.ndarray, m: np.ndarray, hit: float, miss: float, lg:
 
 
 def _draw_types(u: np.ndarray, law: np.ndarray, lg: np.ndarray) -> np.ndarray:
-    """Multinomial(n, law) types, n = lg.size - 1: one int64 row per row of `u`.
+    """Multinomial(n, law) types, n = lg.size - 1: one int64 column per row of `u`.
 
-    Conditional binomials (Devroye 1986, ch. XI): the k-th cell of positive
-    law takes Bin(m, p_k / sum_{i >= k} p_i) of the m counts left, inverted
-    from u[:, k], and the last such cell takes the rest.  `u` has a column
-    for every positive cell but the last; a zero-law cell never gets a count.
+    The counts come as (cells, trials), so a cell's counts are one contiguous
+    row.  Conditional binomials (Devroye 1986, ch. XI): the k-th cell of
+    positive law takes Bin(m, p_k / sum_{i >= k} p_i) of the m counts left,
+    inverted from u[:, k], and the last such cell takes the rest.  `u` has a
+    column for every positive cell but the last; a zero-law cell never gets
+    a count.
     """
     cells = np.flatnonzero(law > 0)
-    counts = np.zeros((u.shape[0], law.size), dtype=np.int64)
+    counts = np.zeros((law.size, u.shape[0]), dtype=np.int64)
     left = np.full(u.shape[0], lg.size - 1, dtype=np.int64)
     for k, cell in enumerate(cells[:-1]):
-        counts[:, cell] = _binomial_inverse(u[:, k], left, law[cell], law[cells[k + 1 :]].sum(), lg)
-        left -= counts[:, cell]
-    counts[:, cells[-1]] = left
+        counts[cell] = _binomial_inverse(u[:, k], left, law[cell], law[cells[k + 1 :]].sum(), lg)
+        left -= counts[cell]
+    counts[cells[-1]] = left
     return counts
 
 
 def _draw_off_lumped(u: np.ndarray, law: np.ndarray, lg: np.ndarray) -> np.ndarray:
-    """The types of `_draw_types(u, law, lg)` that count 0 on the lumped cell law[0].
+    """The columns of `_draw_types(u, law, lg)` that count 0 on the lumped cell law[0].
 
     A law with nothing on the lumped cell is drawn as it is.  Otherwise the
-    lumped cell comes first, as in `_draw_types`: it takes Bin(n, law[0] / sum
-    of the law) counts, inverted from u[:, 0], and only the trials that count
-    0 there draw the other cells, from u[:, 1:], with the lumped cell's law set
-    to 0.  When the lumped cell is the only one of positive law, every trial
-    lands on it and nothing is drawn.
+    lumped cell comes first, as in `_draw_types`, and takes Bin(n, law[0] /
+    sum of the law) counts, inverted from u[:, 0].  That count is 0 exactly
+    when u[:, 0] is below F(0), the first entry of the `_cdf_rows` row of
+    m = n, and never when that row's window starts above 0 (F(0) is then
+    taken as 0), so one comparison per trial decides it, against the float
+    the inversion reads.  Only the trials that count 0 there draw the other
+    cells, from u[:, 1:], with the lumped cell's law set to 0.  When the
+    lumped cell is the only one of positive law, or no trial counts 0 on it,
+    nothing is drawn.
     """
     if law[0] == 0:
         return _draw_types(u, law, lg)
     rest = np.append(0.0, law[1:])
-    if not rest.any():
-        return np.zeros((0, law.size), dtype=np.int64)
-    lumped = _binomial_inverse(u[:, 0], np.full(u.shape[0], lg.size - 1), law[0], rest.sum(), lg)
-    return _draw_types(u[lumped == 0, 1:], rest, lg)
+    if rest.any():
+        _, start, cdf = next(_cdf_rows(np.array([lg.size - 1]), law[0], rest.sum(), lg))
+        off = u[:, 0] < (cdf[0, 0] if start[0] == 0 else 0.0)
+        if off.any():
+            return _draw_types(u[off, 1:], rest, lg)
+    return np.zeros((law.size, 0), dtype=np.int64)
 
 
 def _count_typical(counts: np.ndarray, shape: tuple[int, int], n: int, eps: float, checks) -> int:
-    """How many type rows of `counts` are typical.
+    """How many type columns of `counts` are typical.
 
-    A row counts one lumped cell, which is 0 in every row passed here, then
-    the cells (a, b) of a `shape` grid in row-major order.  It is typical when
-    every check's rate lies within eps of its target.  A check (axis, log2
-    table, target) rates the type summed over b (axis 0, a type over a), over
-    a (axis 1, over b), or the type over the cells (a, b) itself (axis None).
+    `counts` is (cells, trials): row 0 is one lumped cell, which is 0 in
+    every column passed here, then come the cells (a, b) of a `shape` grid
+    in row-major order.  A column is typical when every check's rate lies
+    within eps of its target.  A check (axis, log2 table, target) rates the
+    type summed over b (axis 0, a type over a), over a (axis 1, over b), or
+    the type over the cells (a, b) itself (axis None); each sum adds whole
+    rows of trials.
     """
-    cells = counts[:, 1:]
-    grid = cells.reshape(-1, *shape)
-    types = {0: grid.sum(axis=2), 1: grid.sum(axis=1), None: cells}
+    cells = counts[1:]
+    grid = cells.reshape(*shape, -1)
+    types = {0: grid.sum(axis=1), 1: grid.sum(axis=0), None: cells}
     rates = [-_log2_mass(types[axis], table) / n for axis, table, _ in checks]
     return int(_within(rates, [target for *_, target in checks], eps).sum())
 
@@ -500,8 +549,9 @@ def estimate_joint_typicality(
     other pair, must count 0.  A type costs one uniform per cell of positive
     law but the last.  The decoding probe draws its lumped cell first, as
     Bin(n, law of the lumped cell), and only the trials that count 0 there
-    draw the representative pairs; the rest are misses after one binomial.
-    Any cell order gives the same multinomial law.
+    draw the representative pairs; the rest are misses after one comparison
+    of their uniform with F(0).  Any cell order gives the same multinomial
+    law.
 
     Trials run through `_kernels.trial_map` in chunks of as many trials as
     hold about CHUNK_DRAWS (2^17) uniforms.  The calling thread and one

@@ -29,6 +29,9 @@ from sebits.measures import entropy, mutual_information
 from sebits import _kernels, typicality
 from sebits.typicality import (
     _binomial_inverse,
+    _cdf_rows,
+    _count_typical,
+    _draw_off_lumped,
     _draw_types,
     enumerate_typical_sets,
     estimate_joint_typicality,
@@ -384,6 +387,20 @@ class TestEnumeration:
             ]
             assert np.concatenate(pieces).tolist() == expected
             assert max(len(piece) for piece in pieces) <= chunk + n + 1
+
+    @pytest.mark.parametrize("n, parts", [(1, 100), (2, 40), (0, 3), (7, 1), (6, 4), (12, 5)])
+    def test_rank_key_groups_as_the_row_unique(self, n, parts):
+        """The lexicographic rank of a composition is its place in the type
+        grid, and keying rows by it groups them, in the same order, exactly as
+        `np.unique(axis=0)` does.  At n = 1 with 100 parts and n = 2 with 40 a
+        base-(n + 1) key would overflow int64 (3^40 > 2^63)."""
+        grid = np.concatenate(list(typicality._type_grid(n, parts)))
+        np.testing.assert_array_equal(typicality._lex_rank(grid, n), np.arange(len(grid)))
+        rows = grid[np.random.default_rng(n + parts).integers(0, len(grid), 3 * len(grid) + 5)]
+        types, group = np.unique(rows, axis=0, return_inverse=True)
+        keys, key_group = np.unique(typicality._lex_rank(rows, n), return_inverse=True)
+        np.testing.assert_array_equal(key_group, group.ravel())
+        np.testing.assert_array_equal(grid[keys], types)
 
     def test_type_grid_memory_is_chunked(self):
         """8 symbols in two blocks at n = 20 is 888 030 types; walking the grid
@@ -837,7 +854,7 @@ class TestTypeSampler:
         n, law, draws = 4, np.array([0.5, 0.3, 0.2]), 200_000
         lg = np.array([math.lgamma(k + 1) for k in range(n + 1)])
         counts = _draw_types(np.random.default_rng(71).random((draws, 2)), law, lg)
-        seen = Counter(map(tuple, counts.tolist()))
+        seen = Counter(map(tuple, counts.T.tolist()))
         types = [c for c in itertools.product(range(n + 1), repeat=3) if sum(c) == n]
         assert set(seen) <= set(types)
         for c in types:
@@ -850,13 +867,96 @@ class TestTypeSampler:
     )
     @pytest.mark.parametrize("n", [1, 7, 500, 10_000])
     def test_counts_sum_to_n_off_zero_law_cells(self, law, n):
-        """Every type sums to n, has no negative count, and puts nothing on a
-        zero-law cell; u has a column for each positive cell but the last."""
+        """Every type (a column) sums to n, has no negative count, and puts
+        nothing on a zero-law cell; u has a column for each positive cell but
+        the last."""
         law = np.array(law)
         lg = np.array([math.lgamma(k + 1) for k in range(n + 1)])
         u = np.random.default_rng(73).random((4000, np.count_nonzero(law) - 1))
         counts = _draw_types(u, law, lg)
-        assert counts.shape == (4000, law.size)
-        assert (counts.sum(axis=1) == n).all()
+        assert counts.shape == (law.size, 4000)
+        assert (counts.sum(axis=0) == n).all()
         assert (counts >= 0).all()
-        assert not counts[:, law == 0].any()
+        assert not counts[law == 0].any()
+
+    @pytest.mark.parametrize(
+        "law",
+        [[0.01, 0.5, 0.0, 0.49], [1e-4, 0.3, 0.3, 0.2, 0.2], [0.55, 0.1, 0.2, 0.15], [0.3, 0.7],
+         [0.5, 0.0, 0.0], [0.0, 0.6, 0.4]],
+    )
+    @pytest.mark.parametrize("n", [1, 7, 20, 200, 10_000])
+    def test_off_lumped_equals_the_full_lumped_inversion(self, law, n):
+        """The one comparison against F(0) keeps exactly the trials that the
+        lumped cell's full inversion puts 0 on, and the rest are drawn from
+        the same uniforms, bit for bit.  u is planted at the first entry of
+        the lumped cell's CDF row (F(0) where its window starts at 0) and at
+        its float neighbours.  Two of these windows start above 0 (law 0.55
+        from n = 200 on, 0.3 at n = 10 000), where every trial lands on the
+        lumped cell; at law 0.01 and n = 10 000, F(0) is 2.2e-44 and only
+        planted trials count 0 there.  The lumped cell alone draws nothing,
+        and a law with no lumped mass is drawn as it is."""
+        law = np.array(law)
+        lg = np.array([math.lgamma(k + 1) for k in range(n + 1)])
+        u = np.random.default_rng(79).random((3000, np.count_nonzero(law) - 1))
+        rest = np.append(0.0, law[1:])
+        if law[0] > 0 and rest.any():
+            first = next(_cdf_rows(np.array([n]), law[0], rest.sum(), lg))[2][0, 0]
+            near = np.nextafter(first, [0.0, 1.0])
+            planted = [first, *near, *np.nextafter(near, [0.0, 1.0]), first - 1e-12, first + 1e-12]
+            u[: len(planted), 0] = np.clip(planted, 0.0, np.nextafter(1.0, 0.0))
+        got = _draw_off_lumped(u, law, lg)
+        if law[0] == 0:
+            want = _draw_types(u, law, lg)
+        elif not rest.any():
+            want = np.zeros((law.size, 0), dtype=np.int64)
+        else:
+            lumped = _binomial_inverse(u[:, 0], np.full(u.shape[0], n), law[0], rest.sum(), lg)
+            want = _draw_types(u[lumped == 0, 1:], rest, lg)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 4), (3, 1)])
+    @pytest.mark.parametrize("n", [1, 6, 40])
+    def test_count_typical_matches_a_loop_over_trials(self, shape, n):
+        """The count equals a per-trial loop that forms each block type with
+        Python sums and each rate cell by cell as `_log2_mass` orders it, so
+        the verdicts agree exactly.  Every table of more than one entry has a
+        -inf (zero-probability) entry where the law puts a little mass, which
+        makes every type counting there atypical."""
+        rng = np.random.default_rng(83 + n)
+        size = shape[0] * shape[1]
+        cell_law = rng.dirichlet(np.ones(size)).reshape(shape)
+        cell_law[0] *= 0.02
+        cell_law[:, 0] *= 0.02
+        cell_law /= cell_law.sum()
+        law = np.append(0.0, cell_law.ravel())
+        lg = np.array([math.lgamma(k + 1) for k in range(n + 1)])
+        counts = _draw_types(rng.random((4000, size - 1)), law, lg)
+
+        def check(axis, p):
+            p = p.ravel().copy()
+            if p.size > 1:
+                p[0] = 0.0
+            p /= p.sum()
+            with np.errstate(divide="ignore"):
+                table = np.log2(p)
+            return axis, table, -float(p[p > 0] @ table[p > 0])
+
+        checks = [check(0, cell_law.sum(axis=1)), check(1, cell_law.sum(axis=0)), check(None, cell_law)]
+
+        def rate(c, t):
+            if any(k > 0 and not math.isfinite(lp) for k, lp in zip(c, t.tolist())):
+                return math.inf
+            total = 0.0
+            for k, lp in zip(c, t.tolist()):
+                if math.isfinite(lp):
+                    total += k * lp
+            return -total / n
+
+        for eps in (0.2, 0.5, 1.0):
+            want = 0
+            for col in counts.T.tolist():
+                grid = [col[1 + a * shape[1] : 1 + (a + 1) * shape[1]] for a in range(shape[0])]
+                types = {0: [sum(r) for r in grid], 1: [sum(c) for c in zip(*grid)], None: col[1:]}
+                want += all(abs(rate(types[axis], t) - target) < eps for axis, t, target in checks)
+            assert _count_typical(counts, shape, n, eps, checks) == want
